@@ -9,8 +9,10 @@ Grammar (left-associative, unary minus binds tightest):
 
 Constants: e0 e1 e2 e3 s1 s2 s3 i j ij.  Functions: bar rev grad exp inv
 dot wedge boost rot spinor sprod norm2 commutator.  Angles are radians,
-rapidities dimensionless.  Exit codes: 2 parse/type error, 3 zero divisor,
-1 verify failure.
+rapidities dimensionless.  Nesting of parentheses, calls and unary minus is
+limited to MAX_DEPTH levels.  Exit codes: 1 verify or --check failure,
+2 parse/type error, 3 zero divisor, 4 overflow, non-convergence or a
+non-finite result.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -26,8 +29,8 @@ from .cayley import (E, E0, E1, E2, E3, S1, S2, S3, FourVector, Multivector,
                      NotAParavector, antisym, extract, minkowski_dot, scalar,
                      sym)
 from .hypernum import I, IJ, J, HyperComplex, ZeroDivisor, format_real
-from .lorentz import LorentzParams, boost, commutator, exp_general, \
-    generators, rotation, spin_transform
+from .lorentz import LorentzParams, NoConvergence, boost, commutator, \
+    exp_general, generators, rotation, spin_transform
 from .spinor import (NotInSpinorAlgebra, Spinor, even_components, from_rotor,
                      mott_factor, product_modulus_sq, sprod_algebraic)
 
@@ -56,6 +59,10 @@ class EvalTypeError(TypeError):
     def __init__(self, offset: int, message: str):
         self.offset = offset
         super().__init__(f"type error at offset {offset}: {message}")
+
+
+class NonFiniteResult(ArithmeticError):
+    """A result with a NaN or infinite number, refused rather than printed."""
 
 
 # -- abstract syntax ----------------------------------------------------------
@@ -145,11 +152,16 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 _ATOM_EXPECTED = ("a number", "a constant", "a function call", "'('", "'-'")
 
+# Levels of parentheses, calls and unary minus, counted together; each level
+# costs a few stack frames in the parser and the evaluator.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.index = 0
+        self.depth = 0  # levels open around the unary being parsed
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -187,11 +199,20 @@ class _Parser:
         return node
 
     def unary(self):
+        # Every level of nesting passes through here once.
         tok = self.peek()
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                tok[2], (f"at most {MAX_DEPTH} levels of parentheses, calls "
+                         "and unary minus",))
+        self.depth += 1
         if tok[0] == "-":
             self.advance()
-            return Neg(self.unary(), tok[2])
-        return self.atom()
+            node = Neg(self.unary(), tok[2])
+        else:
+            node = self.atom()
+        self.depth -= 1
+        return node
 
     def atom(self):
         kind, text, pos = self.peek()
@@ -256,14 +277,6 @@ def render(node) -> str:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _as_multivector(value) -> Multivector:
-    if isinstance(value, Multivector):
-        return value
-    if isinstance(value, HyperComplex):
-        return Multivector(value)
-    return Multivector(HyperComplex(float(value)))
-
-
 def _as_hyper(value, pos: int) -> HyperComplex:
     if isinstance(value, Multivector):
         raise EvalTypeError(pos, "expected a scalar, got a multivector")
@@ -280,19 +293,9 @@ def _as_real(value, pos: int) -> float:
     raise EvalTypeError(pos, "expected a real number")
 
 
-def _binary(op: str, a, b):
-    if isinstance(a, Multivector) or isinstance(b, Multivector):
-        a, b = _as_multivector(a), _as_multivector(b)
-    elif isinstance(a, HyperComplex) or isinstance(b, HyperComplex):
-        if not isinstance(a, HyperComplex):
-            a = HyperComplex(float(a))
-        if not isinstance(b, HyperComplex):
-            b = HyperComplex(float(b))
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    return a * b
+# The operands' own methods promote a real to a scalar and a scalar to a
+# multivector.
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _eval_call(name: str, args: list, positions: list[int], pos: int):
@@ -321,19 +324,19 @@ def _eval_call(name: str, args: list, positions: list[int], pos: int):
         vectors = []
         for value, p in zip(args, positions):
             try:
-                vectors.append(extract(_as_multivector(value)))
+                vectors.append(extract(scalar(value)))
             except NotAParavector as exc:
                 raise EvalTypeError(p, f"dot needs embedded four-vectors ({exc})")
         return minkowski_dot(*vectors)
     if name == "wedge":
-        return antisym(_as_multivector(args[0]), _as_multivector(args[1]))
+        return antisym(scalar(args[0]), scalar(args[1]))
     if name == "commutator":
-        return commutator(_as_multivector(args[0]), _as_multivector(args[1]))
+        return commutator(scalar(args[0]), scalar(args[1]))
     if name == "sprod":
         spinors = []
         for value, p in zip(args, positions):
             try:
-                spinors.append(spinor.from_multivector(_as_multivector(value)))
+                spinors.append(spinor.from_multivector(scalar(value)))
             except NotInSpinorAlgebra as exc:
                 raise EvalTypeError(p, str(exc))
         return sprod_algebraic(*spinors)
@@ -353,9 +356,18 @@ def evaluate(node):
         value = CONSTANTS[node.name]
         return value
     if isinstance(node, Neg):
-        return _binary("-", 0.0, evaluate(node.operand))
+        return 0.0 - evaluate(node.operand)
     if isinstance(node, BinOp):
-        return _binary(node.op, evaluate(node.lhs), evaluate(node.rhs))
+        # A chain such as 1+1+...+1 parses left-deep; walking its left spine
+        # in a loop keeps its length off the stack.
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.lhs
+        value = evaluate(node)
+        for link in reversed(spine):
+            value = _BINARY[link.op](value, evaluate(link.rhs))
+        return value
     if isinstance(node, Call):
         arity = FUNCTION_ARITY[node.name]
         if len(node.args) != arity:
@@ -392,15 +404,25 @@ def value_to_text(value) -> str:
     return format_real(value)
 
 
+def _emit(as_json: bool, doc: dict, text: str) -> int:
+    """Print doc as JSON if as_json, else text; refuse NaN and infinity.
+
+    Every subcommand prints its numbers through here, so no NaN or infinite
+    result leaves with exit 0: NonFiniteResult is exit 4.
+    """
+    for key, value in doc.items():
+        for number in value if isinstance(value, list) else [value]:
+            if isinstance(number, float) and not math.isfinite(number):
+                raise NonFiniteResult(f"{number} in {key!r}")
+    print(json.dumps(doc) if as_json else text)
+    return 0
+
+
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
     value = evaluate(parse(args.expr))
-    if args.json:
-        print(json.dumps(value_to_json(value)))
-    else:
-        print(value_to_text(value))
-    return 0
+    return _emit(args.json, value_to_json(value), value_to_text(value))
 
 
 def _triple(text: str):
@@ -417,59 +439,48 @@ def _cmd_transform(args) -> int:
               file=sys.stderr)
         return 2
     total = boost(_triple(args.boost)) * rotation(_triple(args.rotate))
-    image = lorentz.apply(total, FourVector(*parts))
-    if args.json:
-        print(json.dumps({"kind": "fourvector",
-                          "coeffs": [_round12(c) for c in image.components()]}))
-    else:
-        print(" ".join(format_real(c) for c in image.components()))
-    return 0
+    image = lorentz.apply(total, FourVector(*parts)).components()
+    return _emit(args.json, {"kind": "fourvector",
+                             "coeffs": [_round12(c) for c in image]},
+                 " ".join(format_real(c) for c in image))
 
 
-def _closed_form_even(p: LorentzParams) -> dict[str, float]:
-    cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
-    ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
-    ch, sh = math.cosh(p.xi / 2.0), math.sinh(p.xi / 2.0)
-    return {"s": cp * ct * ch, "b32": sp * st * ch, "b13": -cp * st * ch,
-            "b21": -sp * ct * ch, "b10": cp * st * sh, "b20": sp * st * sh,
-            "b30": cp * ct * sh, "p": -sp * ct * sh}
+# spinor --check bound, in units of eps * cosh(xi/2), the size of the largest
+# component; the two routes differ by about 2 of these units at worst.
+CHECK_K = 16
 
 
 def _cmd_spinor(args) -> int:
     params = LorentzParams(args.phi, args.theta, args.xi)
     psi = from_rotor(spin_transform(params))
     if args.check:
-        expected = _closed_form_even(params)
-        got = even_components(psi).as_dict()
-        worst = max(abs(got[k] - expected[k]) for k in expected)
-        if worst > 1e-12:
-            print(f"check failed: max component error {worst:.3e}",
-                  file=sys.stderr)
+        product = rotation((0.0, 0.0, params.phi)) \
+            * rotation((0.0, params.theta, 0.0)) * boost((0.0, 0.0, params.xi))
+        want = even_components(from_rotor(product)).as_dict()
+        errors = [abs(v - want[k]) for k, v in even_components(psi).as_dict().items()]
+        worst = math.nan if any(map(math.isnan, errors)) else max(errors)
+        scale = math.cosh(params.xi / 2.0)
+        tol = CHECK_K * sys.float_info.epsilon * scale
+        if not worst <= tol:
+            print(f"check failed: max component error {worst:.3e} exceeds "
+                  f"tolerance {tol:.3e} ({CHECK_K} eps at scale "
+                  f"cosh(xi/2) = {scale:.6g})", file=sys.stderr)
             return 1
     if args.view == "odd":
         oc = spinor.odd_components(psi)
-        if args.json:
-            print(json.dumps({"v": [_round12(c) for c in oc.v],
-                              "eta": [_round12(c) for c in oc.eta]}))
-        else:
-            print("v " + " ".join(format_real(c) for c in oc.v))
-            print("eta " + " ".join(format_real(c) for c in oc.eta))
-    elif args.view == "column":
+        return _emit(args.json, {"v": [_round12(c) for c in oc.v],
+                                 "eta": [_round12(c) for c in oc.eta]},
+                     f"v {' '.join(map(format_real, oc.v))}\n"
+                     f"eta {' '.join(map(format_real, oc.eta))}")
+    if args.view == "column":
         col = spinor.to_column(psi)
-        if args.json:
-            print(json.dumps({"c1": [_round12(c) for c in col.c1.coeffs()],
-                              "c2": [_round12(c) for c in col.c2.coeffs()]}))
-        else:
-            print(f"c1 {col.c1}")
-            print(f"c2 {col.c2}")
-    else:
-        ec = even_components(psi).as_dict()
-        if args.json:
-            print(json.dumps({k: _round12(v) for k, v in ec.items()}))
-        else:
-            for key, val in ec.items():
-                print(f"{key} {format_real(val)}")
-    return 0
+        return _emit(args.json,
+                     {"c1": [_round12(c) for c in col.c1.coeffs()],
+                      "c2": [_round12(c) for c in col.c2.coeffs()]},
+                     f"c1 {col.c1}\nc2 {col.c2}")
+    ec = even_components(psi).as_dict()
+    return _emit(args.json, {k: _round12(v) for k, v in ec.items()},
+                 "\n".join(f"{k} {format_real(v)}" for k, v in ec.items()))
 
 
 def _cmd_cross_section(args) -> int:
@@ -477,14 +488,10 @@ def _cmd_cross_section(args) -> int:
     psi = from_rotor(spin_transform(params))
     m2 = product_modulus_sq(psi, Spinor.standard())
     mott = mott_factor(args.theta)
-    if args.json:
-        print(json.dumps({"kind": "cross-section", "re": _round12(m2.x),
-                          "ij": _round12(m2.w), "mott": _round12(mott)}))
-    else:
-        print(f"re {format_real(m2.x)}")
-        print(f"ij {format_real(m2.w)}")
-        print(f"mott {format_real(mott)}")
-    return 0
+    return _emit(args.json, {"kind": "cross-section", "re": _round12(m2.x),
+                             "ij": _round12(m2.w), "mott": _round12(mott)},
+                 f"re {format_real(m2.x)}\nij {format_real(m2.w)}\n"
+                 f"mott {format_real(mott)}")
 
 
 _SIGN_TABLE = (
@@ -613,6 +620,9 @@ def main(argv=None) -> int:
     except ZeroDivisor as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (OverflowError, NoConvergence, NonFiniteResult) as exc:
+        print(f"error: no finite result: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cayley import ONE, S1, S2, S3, FourVector, Multivector, embed, extract
 from .hypernum import HyperComplex
 
@@ -125,13 +123,33 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
 
 
 def spin_transform(p: LorentzParams) -> Rotor:
-    """exp(-i phi s3/2) exp(-i theta s2/2) exp(j xi s3/2), in that order."""
-    return rotation((0.0, 0.0, p.phi)) * rotation((0.0, p.theta, 0.0)) \
-        * boost((0.0, 0.0, p.xi))
+    """exp(-i phi s3/2) exp(-i theta s2/2) exp(j xi s3/2), in closed form.
+
+    With cp, sp = cos, sin(phi/2), ct, st = cos, sin(theta/2) and
+    ch, sh = cosh, sinh(xi/2), the even components (see hypalg.spinor) are
+    s = cp ct ch, b32 = sp st ch, b13 = -cp st ch, b21 = -sp ct ch,
+    b10 = cp st sh, b20 = sp st sh, b30 = cp ct sh and p = -sp ct sh, each
+    correct to a few eps times cosh(xi/2).  The product of the three
+    exponentials, rotation((0, 0, phi)) * rotation((0, theta, 0))
+    * boost((0, 0, xi)), is the independent route that
+    ``hypalg spinor --check`` compares against.
+    """
+    cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
+    ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
+    ch, sh = math.cosh(p.xi / 2.0), math.sinh(p.xi / 2.0)
+    return Rotor(Multivector(HyperComplex(cp * ct * ch, 0.0, 0.0, -sp * ct * sh),
+                             HyperComplex(0.0, sp * st * ch, cp * st * sh),
+                             HyperComplex(0.0, -cp * st * ch, sp * st * sh),
+                             HyperComplex(0.0, -sp * ct * ch, cp * ct * sh)))
 
 
-def matrix_of(t: Rotor) -> np.ndarray:
-    """The 4x4 real matrix M with M x = apply(t, x), built column by column."""
+def matrix_of(t: Rotor):
+    """The 4x4 real numpy array M with M x = apply(t, x), built column by column.
+
+    numpy is imported on the first call, so importing hypalg does not load it.
+    """
+    import numpy as np
+
     m = np.empty((4, 4))
     for mu in range(4):
         basis = [0.0, 0.0, 0.0, 0.0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cayley import E3, ONE, Multivector, sym
 from .hypernum import HyperComplex, J, _mul_i
-from .lorentz import Rotor
+from .lorentz import LorentzParams, Rotor, spin_transform
 
 
 class NotInSpinorAlgebra(ValueError):
@@ -282,6 +282,5 @@ def mott_factor(theta: float) -> float:
 
 def nonrel_vector(phi: float, theta: float) -> tuple[float, float, float]:
     """(b32, b13, b21) at zero rapidity: a rotation parametrized with 4-pi period."""
-    return (math.sin(phi / 2.0) * math.sin(theta / 2.0),
-            -math.cos(phi / 2.0) * math.sin(theta / 2.0),
-            -math.sin(phi / 2.0) * math.cos(theta / 2.0))
+    ec = even_components(from_rotor(spin_transform(LorentzParams(phi, theta))))
+    return (ec.b32, ec.b13, ec.b21)

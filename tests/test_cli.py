@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypalg
 from hypalg import HyperComplex, Multivector
-from hypalg.cli import (BinOp, Call, Const, EvalTypeError, ExprSyntaxError,
-                        Num, evaluate, main, parse, render)
+from hypalg.cli import (MAX_DEPTH, BinOp, Call, Const, EvalTypeError,
+                        ExprSyntaxError, Num, evaluate, main, parse, render)
 
 
 def run(capsys, *argv):
@@ -39,6 +44,30 @@ def test_parse_reports_offsets_and_expectations():
     with pytest.raises(ExprSyntaxError) as err:
         parse("1 + 2)")
     assert err.value.offset == 5
+
+
+def test_parse_depth_limit(capsys):
+    # 2000 levels of each kind of nesting are refused at the first token
+    # nested deeper than MAX_DEPTH levels, not by a RecursionError
+    deep = MAX_DEPTH + 1
+    cases = (("(" * 2000 + "1" + ")" * 2000, deep),
+             ("exp(" * 2000 + "1" + ")" * 2000, 4 * deep),
+             ("-" * 2000 + "1", deep),
+             ("-bar((" * 2000 + "1" + "))" * 2000, None))
+    for src, offset in cases:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(src)
+        assert offset is None or err.value.offset == offset
+        assert f"at most {MAX_DEPTH} levels" in str(err.value)
+        code, out, err_text = run(capsys, "eval", "--", src)
+        assert code == 2 and out == "" and "syntax error" in err_text
+    assert evaluate(parse("(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH)) == 2.0
+    assert evaluate(parse("-" * MAX_DEPTH + "2")) == 2.0
+
+
+def test_long_chains_evaluate():
+    assert evaluate(parse(" + ".join(["1"] * 5000))) == 5000.0
+    assert evaluate(parse("*".join(["j"] * 5001))) == HyperComplex(0, 0, 1)
 
 
 def test_precedence_and_associativity():
@@ -146,6 +175,44 @@ def test_cli_eval_exit_codes(capsys):
     assert code == 3 and "null cone" in err
     code, _, err = run(capsys, "eval", "dot(s1, s1)")
     assert code == 2
+
+
+def test_cli_no_finite_result_exit_code(capsys):
+    cases = (
+        (("eval", "boost(0,0,2000)"), "range error"),           # OverflowError
+        (("cross-section", "--xi", "2000"), "range error"),
+        (("eval", "exp(1e400*s1)"), "did not settle"),          # NoConvergence
+        (("eval", "1e400*e1"), "nan"),                          # NaN result
+        (("eval", "1e308 + 1e308*j", "--json"), "inf"),         # inf result
+        (("spinor", "--phi", "nan"), "nan"),
+    )
+    for argv, detail in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert out == "" and err.startswith("error: no finite result") \
+            and detail in err, (argv, err)
+
+
+def test_cli_spinor_check_tolerance_scales(capsys):
+    # components near cosh(11) ~ 3e4 differ between the two routes by a few
+    # eps of that size, far above a bare 1e-12 and within the scaled bound
+    code, out, err = run(capsys, "spinor", "--phi", "0.3", "--theta", "0.3",
+                         "--xi", "22", "--check")
+    assert code == 0 and err == "" and out.startswith("s ")
+    code, out, err = run(capsys, "spinor", "--phi", "nan", "--check")
+    assert code == 1 and out == ""
+    assert "error nan exceeds tolerance" in err and "cosh(xi/2) = 1" in err
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(hypalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypalg.cli; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_eval_json_schema(capsys):

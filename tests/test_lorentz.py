@@ -141,6 +141,22 @@ def test_spin_transform_orbit():
         assert image.isclose(want, 1e-12)
 
 
+def test_spin_transform_closed_form_matches_product():
+    # the closed form against its defining product of three exponentials,
+    # componentwise, to 16 eps of the largest component, cosh(xi/2)
+    eps = np.finfo(float).eps
+    for k in range(13):
+        phi = -2 * math.pi + k * math.pi / 3
+        for theta in (-3.0, -1.1, 0.0, 0.4, 1.5707963267948966, 2.9, math.pi):
+            for xi in (-30.0, -17.5, -6.0, -0.3, 0.0, 0.8, 9.0, 22.0, 30.0):
+                got = spin_transform(LorentzParams(phi, theta, xi)).value
+                want = (rotation((0, 0, phi)) * rotation((0, theta, 0))
+                        * boost((0, 0, xi))).value
+                worst = max(abs(g - w) for g, w in
+                            zip(got.coeffs16(), want.coeffs16()))
+                assert worst <= 16 * eps * math.cosh(xi / 2), (phi, theta, xi)
+
+
 def test_composition_order(rng):
     t1, t2 = random_rotor(rng), random_rotor(rng)
     x = FourVector(*(rng.uniform(-2, 2) for _ in range(4)))
@@ -157,6 +173,7 @@ def test_unit_property_of_products(rng):
 
 
 def test_matrix_of_identity_and_boost():
+    assert isinstance(matrix_of(Rotor(ONE)), np.ndarray)
     assert np.allclose(matrix_of(Rotor(ONE)), np.eye(4))
     xi = 0.8
     m = matrix_of(boost((0, 0, xi)))
