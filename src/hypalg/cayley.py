@@ -9,25 +9,49 @@ four-vectors embed as paravectors ``x0 + x1*j*s1 + x2*j*s2 + x3*j*s3``.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
-from .hypernum import HyperComplex, ZeroDivisor, _mul_i  # noqa: F401  (re-raised here)
+from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
+from .hypernum import ZERO, HyperComplex, _Frozen, _mul_i, _setters
 
 
-class NotAParavector(ValueError):
+class _ResidualError(Exception):
+    """A membership guard's failure.
+
+    ``residual`` is the largest coefficient the guard found outside its span,
+    NaN when one of them is NaN; ``text`` formats it into the message.
+    """
+
+    text = "residual {:.3e}"
+
+    def __init__(self, residual: float):
+        super().__init__(residual)
+        self.residual = residual
+
+    def __str__(self) -> str:
+        return self.text.format(self.residual)
+
+
+class NotAParavector(_ResidualError, ValueError):
     """A multivector expected to be an embedded four-vector is not one."""
+
+    text = "residual {:.3e} outside the paravector span"
 
 
 class IndexOutOfRange(IndexError):
     """A spacetime index outside 0..3."""
 
 
-@dataclass(frozen=True, slots=True)
-class Multivector:
-    z0: HyperComplex = HyperComplex()
-    z1: HyperComplex = HyperComplex()
-    z2: HyperComplex = HyperComplex()
-    z3: HyperComplex = HyperComplex()
+class Multivector(_Frozen):
+    """z0 + z1*s1 + z2*s2 + z3*s3 with hyperbolic-complex coefficients."""
+
+    __slots__ = __match_args__ = ("z0", "z1", "z2", "z3")
+
+    def __init__(self, z0: HyperComplex = ZERO, z1: HyperComplex = ZERO,
+                 z2: HyperComplex = ZERO, z3: HyperComplex = ZERO):
+        _set_z0(self, z0)
+        _set_z1(self, z1)
+        _set_z2(self, z2)
+        _set_z3(self, z3)
 
     # -- linear structure --------------------------------------------------
 
@@ -146,6 +170,9 @@ class Multivector:
         return render_terms(zip(self.coeffs16(), labels))
 
 
+_set_z0, _set_z1, _set_z2, _set_z3 = _setters(Multivector)
+
+
 def _coerce(value) -> Multivector | None:
     if isinstance(value, Multivector):
         return value
@@ -193,12 +220,17 @@ def triparavector(mu: int, nu: int, sig: int) -> Multivector:
 
 # -- Minkowski four-vectors ---------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class FourVector:
-    x0: float = 0.0
-    x1: float = 0.0
-    x2: float = 0.0
-    x3: float = 0.0
+class FourVector(_Frozen):
+    """A Minkowski four-vector (x0, x1, x2, x3)."""
+
+    __slots__ = __match_args__ = ("x0", "x1", "x2", "x3")
+
+    def __init__(self, x0: float = 0.0, x1: float = 0.0, x2: float = 0.0,
+                 x3: float = 0.0):
+        _set_x0(self, x0)
+        _set_x1(self, x1)
+        _set_x2(self, x2)
+        _set_x3(self, x3)
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.x0, self.x1, self.x2, self.x3)
@@ -206,6 +238,9 @@ class FourVector:
     def isclose(self, other: "FourVector", tol: float = 1e-12) -> bool:
         return all(abs(p - q) <= tol
                    for p, q in zip(self.components(), other.components()))
+
+
+_set_x0, _set_x1, _set_x2, _set_x3 = _setters(FourVector)
 
 
 def embed(x: FourVector) -> Multivector:
@@ -216,13 +251,29 @@ def embed(x: FourVector) -> Multivector:
                        HyperComplex(0.0, 0.0, x.x3))
 
 
+def _max_or_nan(values: list[float]) -> float:
+    """The largest of the non-negative values, or NaN if one of them is NaN.
+
+    max() alone keeps a NaN only when it comes first, and a guard written as
+    ``residual > tol`` lets a NaN residual through.
+    """
+    total = sum(values)
+    return total if total != total else max(values)
+
+
 def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
-    """Invert embed; raises NotAParavector if m has other components."""
+    """Invert embed; raises NotAParavector if m has other components.
+
+    A NaN outside the span raises too.  A NaN coefficient shares its
+    idempotent pair part with one outside the span, so any NaN does.
+    """
     z0, z1, z2, z3 = m.slots()
-    residual = max(abs(z0.y), abs(z0.v), abs(z0.w),
-                   *(q for z in (z1, z2, z3) for q in (abs(z.x), abs(z.y), abs(z.w))))
-    if residual > tol * max(1.0, m.max_abs()):
-        raise NotAParavector(f"residual {residual:.3e} outside the paravector span")
+    residual = _max_or_nan([abs(z0.y), abs(z0.v), abs(z0.w),
+                            abs(z1.x), abs(z1.y), abs(z1.w),
+                            abs(z2.x), abs(z2.y), abs(z2.w),
+                            abs(z3.x), abs(z3.y), abs(z3.w)])
+    if not residual <= tol * max(1.0, m.max_abs()):
+        raise NotAParavector(residual)
     return FourVector(z0.x, z1.v, z2.v, z3.v)
 
 

@@ -18,17 +18,16 @@ non-finite result.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 
 from . import cayley, lorentz, spinor
 from .cayley import (E, E0, E1, E2, E3, S1, S2, S3, FourVector, Multivector,
-                     NotAParavector, antisym, extract, minkowski_dot, scalar,
-                     sym)
-from .hypernum import I, IJ, J, HyperComplex, ZeroDivisor, format_real
+                     NotAParavector, _ResidualError, antisym, extract,
+                     minkowski_dot, scalar, sym)
+from .hypernum import (I, IJ, J, HyperComplex, ZeroDivisor, _Frozen, _setattr,
+                       format_real)
 from .lorentz import LorentzParams, NoConvergence, boost, commutator, \
     exp_general, generators, rotation, spin_transform
 from .spinor import (NotInSpinorAlgebra, Spinor, even_components, from_rotor,
@@ -66,38 +65,55 @@ class NonFiniteResult(ArithmeticError):
 
 
 # -- abstract syntax ----------------------------------------------------------
+# Every node ends with its source offset pos, which equality and hashing
+# leave out, so that reparsing rendered text yields an equal AST.
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    pos: int = field(default=0, compare=False)
+class Num(_Frozen):
+    __slots__ = __match_args__ = ("value", "pos")
+    _compared = ("value",)
 
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    pos: int = field(default=0, compare=False)
+    def __init__(self, value: float, pos: int = 0):
+        _setattr(self, "value", value)
+        _setattr(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    lhs: object
-    rhs: object
-    pos: int = field(default=0, compare=False)
+class Const(_Frozen):
+    __slots__ = __match_args__ = ("name", "pos")
+    _compared = ("name",)
+
+    def __init__(self, name: str, pos: int = 0):
+        _setattr(self, "name", name)
+        _setattr(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-    pos: int = field(default=0, compare=False)
+class Neg(_Frozen):
+    __slots__ = __match_args__ = ("operand", "pos")
+    _compared = ("operand",)
+
+    def __init__(self, operand, pos: int = 0):
+        _setattr(self, "operand", operand)
+        _setattr(self, "pos", pos)
+
+
+class BinOp(_Frozen):
+    __slots__ = __match_args__ = ("op", "lhs", "rhs", "pos")
+    _compared = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs, rhs, pos: int = 0):
+        _setattr(self, "op", op)
+        _setattr(self, "lhs", lhs)
+        _setattr(self, "rhs", rhs)
+        _setattr(self, "pos", pos)
+
+
+class Call(_Frozen):
+    __slots__ = __match_args__ = ("name", "args", "pos")
+    _compared = ("name", "args")
+
+    def __init__(self, name: str, args: tuple, pos: int = 0):
+        _setattr(self, "name", name)
+        _setattr(self, "args", args)
+        _setattr(self, "pos", pos)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -261,18 +277,36 @@ def render(node) -> str:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, BinOp):
-        lhs = render(node.lhs)
-        rhs = render(node.rhs)
-        if node.op == "*":
-            if isinstance(node.lhs, BinOp) and node.lhs.op != "*":
-                lhs = f"({lhs})"
-            if isinstance(node.rhs, BinOp):
-                rhs = f"({rhs})"
-            return f"{lhs}*{rhs}"
-        if isinstance(node.rhs, BinOp) and node.rhs.op != "*":
-            rhs = f"({rhs})"
-        return f"{lhs} {node.op} {rhs}"
+        leaf, links = _left_spine(node)
+        text = render(leaf)
+        for link in links:
+            rhs = render(link.rhs)
+            if link.op == "*":
+                if isinstance(link.lhs, BinOp) and link.lhs.op != "*":
+                    text = f"({text})"
+                if isinstance(link.rhs, BinOp):
+                    rhs = f"({rhs})"
+                text = f"{text}*{rhs}"
+            else:
+                if isinstance(link.rhs, BinOp) and link.rhs.op != "*":
+                    rhs = f"({rhs})"
+                text = f"{text} {link.op} {rhs}"
+        return text
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _left_spine(node: BinOp) -> tuple[object, list[BinOp]]:
+    """The leftmost operand of a chain of BinOps and its links, innermost first.
+
+    A chain such as 1+1+...+1 parses left-deep; walking its left spine in a
+    loop keeps its length off the stack.
+    """
+    links = []
+    while isinstance(node, BinOp):
+        links.append(node)
+        node = node.lhs
+    links.reverse()
+    return node, links
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -326,6 +360,8 @@ def _eval_call(name: str, args: list, positions: list[int], pos: int):
             try:
                 vectors.append(extract(scalar(value)))
             except NotAParavector as exc:
+                if math.isnan(exc.residual):
+                    raise
                 raise EvalTypeError(p, f"dot needs embedded four-vectors ({exc})")
         return minkowski_dot(*vectors)
     if name == "wedge":
@@ -338,6 +374,8 @@ def _eval_call(name: str, args: list, positions: list[int], pos: int):
             try:
                 spinors.append(spinor.from_multivector(scalar(value)))
             except NotInSpinorAlgebra as exc:
+                if math.isnan(exc.residual):
+                    raise
                 raise EvalTypeError(p, str(exc))
         return sprod_algebraic(*spinors)
     reals = [_as_real(value, p) for value, p in zip(args, positions)]
@@ -358,14 +396,9 @@ def evaluate(node):
     if isinstance(node, Neg):
         return 0.0 - evaluate(node.operand)
     if isinstance(node, BinOp):
-        # A chain such as 1+1+...+1 parses left-deep; walking its left spine
-        # in a loop keeps its length off the stack.
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
-            node = node.lhs
-        value = evaluate(node)
-        for link in reversed(spine):
+        leaf, links = _left_spine(node)
+        value = evaluate(leaf)
+        for link in links:
             value = _BINARY[link.op](value, evaluate(link.rhs))
         return value
     if isinstance(node, Call):
@@ -414,7 +447,10 @@ def _emit(as_json: bool, doc: dict, text: str) -> int:
         for number in value if isinstance(value, list) else [value]:
             if isinstance(number, float) and not math.isfinite(number):
                 raise NonFiniteResult(f"{number} in {key!r}")
-    print(json.dumps(doc) if as_json else text)
+    if as_json:
+        import json
+        text = json.dumps(doc)
+    print(text)
     return 0
 
 
@@ -452,11 +488,14 @@ CHECK_K = 16
 
 def _cmd_spinor(args) -> int:
     params = LorentzParams(args.phi, args.theta, args.xi)
-    psi = from_rotor(spin_transform(params))
+    # Both rotors lie in the spinor subalgebra by construction, so they are
+    # read without from_rotor's membership guard, which refuses any NaN: a
+    # NaN parameter then fails --check, or is refused as output (exit 4).
+    psi = Spinor(spin_transform(params).value)
     if args.check:
         product = rotation((0.0, 0.0, params.phi)) \
             * rotation((0.0, params.theta, 0.0)) * boost((0.0, 0.0, params.xi))
-        want = even_components(from_rotor(product)).as_dict()
+        want = even_components(Spinor(product.value)).as_dict()
         errors = [abs(v - want[k]) for k, v in even_components(psi).as_dict().items()]
         worst = math.nan if any(map(math.isnan, errors)) else max(errors)
         scale = math.cosh(params.xi / 2.0)
@@ -614,6 +653,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _ResidualError as exc:
+        if math.isnan(exc.residual):  # a membership guard that met a NaN
+            print(f"error: no finite result: {exc}", file=sys.stderr)
+            return 4
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ExprSyntaxError, EvalTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

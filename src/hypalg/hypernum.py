@@ -22,12 +22,16 @@ not to their own size: ``HyperComplex(1e-17, 0, 1, 0).x`` is 0.0 and
 ``HyperComplex(0.1, 0, 0.2, 0).x`` is 0.10000000000000002.  They are exact
 whenever those sums and differences are representable, for instance for
 components on a common binary grid no wider than the float mantissa.
+
+Every hypalg value class, here and in the other modules, derives from
+``_Frozen``, defined here as the bottom module: a plain class with
+``__slots__`` whose fields cannot be assigned or deleted, and which is the
+one home of equality, hashing, repr and pickling for all of them.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 
 class ZeroDivisor(ArithmeticError):
@@ -41,8 +45,71 @@ def format_real(value: float) -> str:
     return f"{value:.12g}"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class HyperComplex:
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its stored fields in ``__slots__``, in constructor order,
+    and fills them in its own ``__init__``, through ``_setattr`` or, on the
+    hot path, through the slot descriptors (see ``_setters``), since
+    assignment and deletion raise AttributeError.  Equality and hashing read
+    the fields named in ``_compared`` (all of them when it is None) and need
+    the same class; repr shows every field; pickling and copying store the
+    fields as they are and rebuild without calling ``__init__``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] | None = None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name)
+                      for name in self._compared or self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple([getattr(self, name)
+                                            for name in self.__slots__]))
+
+
+def _setters(cls: type) -> tuple:
+    """The ``__set__`` of each slot of cls, in ``__slots__`` order.
+
+    Calling one stores a field directly, a little faster than
+    ``object.__setattr__``, which first looks the name up.
+    """
+    return tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
+
+
+def _rebuild(cls: type, values: tuple) -> _Frozen:
+    """The instance of cls with the stored fields values (for pickle, copy)."""
+    obj = _new(cls)
+    for set_field, value in zip(_setters(cls), values):
+        set_field(obj, value)
+    return obj
+
+
+class HyperComplex(_Frozen):
     """One hyperbolic-complex number, stored as its idempotent pair (p, m).
 
     Built from the real quadruple on (1, i, j, ij); ``x``, ``y``, ``v`` and
@@ -52,9 +119,7 @@ class HyperComplex:
     the stored pair.
     """
 
-    p: complex
-    m: complex
-
+    __slots__ = ("p", "m")
     __match_args__ = ("x", "y", "v", "w")
 
     def __init__(self, x: float = 0.0, y: float = 0.0, v: float = 0.0,
@@ -198,10 +263,7 @@ class HyperComplex:
         return render_terms(zip(self.coeffs(), ("", "i", "j", "ij")))
 
 
-# Frozen instances are filled through the slot descriptors themselves.
-_set_p = HyperComplex.p.__set__
-_set_m = HyperComplex.m.__set__
-_new = object.__new__
+_set_p, _set_m = _setters(HyperComplex)
 
 
 def _pair(p: complex, m: complex) -> HyperComplex:

@@ -7,30 +7,36 @@ both act on embedded four-vectors by the two-sided sandwich ``t x dagger(t)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cayley import ONE, S1, S2, S3, FourVector, Multivector, embed, extract
-from .hypernum import HyperComplex
+from .hypernum import HyperComplex, _Frozen, _setters
 
 
 class NoConvergence(ArithmeticError):
     """Exponential series failed to settle; the input is pathological."""
 
 
-@dataclass(frozen=True, slots=True)
-class LorentzParams:
+class LorentzParams(_Frozen):
     """Azimuth phi, polar angle theta (radians) and rapidity xi."""
 
-    phi: float = 0.0
-    theta: float = 0.0
-    xi: float = 0.0
+    __slots__ = __match_args__ = ("phi", "theta", "xi")
+
+    def __init__(self, phi: float = 0.0, theta: float = 0.0, xi: float = 0.0):
+        _set_phi(self, phi)
+        _set_theta(self, theta)
+        _set_xi(self, xi)
 
 
-@dataclass(frozen=True, slots=True)
-class Rotor:
+_set_phi, _set_theta, _set_xi = _setters(LorentzParams)
+
+
+class Rotor(_Frozen):
     """A spin-group element: value * bar(value) == 1."""
 
-    value: Multivector
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Multivector):
+        _set_value(self, value)
 
     def __mul__(self, other: "Rotor") -> "Rotor":
         """Composition; (t2 * t1) acts as t2 after t1."""
@@ -44,6 +50,8 @@ class Rotor:
     def is_unit(self, tol: float = 1e-12) -> bool:
         return (self.value * self.value.bar()).isclose(ONE, tol)
 
+
+(_set_value,) = _setters(Rotor)
 
 IDENTITY = Rotor(ONE)
 

@@ -19,41 +19,49 @@ pseudovector expanding to ij*eta0 + i*eta^k*s_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .cayley import E3, ONE, Multivector, sym
-from .hypernum import HyperComplex, J, _mul_i
+from .cayley import E3, ONE, Multivector, _max_or_nan, _ResidualError, sym
+from .hypernum import HyperComplex, J, _Frozen, _mul_i, _setattr, _setters
 from .lorentz import LorentzParams, Rotor, spin_transform
 
 
-class NotInSpinorAlgebra(ValueError):
+class NotInSpinorAlgebra(_ResidualError, ValueError):
     """A multivector with components outside span{1, i*s_k, j*s_k, ij}."""
 
+    text = "residual {:.3e} outside the spinor subalgebra"
 
-class NonScalarResidual(ArithmeticError):
+
+class NonScalarResidual(_ResidualError, ArithmeticError):
     """A spinor product left non-scalar terms above tolerance."""
+
+    text = "non-scalar residual {:.3e} in spinor product"
 
 
 def subalgebra_residual(m: Multivector) -> float:
-    """Largest coefficient outside the spinor span (exactly 0 for members)."""
+    """Largest coefficient outside the spinor span (exactly 0 for members).
+
+    NaN if one of them is NaN; since each coefficient shares its idempotent
+    pair part with one outside the span, that is whenever m has a NaN.
+    """
     z0, z1, z2, z3 = m.slots()
-    return max(abs(z0.y), abs(z0.v),
-               *(q for z in (z1, z2, z3) for q in (abs(z.x), abs(z.w))))
+    return _max_or_nan([abs(z0.y), abs(z0.v), abs(z1.x), abs(z1.w),
+                        abs(z2.x), abs(z2.w), abs(z3.x), abs(z3.w)])
 
 
 def _check_member(m: Multivector, tol: float = 1e-12) -> Multivector:
     residual = subalgebra_residual(m)
-    if residual > tol * max(1.0, m.max_abs()):
-        raise NotInSpinorAlgebra(
-            f"residual {residual:.3e} outside the spinor subalgebra")
+    if not residual <= tol * max(1.0, m.max_abs()):
+        raise NotInSpinorAlgebra(residual)
     return m
 
 
-@dataclass(frozen=True, slots=True)
-class Spinor:
+class Spinor(_Frozen):
     """A multivector confined to the spinor subalgebra."""
 
-    value: Multivector
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Multivector):
+        _set_value(self, value)
 
     @classmethod
     def standard(cls) -> "Spinor":
@@ -61,6 +69,9 @@ class Spinor:
 
     def isclose(self, other: "Spinor", tol: float = 1e-12) -> bool:
         return self.value.isclose(other.value, tol)
+
+
+(_set_value,) = _setters(Spinor)
 
 
 def from_rotor(t: Rotor) -> Spinor:
@@ -74,18 +85,22 @@ def from_multivector(m: Multivector) -> Spinor:
 
 # -- component views ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class EvenComponents:
+class EvenComponents(_Frozen):
     """The eight scalars of the even-index expansion (see module docstring)."""
 
-    s: float
-    b32: float
-    b13: float
-    b21: float
-    b10: float
-    b20: float
-    b30: float
-    p: float
+    __slots__ = __match_args__ = ("s", "b32", "b13", "b21", "b10", "b20", "b30",
+                                  "p")
+
+    def __init__(self, s: float, b32: float, b13: float, b21: float,
+                 b10: float, b20: float, b30: float, p: float):
+        _setattr(self, "s", s)
+        _setattr(self, "b32", b32)
+        _setattr(self, "b13", b13)
+        _setattr(self, "b21", b21)
+        _setattr(self, "b10", b10)
+        _setattr(self, "b20", b20)
+        _setattr(self, "b30", b30)
+        _setattr(self, "p", p)
 
     @property
     def b(self) -> tuple[float, float, float, float, float, float]:
@@ -107,12 +122,15 @@ class EvenComponents:
                 "b10": self.b10, "b20": self.b20, "b30": self.b30, "p": self.p}
 
 
-@dataclass(frozen=True, slots=True)
-class OddComponents:
+class OddComponents(_Frozen):
     """Paravector components v and pseudovector components eta."""
 
-    v: tuple[float, float, float, float]
-    eta: tuple[float, float, float, float]
+    __slots__ = __match_args__ = ("v", "eta")
+
+    def __init__(self, v: tuple[float, float, float, float],
+                 eta: tuple[float, float, float, float]):
+        _setattr(self, "v", v)
+        _setattr(self, "eta", eta)
 
 
 def even_components(psi: Spinor) -> EvenComponents:
@@ -143,8 +161,7 @@ def from_odd_components(oc: OddComponents) -> Spinor:
 
 # -- matrix representation -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, init=False)
-class HMat2:
+class HMat2(_Frozen):
     """2x2 matrix with hyperbolic-complex entries: the Pauli matrix of a multivector.
 
     Stored as the multivector ``pauli`` it represents; the entries ``m11``,
@@ -156,8 +173,7 @@ class HMat2:
     differences, to rounding.
     """
 
-    pauli: Multivector
-
+    __slots__ = ("pauli",)
     __match_args__ = ("m11", "m12", "m21", "m22")
 
     def __init__(self, m11: HyperComplex, m12: HyperComplex,
@@ -196,15 +212,17 @@ class HMat2:
                             self.m21 * c.c1 + self.m22 * c.c2)
 
 
-_set_pauli = HMat2.pauli.__set__
+(_set_pauli,) = _setters(HMat2)
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnSpinor:
+class ColumnSpinor(_Frozen):
     """Two-component matrix-picture spinor."""
 
-    c1: HyperComplex
-    c2: HyperComplex
+    __slots__ = __match_args__ = ("c1", "c2")
+
+    def __init__(self, c1: HyperComplex, c2: HyperComplex):
+        _setattr(self, "c1", c1)
+        _setattr(self, "c2", c2)
 
     def isclose(self, other: "ColumnSpinor", tol: float = 1e-12) -> bool:
         return self.c1.isclose(other.c1, tol) and self.c2.isclose(other.c2, tol)
@@ -260,13 +278,13 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = 1e-12) -> HyperComplex:
 
     Equals sprod_column of the column pictures.  The symmetric products leave
     the scalar slot exactly on spinor-subalgebra arguments; any residual above
-    tolerance raises NonScalarResidual.
+    tolerance, or a NaN residual, raises NonScalarResidual.
     """
     total = sym(a.value, b.value) + sym(a.value, b.value * E3) * J
-    residual = max(z.max_abs() for z in total.slots()[1:])
-    if residual > tol * max(1.0, total.max_abs()):
-        raise NonScalarResidual(
-            f"non-scalar residual {residual:.3e} in spinor product")
+    residual = _max_or_nan([abs(q) for z in total.slots()[1:]
+                            for q in z.coeffs()])
+    if not residual <= tol * max(1.0, total.max_abs()):
+        raise NonScalarResidual(residual)
     return total.scalar()
 
 

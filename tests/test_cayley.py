@@ -185,6 +185,18 @@ def test_embed_extract_round_trip(rng):
         extract(scalar(I))
 
 
+def test_extract_refuses_nan_outside_span():
+    # NaN fails `residual > tol` and max() drops it unless it comes first;
+    # k = 1 is extract(Multivector(1, HyperComplex(nan, 0, 2)))
+    base = embed(FourVector(1.0, 2.0, 3.0, 4.0)).coeffs16()
+    for k in sorted(set(range(16)) - {0, 9, 10, 11}):
+        coeffs = list(base)
+        coeffs[k] = math.nan
+        with pytest.raises(NotAParavector) as err:
+            extract(Multivector.from_coeffs16(coeffs))
+        assert math.isnan(err.value.residual), k
+
+
 def test_coeffs16_round_trip(rng):
     m = rand_multivector(rng)
     flat = m.coeffs16()

@@ -66,8 +66,11 @@ def test_parse_depth_limit(capsys):
 
 
 def test_long_chains_evaluate():
-    assert evaluate(parse(" + ".join(["1"] * 5000))) == 5000.0
-    assert evaluate(parse("*".join(["j"] * 5001))) == HyperComplex(0, 0, 1)
+    add, mul = " + ".join(["1"] * 5000), "*".join(["j"] * 5001)
+    assert evaluate(parse(add)) == 5000.0
+    assert evaluate(parse(mul)) == HyperComplex(0, 0, 1)
+    # both sources are canonical, so rendering gives them back
+    assert render(parse(add)) == add and render(parse(mul)) == mul
 
 
 def test_precedence_and_associativity():
@@ -185,6 +188,12 @@ def test_cli_no_finite_result_exit_code(capsys):
         (("eval", "1e400*e1"), "nan"),                          # NaN result
         (("eval", "1e308 + 1e308*j", "--json"), "inf"),         # inf result
         (("spinor", "--phi", "nan"), "nan"),
+        # a membership guard that meets a NaN
+        (("transform", "--boost", "0,0,1400", "--vector", "1,0,0,0"),
+         "residual nan outside the paravector span"),
+        (("cross-section", "--phi", "nan"), "residual nan"),
+        (("eval", "sprod(spinor(1e400*0, 0, 0), 1)"), "residual nan"),
+        (("eval", "dot(1e400*e1 - 1e400*e1, e0)"), "residual nan"),
     )
     for argv, detail in cases:
         code, out, err = run(capsys, *argv)
@@ -205,14 +214,19 @@ def test_cli_spinor_check_tolerance_scales(capsys):
 
 
 def test_import_does_not_load_numpy():
+    # the import budget of every hypalg command: numpy loads only for
+    # matrix_of, json only for --json, and no value class needs dataclasses
+    # (which brings inspect)
     src = str(Path(hypalg.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hypalg.cli; assert 'numpy' not in sys.modules"],
+         "import sys, hypalg.cli; assert 'numpy' not in sys.modules; "
+         "print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], proc.stdout
 
 
 def test_cli_eval_json_schema(capsys):

@@ -51,6 +51,17 @@ def test_from_rotor_accepts_rotors_and_rejects_raw_vectors():
         from_rotor(Rotor(E1 + S2))
 
 
+def test_membership_guard_refuses_nan_outside_span():
+    base = spinor_of(0.5, 1.0, -0.3).value.coeffs16()
+    # z0.y, z0.v and z_k.x, z_k.w in the (1, i, j, ij) x (1, s1, s2, s3) order
+    for k in (4, 8, 1, 2, 3, 13, 14, 15):
+        coeffs = list(base)
+        coeffs[k] = math.nan
+        with pytest.raises(NotInSpinorAlgebra) as err:
+            from_multivector(Multivector.from_coeffs16(coeffs))
+        assert math.isnan(err.value.residual), k
+
+
 def test_even_components_examples():
     ec = even_components(Spinor.standard())
     assert (ec.s, ec.p) == (1.0, 0.0)
@@ -226,6 +237,20 @@ def test_sprod_residual_guard():
     # a value outside the spinor span leaves non-scalar terms behind
     with pytest.raises(NonScalarResidual):
         sprod_algebraic(Spinor(S1), Spinor.standard())
+
+
+def test_sprod_residual_guard_refuses_nan():
+    # a NaN in either factor reaches the product's non-scalar slots
+    psi = spinor_of(0.5, 1.0, -0.3)
+    base = psi.value.coeffs16()
+    for k in range(16):
+        coeffs = list(base)
+        coeffs[k] = math.nan
+        bad = Spinor(Multivector.from_coeffs16(coeffs))
+        for a, b in ((bad, psi), (psi, bad)):
+            with pytest.raises(NonScalarResidual) as err:
+                sprod_algebraic(a, b)
+            assert math.isnan(err.value.residual), k
 
 
 def test_normalization(rng):
