@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
-from .hypernum import ZERO, HyperComplex, _Frozen, _mul_i, _setters
+from .hypernum import ZERO, HyperComplex, _Frozen, _pair, _setters
 
 
 class _ResidualError(Exception):
@@ -81,18 +81,16 @@ class Multivector(_Frozen):
         return Multivector(-self.z0, -self.z1, -self.z2, -self.z3)
 
     def __mul__(self, other) -> "Multivector":
-        """Geometric product (scalar operands multiply coefficientwise)."""
+        """Geometric product (scalar operands multiply coefficientwise).
+
+        Computed on each idempotent half alone (see _pauli).
+        """
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2, a3 = self.z0, self.z1, self.z2, self.z3
-        b0, b1, b2, b3 = o.z0, o.z1, o.z2, o.z3
-        return Multivector(
-            a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
-            a0 * b1 + a1 * b0 + _mul_i(a2 * b3 - a3 * b2),
-            a0 * b2 + a2 * b0 + _mul_i(a3 * b1 - a1 * b3),
-            a0 * b3 + a3 * b0 + _mul_i(a1 * b2 - a2 * b1),
-        )
+        ap, am = _parts(self)
+        bp, bm = _parts(o)
+        return _from_parts(_pauli(ap, bp), _pauli(am, bm))
 
     def __rmul__(self, other) -> "Multivector":
         o = _coerce(other)
@@ -141,8 +139,9 @@ class Multivector(_Frozen):
         return (self.z0, self.z1, self.z2, self.z3)
 
     def max_abs(self) -> float:
-        return max(self.z0.max_abs(), self.z1.max_abs(),
-                   self.z2.max_abs(), self.z3.max_abs())
+        """The largest coefficient magnitude; NaN if any coefficient is NaN."""
+        return _max_or_nan([self.z0.max_abs(), self.z1.max_abs(),
+                            self.z2.max_abs(), self.z3.max_abs()])
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
         return (self.z0.isclose(other.z0, tol) and self.z1.isclose(other.z1, tol)
@@ -171,6 +170,40 @@ class Multivector(_Frozen):
 
 
 _set_z0, _set_z1, _set_z2, _set_z3 = _setters(Multivector)
+
+
+def _parts(a: Multivector) -> tuple[tuple, tuple]:
+    """The p parts and the m parts of a's slots z0..z3 (see hypernum)."""
+    z0, z1, z2, z3 = a.z0, a.z1, a.z2, a.z3
+    return (z0.p, z1.p, z2.p, z3.p), (z0.m, z1.m, z2.m, z3.m)
+
+
+def _from_parts(ps: tuple, ms: tuple) -> Multivector:
+    """The multivector whose slots have the p parts ps and the m parts ms."""
+    p0, p1, p2, p3 = ps
+    m0, m1, m2, m3 = ms
+    return Multivector(_pair(p0, m0), _pair(p1, m1), _pair(p2, m2),
+                       _pair(p3, m3))
+
+
+def _pauli(a: tuple, b: tuple) -> tuple:
+    """One idempotent half of the geometric product, in complex arithmetic.
+
+    a and b are the four complex parts (all p, or all m) of two
+    multivectors' slots; each half multiplies as four complex Pauli
+    coefficients, s_a s_b = delta_ab + i eps_abc s_c.  The quarter turn i*c
+    is the exact complex(-c.imag, c.real), as in hypernum._mul_i; 1j*c would
+    turn an infinite part into NaN and flip the sign of some zeros.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c1 = a2 * b3 - a3 * b2
+    c2 = a3 * b1 - a1 * b3
+    c3 = a1 * b2 - a2 * b1
+    return (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+            a0 * b1 + a1 * b0 + complex(-c1.imag, c1.real),
+            a0 * b2 + a2 * b0 + complex(-c2.imag, c2.real),
+            a0 * b3 + a3 * b0 + complex(-c3.imag, c3.real))
 
 
 def _coerce(value) -> Multivector | None:
@@ -267,14 +300,19 @@ def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
     A NaN outside the span raises too.  A NaN coefficient shares its
     idempotent pair part with one outside the span, so any NaN does.
     """
-    z0, z1, z2, z3 = m.slots()
-    residual = _max_or_nan([abs(z0.y), abs(z0.v), abs(z0.w),
-                            abs(z1.x), abs(z1.y), abs(z1.w),
-                            abs(z2.x), abs(z2.y), abs(z2.w),
-                            abs(z3.x), abs(z3.y), abs(z3.w)])
+    (p0, p1, p2, p3), (m0, m1, m2, m3) = _parts(m)
+    # p + m = 2(x + iy) and p - m = 2(v + iw) on each slot (see hypernum)
+    s0, s1, s2, s3 = p0 + m0, p1 + m1, p2 + m2, p3 + m3
+    d0, d1, d2, d3 = p0 - m0, p1 - m1, p2 - m2, p3 - m3
+    # y, v, w of z0 and x, y, w of z1, z2, z3
+    residual = _max_or_nan([abs(s0.imag), abs(d0.real), abs(d0.imag),
+                            abs(s1.real), abs(s1.imag), abs(d1.imag),
+                            abs(s2.real), abs(s2.imag), abs(d2.imag),
+                            abs(s3.real), abs(s3.imag), abs(d3.imag)]) * 0.5
     if not residual <= tol * max(1.0, m.max_abs()):
         raise NotAParavector(residual)
-    return FourVector(z0.x, z1.v, z2.v, z3.v)
+    return FourVector(s0.real * 0.5, d1.real * 0.5, d2.real * 0.5,
+                      d3.real * 0.5)
 
 
 def minkowski_dot(x: FourVector, y: FourVector) -> float:

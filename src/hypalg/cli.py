@@ -96,14 +96,28 @@ class Neg(_Frozen):
 
 
 class BinOp(_Frozen):
+    """A binary operation.  A long chain such as 1+1+...+1 nests its BinOps
+    in lhs, so equality, hashing and repr walk that left spine in a loop
+    (see _left_spine) instead of recursing once per link."""
+
     __slots__ = __match_args__ = ("op", "lhs", "rhs", "pos")
-    _compared = ("op", "lhs", "rhs")
 
     def __init__(self, op: str, lhs, rhs, pos: int = 0):
         _setattr(self, "op", op)
         _setattr(self, "lhs", lhs)
         _setattr(self, "rhs", rhs)
         _setattr(self, "pos", pos)
+
+    def _key(self) -> tuple:
+        # equal exactly when (op, lhs, rhs) are equal at every link
+        leaf, links = _left_spine(self)
+        return leaf, tuple([(link.op, link.rhs) for link in links])
+
+    def __repr__(self) -> str:
+        leaf, links = _left_spine(self)
+        heads = [f"BinOp(op={link.op!r}, lhs=" for link in reversed(links)]
+        tails = [f", rhs={link.rhs!r}, pos={link.pos!r})" for link in links]
+        return "".join(heads + [repr(leaf)] + tails)
 
 
 class Call(_Frozen):

@@ -35,7 +35,22 @@ import numbers
 
 
 class ZeroDivisor(ArithmeticError):
-    """Inversion attempted on an element of the null cone."""
+    """Inversion attempted on an element of the null cone.
+
+    ``norm`` is the element's real norm, ``tol`` the threshold
+    ``1e-14 * scale**4`` it did not exceed and ``scale`` its largest
+    component; ``value`` is the element itself.
+    """
+
+    def __init__(self, value, norm: float, tol: float, scale: float):
+        super().__init__(value, norm, tol, scale)
+        self.value = value
+        self.norm = norm
+        self.tol = tol
+        self.scale = scale
+
+    def __str__(self) -> str:
+        return f"no inverse: {self.value} lies on the null cone"
 
 
 def format_real(value: float) -> str:
@@ -233,19 +248,24 @@ class HyperComplex(_Frozen):
         components).
         """
         scale = self.max_abs()
-        if self.real_norm() <= 1e-14 * scale ** 4:
-            raise ZeroDivisor(f"no inverse: {self} lies on the null cone")
+        norm = self.real_norm()
+        tol = 1e-14 * scale ** 4
+        if norm <= tol:
+            raise ZeroDivisor(self, norm, tol, scale)
         return _pair(1.0 / self.p, 1.0 / self.m)
 
     # -- helpers -------------------------------------------------------------
 
     def max_abs(self) -> float:
-        """The largest of |x|, |y|, |v|, |w|.
+        """The largest of |x|, |y|, |v|, |w|, or NaN if one of them is NaN.
 
         max(|x|, |v|) = (|Re p| + |Re m|)/2, and likewise for y and w.
         """
         p, m = self.p, self.m
-        return max(abs(p.real) + abs(m.real), abs(p.imag) + abs(m.imag)) * 0.5
+        a = abs(p.real) + abs(m.real)
+        b = abs(p.imag) + abs(m.imag)
+        # max(a, b) would return a when only b is NaN
+        return (a if a >= b or a != a else b) * 0.5
 
     def isclose(self, other: "HyperComplex", tol: float = 1e-12) -> bool:
         """Componentwise comparison with an absolute tolerance."""

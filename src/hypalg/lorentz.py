@@ -8,12 +8,25 @@ from __future__ import annotations
 
 import math
 
-from .cayley import ONE, S1, S2, S3, FourVector, Multivector, embed, extract
+from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _from_parts,
+                     _parts, _pauli, extract)
 from .hypernum import HyperComplex, _Frozen, _setters
 
 
 class NoConvergence(ArithmeticError):
-    """Exponential series failed to settle; the input is pathological."""
+    """Exponential series failed to settle; the input is pathological.
+
+    ``terms`` is the number of series terms summed and ``squarings`` the
+    number of squarings the scaling called for.
+    """
+
+    def __init__(self, terms: int, squarings: int):
+        super().__init__(terms, squarings)
+        self.terms = terms
+        self.squarings = squarings
+
+    def __str__(self) -> str:
+        return f"exponential series did not settle in {self.terms} terms"
 
 
 class LorentzParams(_Frozen):
@@ -101,7 +114,7 @@ def exp_general(a: Multivector) -> Multivector:
         if term.max_abs() < 1e-16 * max(1.0, acc.max_abs()):
             break
     else:
-        raise NoConvergence("exponential series did not settle in 200 terms")
+        raise NoConvergence(n, squarings)
     for _ in range(squarings):
         acc = acc * acc
     return acc
@@ -110,10 +123,17 @@ def exp_general(a: Multivector) -> Multivector:
 def apply(t: Rotor, x: FourVector) -> FourVector:
     """Sandwich t x dagger(t) on the embedded paravector.
 
+    Computed on the idempotent parts without building embed(x) or
+    dagger(t): embed(x) has the p parts (x0, x1, x2, x3) and the m parts
+    (x0, -x1, -x2, -x3), and dagger conjugates every part.
     NotAParavector propagates when the sandwich leaves the paravector span,
     which signals that t is not actually a rotor.
     """
-    image = t.value * embed(x) * t.value.dagger()
+    tp, tm = _parts(t.value)
+    x0, x1, x2, x3 = complex(x.x0), complex(x.x1), complex(x.x2), complex(x.x3)
+    image = _from_parts(
+        _pauli(_pauli(tp, (x0, x1, x2, x3)), [c.conjugate() for c in tp]),
+        _pauli(_pauli(tm, (x0, -x1, -x2, -x3)), [c.conjugate() for c in tm]))
     return extract(image, 1e-12)
 
 

@@ -11,6 +11,7 @@ from hypalg import (E0, E1, E2, E3, I, IJ, J, PSEUDOSCALAR, S1, S2, S3,
                     NotAParavector, ZeroDivisor, antisym, embed, extract,
                     minkowski_dot, sym, triparavector)
 from hypalg.cayley import ONE, scalar
+from hypalg.hypernum import _mul_i
 
 from conftest import multivector_matrix, rand_multivector, rel_close
 
@@ -42,6 +43,39 @@ def test_gp_associative(rng):
         lhs, rhs = (a * b) * c, a * (b * c)
         scale = max(1.0, lhs.max_abs(), rhs.max_abs())
         assert lhs.isclose(rhs, 1e-11 * scale)
+
+
+def _slot_product(a, b):
+    """The geometric product written on HyperComplex slots, the form it had
+    before the pair kernel: s_a s_b = delta_ab + i eps_abc s_c."""
+    a0, a1, a2, a3 = a.slots()
+    b0, b1, b2, b3 = b.slots()
+    return (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+            a0 * b1 + a1 * b0 + _mul_i(a2 * b3 - a3 * b2),
+            a0 * b2 + a2 * b0 + _mul_i(a3 * b1 - a1 * b3),
+            a0 * b3 + a3 * b0 + _mul_i(a1 * b2 - a2 * b1))
+
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300)
+
+
+def _same(u: complex, v: complex) -> bool:
+    """Equal parts, or NaN in the same places."""
+    return all(x == y or (x != x and y != y)
+               for x, y in ((u.real, v.real), (u.imag, v.imag)))
+
+
+def test_gp_pair_kernel_matches_slot_formula(rng):
+    def special() -> Multivector:
+        return Multivector(*(HyperComplex(*(
+            rng.choice(SPECIAL) if rng.random() < 0.3 else rng.uniform(-1, 1)
+            for _ in range(4))) for _ in range(4)))
+
+    draws = [(rand_multivector(rng), rand_multivector(rng)) for _ in range(500)]
+    draws += [(special(), special()) for _ in range(1000)]
+    for a, b in draws:
+        for got, want in zip((a * b).slots(), _slot_product(a, b)):
+            assert _same(got.p, want.p) and _same(got.m, want.m), (a, b)
 
 
 def test_involution_sign_table():
@@ -195,6 +229,14 @@ def test_extract_refuses_nan_outside_span():
         with pytest.raises(NotAParavector) as err:
             extract(Multivector.from_coeffs16(coeffs))
         assert math.isnan(err.value.residual), k
+
+
+def test_max_abs_is_nan_when_a_slot_has_nan():
+    for k in range(4):
+        slots = [HyperComplex(1.0)] * 4
+        slots[k] = HyperComplex(math.nan)
+        assert math.isnan(Multivector(*slots).max_abs()), k
+    assert Multivector(HyperComplex(1.0), z3=HyperComplex(0, -3.0)).max_abs() == 3.0
 
 
 def test_coeffs16_round_trip(rng):

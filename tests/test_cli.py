@@ -73,6 +73,24 @@ def test_long_chains_evaluate():
     assert render(parse(add)) == add and render(parse(mul)) == mul
 
 
+def test_long_chains_compare_hash_and_repr():
+    add, mul = " + ".join(["1"] * 5000), "*".join(["j"] * 5000)
+    for src, longer, other in ((add, add + " + 1", add[:-1] + "2"),
+                               (mul, mul + "*j", mul[:-1] + "i")):
+        a, b = parse(src), parse(src)
+        assert a == b and hash(a) == hash(b)
+        assert a != parse(longer) and a != parse(other)
+    # 1 at offset 4k, '+' at 4k - 2; j at 2k, '*' at 2k - 1
+    assert repr(parse(add)) == "BinOp(op='+', lhs=" * 4999 \
+        + "Num(value=1.0, pos=0)" + "".join(
+            f", rhs=Num(value=1.0, pos={4 * k}), pos={4 * k - 2})"
+            for k in range(1, 5000))
+    assert repr(parse(mul)) == "BinOp(op='*', lhs=" * 4999 \
+        + "Const(name='j', pos=0)" + "".join(
+            f", rhs=Const(name='j', pos={2 * k}), pos={2 * k - 1})"
+            for k in range(1, 5000))
+
+
 def test_precedence_and_associativity():
     assert evaluate(parse("-2*3+1")) == -5.0
     assert evaluate(parse("1 - 2 - 3")) == -4.0

@@ -1,5 +1,7 @@
 """Ring structure, involutions, modulus, and inversion of hyperbolic scalars."""
 
+import math
+import pickle
 import random
 
 import numpy as np
@@ -140,6 +142,31 @@ def test_inverse_fails_exactly_on_null_norm():
         assert z.real_norm() == 0.0
         with pytest.raises(ZeroDivisor):
             z.inverse()
+
+
+def test_zero_divisor_reports_norm_tol_and_scale():
+    z = HyperComplex(2.0, 0.0, 2.0 - 1e-9, 0.0)  # just off the null cone
+    with pytest.raises(ZeroDivisor) as info:
+        z.inverse()
+    err = info.value
+    assert err.value == z and err.norm == z.real_norm() > 0.0
+    assert err.scale == 2.0 and err.tol == 1e-14 * 2.0 ** 4
+    assert err.norm <= err.tol
+    assert str(err) == f"no inverse: {z} lies on the null cone"
+    copy = pickle.loads(pickle.dumps(err))
+    assert (copy.value, copy.norm, copy.tol, copy.scale, str(copy)) \
+        == (z, err.norm, err.tol, err.scale, str(err))
+
+
+def test_max_abs_is_nan_when_a_coefficient_is_nan():
+    # max() drops a NaN unless it comes first: (0, nan) once gave 0.0
+    for k in range(4):
+        for other in (0.0, 5.0):
+            coeffs = [other] * 4
+            coeffs[k] = math.nan
+            assert math.isnan(HyperComplex(*coeffs).max_abs()), (k, other)
+    assert HyperComplex(3.0, -4.0, 1.0, 0.5).max_abs() == 4.0
+    assert HyperComplex(0.5, 0.0, -2.0, 0.0).max_abs() == 2.0
 
 
 def test_division():

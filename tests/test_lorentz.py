@@ -7,8 +7,8 @@ import pytest
 
 from hypalg import (S2, S3, FourVector, HyperComplex,
                     LorentzParams, Multivector, NoConvergence,
-                    NotAParavector, Rotor, apply, boost, commutator,
-                    exp_general, generators, matrix_of, minkowski_dot,
+                    NotAParavector, Rotor, apply, boost, commutator, embed,
+                    exp_general, extract, generators, matrix_of, minkowski_dot,
                     rotation, spin_transform)
 from hypalg.cayley import ONE, scalar
 
@@ -73,6 +73,13 @@ def test_exp_general_no_convergence():
         exp_general(bad)
 
 
+def test_no_convergence_reports_terms_and_squarings():
+    with pytest.raises(NoConvergence) as info:
+        exp_general(scalar(float("nan")))
+    assert (info.value.terms, info.value.squarings) == (200, 0)
+    assert str(info.value) == "exponential series did not settle in 200 terms"
+
+
 def test_apply_examples():
     x = FourVector(0.3, -1.2, 0.8, 2.0)
     assert apply(Rotor(ONE), x) == x
@@ -87,6 +94,21 @@ def test_apply_rejects_non_rotor():
     junk = Rotor(ONE + Multivector(z1=HyperComplex(1.0)))
     with pytest.raises(NotAParavector):
         apply(junk, FourVector(1, 0, 0, 0))
+
+
+def test_apply_is_the_sandwich_product(rng):
+    for _ in range(300):
+        t = random_rotor(rng)
+        x = FourVector(*(rng.uniform(-5, 5) for _ in range(4)))
+        assert apply(t, x) == extract(t.value * embed(x) * t.value.dagger())
+    for _ in range(50):
+        t = Rotor(rand_multivector(rng))
+        x = FourVector(*(rng.uniform(-5, 5) for _ in range(4)))
+        with pytest.raises(NotAParavector) as got:
+            apply(t, x)
+        with pytest.raises(NotAParavector) as want:
+            extract(t.value * embed(x) * t.value.dagger())
+        assert got.value.residual == want.value.residual
 
 
 def test_apply_preserves_dot(rng):
