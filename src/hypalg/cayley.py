@@ -4,14 +4,19 @@ An element is ``z0 + z1*s1 + z2*s2 + z3*s3`` with hyperbolic-complex
 coefficients (16 real dimensions).  The basis obeys
 ``s_a s_b = delta_ab + i eps_abc s_c`` with i and j central.  Minkowski
 four-vectors embed as paravectors ``x0 + x1*j*s1 + x2*j*s2 + x3*j*s3``.
+
+A multivector is stored as its eight idempotent parts, the 4-tuples of its
+coefficients' p and m parts (see hypernum).  Each half is an element of
+M2(C) on the Pauli basis, and every operation acts on the halves alone.
 """
 
 from __future__ import annotations
 
 import numbers
+from operator import add, neg, sub
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
-from .hypernum import ZERO, HyperComplex, _Frozen, _pair, _setters
+from .hypernum import ZERO, HyperComplex, _Frozen, _new, _pair, _setters
 
 
 class _ResidualError(Exception):
@@ -42,16 +47,18 @@ class IndexOutOfRange(IndexError):
 
 
 class Multivector(_Frozen):
-    """z0 + z1*s1 + z2*s2 + z3*s3 with hyperbolic-complex coefficients."""
+    """z0 + z1*s1 + z2*s2 + z3*s3, stored as parts p, m; z0..z3 are views."""
 
-    __slots__ = __match_args__ = ("z0", "z1", "z2", "z3")
+    __slots__ = ("p", "m")
+    __match_args__ = ("z0", "z1", "z2", "z3")
 
     def __init__(self, z0: HyperComplex = ZERO, z1: HyperComplex = ZERO,
                  z2: HyperComplex = ZERO, z3: HyperComplex = ZERO):
-        _set_z0(self, z0)
-        _set_z1(self, z1)
-        _set_z2(self, z2)
-        _set_z3(self, z3)
+        _set_p(self, (z0.p, z1.p, z2.p, z3.p))
+        _set_m(self, (z0.m, z1.m, z2.m, z3.m))
+
+    z0, z1, z2, z3 = (property(lambda self, k=k: _pair(self.p[k], self.m[k]))
+                      for k in range(4))
 
     # -- linear structure --------------------------------------------------
 
@@ -59,8 +66,8 @@ class Multivector(_Frozen):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return Multivector(self.z0 + o.z0, self.z1 + o.z1,
-                           self.z2 + o.z2, self.z3 + o.z3)
+        return _halves(tuple(map(add, self.p, o.p)),
+                       tuple(map(add, self.m, o.m)))
 
     __radd__ = __add__
 
@@ -68,8 +75,8 @@ class Multivector(_Frozen):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return Multivector(self.z0 - o.z0, self.z1 - o.z1,
-                           self.z2 - o.z2, self.z3 - o.z3)
+        return _halves(tuple(map(sub, self.p, o.p)),
+                       tuple(map(sub, self.m, o.m)))
 
     def __rsub__(self, other) -> "Multivector":
         o = _coerce(other)
@@ -78,7 +85,7 @@ class Multivector(_Frozen):
         return o - self
 
     def __neg__(self) -> "Multivector":
-        return Multivector(-self.z0, -self.z1, -self.z2, -self.z3)
+        return _halves(tuple(map(neg, self.p)), tuple(map(neg, self.m)))
 
     def __mul__(self, other) -> "Multivector":
         """Geometric product (scalar operands multiply coefficientwise).
@@ -88,9 +95,7 @@ class Multivector(_Frozen):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        ap, am = _parts(self)
-        bp, bm = _parts(o)
-        return _from_parts(_pauli(ap, bp), _pauli(am, bm))
+        return _halves(_pauli(self.p, o.p), _pauli(self.m, o.m))
 
     def __rmul__(self, other) -> "Multivector":
         o = _coerce(other)
@@ -102,18 +107,15 @@ class Multivector(_Frozen):
 
     def bar(self) -> "Multivector":
         """Conjugation: hypernum.conj on every coefficient.  Anti-involution."""
-        return Multivector(self.z0.conj(), self.z1.conj(),
-                           self.z2.conj(), self.z3.conj())
+        return _halves(tuple(map(_conj, self.m)), tuple(map(_conj, self.p)))
 
     def dagger(self) -> "Multivector":
         """Reversion: hypernum.rev on every coefficient.  Anti-involution."""
-        return Multivector(self.z0.rev(), self.z1.rev(),
-                           self.z2.rev(), self.z3.rev())
+        return _halves(tuple(map(_conj, self.p)), tuple(map(_conj, self.m)))
 
     def hat(self) -> "Multivector":
         """Graduation: hypernum.grade on every coefficient.  Automorphism."""
-        return Multivector(self.z0.grade(), self.z1.grade(),
-                           self.z2.grade(), self.z3.grade())
+        return _halves(self.m, self.p)
 
     # -- inversion -------------------------------------------------------------
 
@@ -123,11 +125,13 @@ class Multivector(_Frozen):
         The denominator is a central hyperbolic-complex scalar; ZeroDivisor
         propagates from its inversion when the multivector is singular.
         """
-        d = self.z0 * self.z0 - self.z1 * self.z1 - self.z2 * self.z2 \
-            - self.z3 * self.z3
-        f = d.inverse()
-        return Multivector(self.z0 * f, -(self.z1 * f), -(self.z2 * f),
-                           -(self.z3 * f))
+        p0, p1, p2, p3 = self.p
+        m0, m1, m2, m3 = self.m
+        f = _pair(p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3,
+                  m0 * m0 - m1 * m1 - m2 * m2 - m3 * m3).inverse()
+        fp, fm = f.p, f.m
+        return _halves((p0 * fp, -(p1 * fp), -(p2 * fp), -(p3 * fp)),
+                      (m0 * fm, -(m1 * fm), -(m2 * fm), -(m3 * fm)))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -136,24 +140,26 @@ class Multivector(_Frozen):
         return self.z0
 
     def slots(self) -> tuple[HyperComplex, HyperComplex, HyperComplex, HyperComplex]:
-        return (self.z0, self.z1, self.z2, self.z3)
+        return tuple(map(_pair, self.p, self.m))
 
     def max_abs(self) -> float:
         """The largest coefficient magnitude; NaN if any coefficient is NaN."""
-        return _max_or_nan([self.z0.max_abs(), self.z1.max_abs(),
-                            self.z2.max_abs(), self.z3.max_abs()])
+        p0, p1, p2, p3 = self.p
+        m0, m1, m2, m3 = self.m
+        # as HyperComplex.max_abs does per slot
+        return _max_or_nan([
+            abs(p0.real) + abs(m0.real), abs(p0.imag) + abs(m0.imag),
+            abs(p1.real) + abs(m1.real), abs(p1.imag) + abs(m1.imag),
+            abs(p2.real) + abs(m2.real), abs(p2.imag) + abs(m2.imag),
+            abs(p3.real) + abs(m3.real), abs(p3.imag) + abs(m3.imag)]) * 0.5
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        return (self.z0.isclose(other.z0, tol) and self.z1.isclose(other.z1, tol)
-                and self.z2.isclose(other.z2, tol) and self.z3.isclose(other.z3, tol))
+        return all(a.isclose(b, tol) for a, b in zip(self.slots(), other.slots()))
 
     def coeffs16(self) -> list[float]:
         """Flat real coefficients, ordered (1, i, j, ij) x (1, s1, s2, s3)."""
-        zs = self.slots()
-        out: list[float] = []
-        for part in ("x", "y", "v", "w"):
-            out.extend(getattr(z, part) for z in zs)
-        return out
+        return [c for block in zip(*[z.coeffs() for z in self.slots()])
+                for c in block]
 
     @classmethod
     def from_coeffs16(cls, coeffs) -> "Multivector":
@@ -163,27 +169,31 @@ class Multivector(_Frozen):
         return cls(*(HyperComplex(c[k], c[4 + k], c[8 + k], c[12 + k])
                      for k in range(4)))
 
+    def __repr__(self) -> str:
+        z0, z1, z2, z3 = self.slots()
+        return f"Multivector(z0={z0!r}, z1={z1!r}, z2={z2!r}, z3={z3!r})"
+
     def __str__(self) -> str:
         from .hypernum import render_terms
         labels = ("",) + BASIS_LABELS[1:]
         return render_terms(zip(self.coeffs16(), labels))
 
 
-_set_z0, _set_z1, _set_z2, _set_z3 = _setters(Multivector)
+_set_p, _set_m = _setters(Multivector)
+_conj = complex.conjugate
 
 
-def _parts(a: Multivector) -> tuple[tuple, tuple]:
-    """The p parts and the m parts of a's slots z0..z3 (see hypernum)."""
-    z0, z1, z2, z3 = a.z0, a.z1, a.z2, a.z3
-    return (z0.p, z1.p, z2.p, z3.p), (z0.m, z1.m, z2.m, z3.m)
+def _halves(p: tuple, m: tuple) -> Multivector:
+    """The multivector with the p parts p and the m parts m (cf. _pair)."""
+    a = _new(Multivector)
+    _set_p(a, p)
+    _set_m(a, m)
+    return a
 
 
-def _from_parts(ps: tuple, ms: tuple) -> Multivector:
-    """The multivector whose slots have the p parts ps and the m parts ms."""
-    p0, p1, p2, p3 = ps
-    m0, m1, m2, m3 = ms
-    return Multivector(_pair(p0, m0), _pair(p1, m1), _pair(p2, m2),
-                       _pair(p3, m3))
+def _sums_and_differences(a: Multivector) -> tuple[tuple, tuple]:
+    """p + m = 2(x + iy) and p - m = 2(v + iw) of each slot (see hypernum)."""
+    return tuple(map(add, a.p, a.m)), tuple(map(sub, a.p, a.m))
 
 
 def _pauli(a: tuple, b: tuple) -> tuple:
@@ -277,11 +287,9 @@ _set_x0, _set_x1, _set_x2, _set_x3 = _setters(FourVector)
 
 
 def embed(x: FourVector) -> Multivector:
-    """x0 + x1*j*s1 + x2*j*s2 + x3*j*s3."""
-    return Multivector(HyperComplex(x.x0),
-                       HyperComplex(0.0, 0.0, x.x1),
-                       HyperComplex(0.0, 0.0, x.x2),
-                       HyperComplex(0.0, 0.0, x.x3))
+    """x0 + x1*j*s1 + x2*j*s2 + x3*j*s3; j is +1 on the p half, -1 on the m."""
+    x0, x1, x2, x3 = complex(x.x0), complex(x.x1), complex(x.x2), complex(x.x3)
+    return _halves((x0, x1, x2, x3), (x0, -x1, -x2, -x3))
 
 
 def _max_or_nan(values: list[float]) -> float:
@@ -300,10 +308,7 @@ def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
     A NaN outside the span raises too.  A NaN coefficient shares its
     idempotent pair part with one outside the span, so any NaN does.
     """
-    (p0, p1, p2, p3), (m0, m1, m2, m3) = _parts(m)
-    # p + m = 2(x + iy) and p - m = 2(v + iw) on each slot (see hypernum)
-    s0, s1, s2, s3 = p0 + m0, p1 + m1, p2 + m2, p3 + m3
-    d0, d1, d2, d3 = p0 - m0, p1 - m1, p2 - m2, p3 - m3
+    (s0, s1, s2, s3), (d0, d1, d2, d3) = _sums_and_differences(m)
     # y, v, w of z0 and x, y, w of z1, z2, z3
     residual = _max_or_nan([abs(s0.imag), abs(d0.real), abs(d0.imag),
                             abs(s1.real), abs(s1.imag), abs(d1.imag),

@@ -559,6 +559,9 @@ _SIGN_TABLE = (
     ("j", scalar(J), (-1, 1, -1)),
 )
 
+# absolute bound on every coefficient of a bracket's error; NaN fails it
+BRACKET_TOL = 1e-14
+
 _EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
         (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
 
@@ -598,8 +601,10 @@ def _verify_checks():
                  J_gen[c] * (-i_eps) if eps else zero),
             )
             for label, got, want in checks:
-                ok = got.isclose(want, 1e-14)
-                yield (f"bracket [{label}] indices ({a + 1},{b + 1})", ok, "")
+                err = (got - want).max_abs()
+                yield (f"bracket [{label}] indices ({a + 1},{b + 1})",
+                       err <= BRACKET_TOL,
+                       f"max_abs(got - want) {err:.3e} > tol {BRACKET_TOL:.0e}")
 
 
 def _cmd_verify(_args) -> int:

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import math
 
-from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _from_parts,
-                     _parts, _pauli, extract)
+from .cayley import ONE, S1, S2, S3, FourVector, Multivector, embed, extract
 from .hypernum import HyperComplex, _Frozen, _setters
 
 
 class NoConvergence(ArithmeticError):
     """Exponential series failed to settle; the input is pathological.
 
-    ``terms`` is the number of series terms summed and ``squarings`` the
-    number of squarings the scaling called for.
+    ``terms`` is the number of series terms summed, 0 when the input is not
+    finite, and ``squarings`` the number of squarings the scaling called for.
     """
 
     def __init__(self, terms: int, squarings: int):
@@ -26,6 +25,8 @@ class NoConvergence(ArithmeticError):
         self.squarings = squarings
 
     def __str__(self) -> str:
+        if not self.terms:
+            return "exponential series did not settle: the input is not finite"
         return f"exponential series did not settle in {self.terms} terms"
 
 
@@ -102,8 +103,11 @@ def exp_general(a: Multivector) -> Multivector:
     as an independent cross-check of those formulas.
     """
     scale = a.max_abs()
+    if not math.isfinite(scale):
+        # every term would hold the NaN or inf, so the series cannot settle
+        raise NoConvergence(0, 0)
     squarings = 0
-    if math.isfinite(scale) and scale > 1.0:
+    if scale > 1.0:
         squarings = max(1, math.ceil(math.log2(scale)))
         a = a * (2.0 ** -squarings)
     acc = ONE
@@ -123,18 +127,10 @@ def exp_general(a: Multivector) -> Multivector:
 def apply(t: Rotor, x: FourVector) -> FourVector:
     """Sandwich t x dagger(t) on the embedded paravector.
 
-    Computed on the idempotent parts without building embed(x) or
-    dagger(t): embed(x) has the p parts (x0, x1, x2, x3) and the m parts
-    (x0, -x1, -x2, -x3), and dagger conjugates every part.
     NotAParavector propagates when the sandwich leaves the paravector span,
     which signals that t is not actually a rotor.
     """
-    tp, tm = _parts(t.value)
-    x0, x1, x2, x3 = complex(x.x0), complex(x.x1), complex(x.x2), complex(x.x3)
-    image = _from_parts(
-        _pauli(_pauli(tp, (x0, x1, x2, x3)), [c.conjugate() for c in tp]),
-        _pauli(_pauli(tm, (x0, -x1, -x2, -x3)), [c.conjugate() for c in tm]))
-    return extract(image, 1e-12)
+    return extract(t.value * embed(x) * t.value.dagger(), 1e-12)
 
 
 def generators() -> tuple[tuple[Multivector, ...], tuple[Multivector, ...]]:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .cayley import E3, ONE, Multivector, _max_or_nan, _ResidualError, sym
+from .cayley import (E3, ONE, Multivector, _max_or_nan, _ResidualError,
+                     _sums_and_differences, sym)
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _setattr, _setters
 from .lorentz import LorentzParams, Rotor, spin_transform
 
@@ -43,9 +44,11 @@ def subalgebra_residual(m: Multivector) -> float:
     NaN if one of them is NaN; since each coefficient shares its idempotent
     pair part with one outside the span, that is whenever m has a NaN.
     """
-    z0, z1, z2, z3 = m.slots()
-    return _max_or_nan([abs(z0.y), abs(z0.v), abs(z1.x), abs(z1.w),
-                        abs(z2.x), abs(z2.w), abs(z3.x), abs(z3.w)])
+    (s0, s1, s2, s3), (d0, d1, d2, d3) = _sums_and_differences(m)
+    # y, v of z0 and x, w of z1, z2, z3
+    return _max_or_nan([abs(s0.imag), abs(d0.real), abs(s1.real), abs(d1.imag),
+                        abs(s2.real), abs(d2.imag), abs(s3.real),
+                        abs(d3.imag)]) * 0.5
 
 
 def _check_member(m: Multivector, tol: float = 1e-12) -> Multivector:
@@ -281,8 +284,8 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = 1e-12) -> HyperComplex:
     tolerance, or a NaN residual, raises NonScalarResidual.
     """
     total = sym(a.value, b.value) + sym(a.value, b.value * E3) * J
-    residual = _max_or_nan([abs(q) for z in total.slots()[1:]
-                            for q in z.coeffs()])
+    residual = _max_or_nan([abs(q) for half in _sums_and_differences(total)
+                            for c in half[1:] for q in (c.real, c.imag)]) * 0.5
     if not residual <= tol * max(1.0, total.max_abs()):
         raise NonScalarResidual(residual)
     return total.scalar()

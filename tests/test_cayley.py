@@ -59,23 +59,98 @@ def _slot_product(a, b):
 SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300)
 
 
+def _same_float(x: float, y: float) -> bool:
+    """Equal with the same sign (so 0.0 is not -0.0), or both NaN."""
+    return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) \
+        or (x != x and y != y)
+
+
 def _same(u: complex, v: complex) -> bool:
-    """Equal parts, or NaN in the same places."""
-    return all(x == y or (x != x and y != y)
-               for x, y in ((u.real, v.real), (u.imag, v.imag)))
+    """Equal parts with the same signs, or NaN in the same places."""
+    return _same_float(u.real, v.real) and _same_float(u.imag, v.imag)
+
+
+def _same_slots(got, want) -> bool:
+    return all(_same(g.p, w.p) and _same(g.m, w.m) for g, w in zip(got, want))
+
+
+def _special(rng) -> float:
+    return rng.choice(SPECIAL) if rng.random() < 0.3 else rng.uniform(-1, 1)
+
+
+def _pair_draws(rng) -> list:
+    """500 random pairs of multivectors, then 1000 with SPECIAL values mixed in."""
+    def special() -> Multivector:
+        return Multivector(*(HyperComplex(*(_special(rng) for _ in range(4)))
+                             for _ in range(4)))
+
+    draws = [(rand_multivector(rng), rand_multivector(rng)) for _ in range(500)]
+    return draws + [(special(), special()) for _ in range(1000)]
 
 
 def test_gp_pair_kernel_matches_slot_formula(rng):
-    def special() -> Multivector:
-        return Multivector(*(HyperComplex(*(
-            rng.choice(SPECIAL) if rng.random() < 0.3 else rng.uniform(-1, 1)
-            for _ in range(4))) for _ in range(4)))
+    for a, b in _pair_draws(rng):
+        assert _same_slots((a * b).slots(), _slot_product(a, b)), (a, b)
 
-    draws = [(rand_multivector(rng), rand_multivector(rng)) for _ in range(500)]
-    draws += [(special(), special()) for _ in range(1000)]
-    for a, b in draws:
-        for got, want in zip((a * b).slots(), _slot_product(a, b)):
-            assert _same(got.p, want.p) and _same(got.m, want.m), (a, b)
+
+def _slot_inverse(a):
+    """Multivector.inverse written on HyperComplex slots."""
+    z0, z1, z2, z3 = a.slots()
+    f = (z0 * z0 - z1 * z1 - z2 * z2 - z3 * z3).inverse()
+    return (z0 * f, -(z1 * f), -(z2 * f), -(z3 * f))
+
+
+def _slot_extract(x: FourVector):
+    """extract(embed(x)) written on HyperComplex slots; None if refused."""
+    z0, z1, z2, z3 = (HyperComplex(x.x0), HyperComplex(0.0, 0.0, x.x1),
+                      HyperComplex(0.0, 0.0, x.x2), HyperComplex(0.0, 0.0, x.x3))
+    outside = (z0.y, z0.v, z0.w) + tuple(c for z in (z1, z2, z3)
+                                         for c in (z.x, z.y, z.w))
+    if any(c != 0.0 for c in outside):  # NaN counts as nonzero
+        return None
+    return (z0.x, z1.v, z2.v, z3.v)
+
+
+def test_slot_ops_on_the_parts_match_slot_formulas(rng):
+    # every slot-level operation, run on the eight parts, against its form on
+    # HyperComplex slots, bit for bit (NaN in the same places)
+    for a, b in _pair_draws(rng):
+        za, zb = a.slots(), b.slots()
+        cases = ((a + b, [x + y for x, y in zip(za, zb)]),
+                 (a - b, [x - y for x, y in zip(za, zb)]),
+                 (-a, [-x for x in za]),
+                 (a.bar(), [x.conj() for x in za]),
+                 (a.dagger(), [x.rev() for x in za]),
+                 (a.hat(), [x.grade() for x in za]))
+        for got, want in cases:
+            assert _same_slots(got.slots(), want), (a, b)
+
+        try:
+            want = _slot_inverse(a)
+        except ZeroDivisor as err:
+            with pytest.raises(ZeroDivisor) as got:
+                a.inverse()
+            assert _same_slots([got.value.value], [err.value])
+            assert all(_same_float(getattr(got.value, k), getattr(err, k))
+                       for k in ("norm", "tol", "scale")), a
+        else:
+            assert _same_slots(a.inverse().slots(), want), a
+
+        sizes = [z.max_abs() for z in za]
+        want = math.nan if any(map(math.isnan, sizes)) else max(sizes)
+        assert _same_float(a.max_abs(), want), a
+        want = [getattr(z, c) for c in ("x", "y", "v", "w") for z in za]
+        assert all(map(_same_float, a.coeffs16(), want)), a
+
+        x = FourVector(*(_special(rng) for _ in range(4)))
+        want = _slot_extract(x)
+        if want is None:
+            with pytest.raises(NotAParavector):
+                extract(embed(x))
+        else:
+            # the slot formula drops the sign of a -0.0 component, embed keeps it
+            got = extract(embed(x)).components()
+            assert got == want and all(map(_same_float, got, x.components())), x
 
 
 def test_involution_sign_table():

@@ -313,6 +313,26 @@ def test_cli_verify(capsys):
     assert out.count("ok ") >= 52  # 9 sign rows + 16 metric pairs + 27 brackets
 
 
+def test_cli_verify_bracket_failure_reports_margin(capsys, monkeypatch):
+    # perturb the second bracket computed, [J1, K1], whose wanted value is 0
+    from hypalg import S3, cli
+    for perturbation, measured in ((3e-13, "3.000e-13"), (math.nan, "nan")):
+        calls = []
+
+        def commutator(a, b, real=cli.commutator):
+            calls.append((a, b))
+            got = real(a, b)
+            return got + S3 * perturbation if len(calls) == 2 else got
+
+        monkeypatch.setattr(cli, "commutator", commutator)
+        code, out, err = run(capsys, "verify")
+        monkeypatch.undo()
+        assert code == 1 and err == "1 check(s) failed\n"
+        assert [line for line in out.splitlines() if not line.startswith("ok ")] \
+            == [f"FAIL bracket [J,K] indices (1,1): max_abs(got - want) "
+                f"{measured} > tol 1e-14"]
+
+
 GOLDEN_CROSS_SECTION = "re 0.500000013397\nij 0\nmott 0.500000013397\n"
 GOLDEN_SPINOR_EVEN = ("s 1\nb32 0\nb13 0\nb21 0\nb10 0\nb20 0\nb30 0\np 0\n")
 

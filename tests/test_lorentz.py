@@ -74,10 +74,18 @@ def test_exp_general_no_convergence():
 
 
 def test_no_convergence_reports_terms_and_squarings():
-    with pytest.raises(NoConvergence) as info:
-        exp_general(scalar(float("nan")))
-    assert (info.value.terms, info.value.squarings) == (200, 0)
-    assert str(info.value) == "exponential series did not settle in 200 terms"
+    # a NaN or inf input is refused before any series term is summed
+    for bad in (scalar(math.nan), scalar(math.inf), S3 * -math.inf,
+                Multivector(HyperComplex(1.0), HyperComplex(0.0, math.nan))):
+        with pytest.raises(NoConvergence) as info:
+            exp_general(bad)
+        assert (info.value.terms, info.value.squarings) == (0, 0), bad
+        assert info.value.terms < 200
+        assert str(info.value) == \
+            "exponential series did not settle: the input is not finite"
+    err = NoConvergence(200, 3)
+    assert (err.terms, err.squarings) == (200, 3)
+    assert str(err) == "exponential series did not settle in 200 terms"
 
 
 def test_apply_examples():

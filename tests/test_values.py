@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 import hypalg
-from hypalg import (ColumnSpinor, EvenComponents, FourVector, HMat2,
+from hypalg import (S1, S2, ColumnSpinor, EvenComponents, FourVector, HMat2,
                     HyperComplex, LorentzParams, Multivector, OddComponents,
                     Rotor, Spinor, to_matrix)
 from hypalg.cli import BinOp, parse
@@ -32,7 +32,13 @@ CASES = {
         lambda: Multivector(H(1.0), z2=H(0.0, 0.0, 2.0)),
         f"Multivector(z0={HC1}, z1={HC0}, "
         f"z2=HyperComplex(x=0.0, y=0.0, v=2.0, w=0.0), z3={HC0})",
-        ("z0", "z1", "z2", "z3"), ("z0", "z3")),
+        ("z0", "z1", "z2", "z3"), ("p", "m", "z0", "z3")),
+    # built by an operation, which fills the stored parts without __init__
+    "Multivector-product": (
+        lambda: S1 * S2,
+        f"Multivector(z0={HC0}, z1={HC0}, z2={HC0}, "
+        "z3=HyperComplex(x=0.0, y=1.0, v=0.0, w=0.0))",
+        ("z0", "z1", "z2", "z3"), ("p", "m", "z0", "z3")),
     "FourVector": (
         lambda: FourVector(1.0, -2.0, 0.5, 3.0),
         "FourVector(x0=1.0, x1=-2.0, x2=0.5, x3=3.0)",
@@ -121,6 +127,15 @@ def test_other_types_compare_unequal(case):
 def test_same_fields_in_another_class_compare_unequal():
     m = Multivector(H(1.0))
     assert Rotor(m) != Spinor(m) and Spinor(m) != Rotor(m)
+
+
+def test_built_and_constructed_multivectors_are_one_value():
+    built, constructed = S1 * S2, Multivector(z3=H(0.0, 1.0))
+    assert built == constructed and hash(built) == hash(constructed)
+    for copied in (pickle.loads(pickle.dumps(built)), copy.copy(built),
+                   copy.deepcopy(built)):
+        assert copied == constructed and hash(copied) == hash(constructed)
+        assert (copied.p, copied.m) == (constructed.p, constructed.m)
 
 
 def test_ast_equality_ignores_positions():
