@@ -16,7 +16,8 @@ import numbers
 from operator import add, neg, sub
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
-from .hypernum import ZERO, HyperComplex, _Frozen, _new, _pair, _setters
+from .hypernum import (ZERO, HyperComplex, _Frozen, _max_or_nan, _new, _pair,
+                       _setters)
 
 
 class _ResidualError(Exception):
@@ -34,6 +35,13 @@ class _ResidualError(Exception):
 
     def __str__(self) -> str:
         return self.text.format(self.residual)
+
+    @classmethod
+    def check(cls, residual: float, a: Multivector, tol: float = 1e-12) -> None:
+        """The membership test: raise cls(residual) unless it is at most
+        tol * max(1, a.max_abs()).  A NaN residual raises."""
+        if not residual <= tol * max(1.0, a.max_abs()):
+            raise cls(residual)
 
 
 class NotAParavector(_ResidualError, ValueError):
@@ -292,16 +300,6 @@ def embed(x: FourVector) -> Multivector:
     return _halves((x0, x1, x2, x3), (x0, -x1, -x2, -x3))
 
 
-def _max_or_nan(values: list[float]) -> float:
-    """The largest of the non-negative values, or NaN if one of them is NaN.
-
-    max() alone keeps a NaN only when it comes first, and a guard written as
-    ``residual > tol`` lets a NaN residual through.
-    """
-    total = sum(values)
-    return total if total != total else max(values)
-
-
 def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
     """Invert embed; raises NotAParavector if m has other components.
 
@@ -314,8 +312,7 @@ def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
                             abs(s1.real), abs(s1.imag), abs(d1.imag),
                             abs(s2.real), abs(s2.imag), abs(d2.imag),
                             abs(s3.real), abs(s3.imag), abs(d3.imag)]) * 0.5
-    if not residual <= tol * max(1.0, m.max_abs()):
-        raise NotAParavector(residual)
+    NotAParavector.check(residual, m, tol)
     return FourVector(s0.real * 0.5, d1.real * 0.5, d2.real * 0.5,
                       d3.real * 0.5)
 

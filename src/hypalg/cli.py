@@ -24,14 +24,14 @@ import sys
 
 from . import cayley, lorentz, spinor
 from .cayley import (E, E0, E1, E2, E3, S1, S2, S3, FourVector, Multivector,
-                     NotAParavector, _ResidualError, antisym, extract,
-                     minkowski_dot, scalar, sym)
-from .hypernum import (I, IJ, J, HyperComplex, ZeroDivisor, _Frozen, _setattr,
-                       format_real)
+                     _ResidualError, antisym, extract, minkowski_dot, scalar,
+                     sym)
+from .hypernum import (I, IJ, J, HyperComplex, ZeroDivisor, _Frozen,
+                       _max_or_nan, _setattr, format_real)
 from .lorentz import LorentzParams, NoConvergence, boost, commutator, \
     exp_general, generators, rotation, spin_transform
-from .spinor import (NotInSpinorAlgebra, Spinor, even_components, from_rotor,
-                     mott_factor, product_modulus_sq, sprod_algebraic)
+from .spinor import (Spinor, even_components, from_rotor, mott_factor,
+                     product_modulus_sq, sprod_algebraic)
 
 CONSTANTS: dict[str, Multivector | HyperComplex] = {
     "e0": E0, "e1": E1, "e2": E2, "e3": E3,
@@ -325,20 +325,29 @@ def _left_spine(node: BinOp) -> tuple[object, list[BinOp]]:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _as_hyper(value, pos: int) -> HyperComplex:
-    if isinstance(value, Multivector):
-        raise EvalTypeError(pos, "expected a scalar, got a multivector")
-    if isinstance(value, HyperComplex):
-        return value
-    return HyperComplex(float(value))
-
-
 def _as_real(value, pos: int) -> float:
     if isinstance(value, float):
         return value
     if isinstance(value, HyperComplex) and value.y == value.v == value.w == 0.0:
         return value.x
     raise EvalTypeError(pos, "expected a real number")
+
+
+def _members(convert, args: list, positions: list[int],
+             message: str = "{}") -> list:
+    """convert(scalar(value)) per argument, convert being a membership guard.
+
+    A finite residual is a type error at the argument's offset, its text
+    formatted into message; a NaN residual propagates."""
+    converted = []
+    for value, p in zip(args, positions):
+        try:
+            converted.append(convert(scalar(value)))
+        except _ResidualError as exc:
+            if math.isnan(exc.residual):
+                raise
+            raise EvalTypeError(p, message.format(exc))
+    return converted
 
 
 # The operands' own methods promote a real to a scalar and a scalar to a
@@ -367,31 +376,20 @@ def _eval_call(name: str, args: list, positions: list[int], pos: int):
             val = HyperComplex(val)
         return val.inverse()
     if name == "norm2":
-        return _as_hyper(args[0], positions[0]).modulus_sq()
+        val = args[0]
+        if isinstance(val, Multivector):
+            raise EvalTypeError(positions[0], "expected a scalar, got a multivector")
+        return (HyperComplex(val) if isinstance(val, float) else val).modulus_sq()
     if name == "dot":
-        vectors = []
-        for value, p in zip(args, positions):
-            try:
-                vectors.append(extract(scalar(value)))
-            except NotAParavector as exc:
-                if math.isnan(exc.residual):
-                    raise
-                raise EvalTypeError(p, f"dot needs embedded four-vectors ({exc})")
-        return minkowski_dot(*vectors)
+        return minkowski_dot(*_members(
+            extract, args, positions, "dot needs embedded four-vectors ({})"))
     if name == "wedge":
         return antisym(scalar(args[0]), scalar(args[1]))
     if name == "commutator":
         return commutator(scalar(args[0]), scalar(args[1]))
     if name == "sprod":
-        spinors = []
-        for value, p in zip(args, positions):
-            try:
-                spinors.append(spinor.from_multivector(scalar(value)))
-            except NotInSpinorAlgebra as exc:
-                if math.isnan(exc.residual):
-                    raise
-                raise EvalTypeError(p, str(exc))
-        return sprod_algebraic(*spinors)
+        return sprod_algebraic(*_members(spinor.from_multivector, args,
+                                         positions))
     reals = [_as_real(value, p) for value, p in zip(args, positions)]
     if name == "boost":
         return boost(reals).value
@@ -405,8 +403,7 @@ def evaluate(node):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Const):
-        value = CONSTANTS[node.name]
-        return value
+        return CONSTANTS[node.name]
     if isinstance(node, Neg):
         return 0.0 - evaluate(node.operand)
     if isinstance(node, BinOp):
@@ -475,21 +472,19 @@ def _cmd_eval(args) -> int:
     return _emit(args.json, value_to_json(value), value_to_text(value))
 
 
-def _triple(text: str):
+def _floats(text: str, n: int, option: str) -> list[float]:
+    """The n comma-separated numbers of an option's value (ValueError: exit 2)."""
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated values: {text!r}")
-    return tuple(parts)
+    if len(parts) != n:
+        raise ValueError(f"{option} needs {n} comma-separated values: {text!r}")
+    return parts
 
 
 def _cmd_transform(args) -> int:
-    parts = [float(p) for p in args.vector.split(",")]
-    if len(parts) != 4:
-        print(f"error: --vector needs four components: {args.vector!r}",
-              file=sys.stderr)
-        return 2
-    total = boost(_triple(args.boost)) * rotation(_triple(args.rotate))
-    image = lorentz.apply(total, FourVector(*parts)).components()
+    vector = _floats(args.vector, 4, "--vector")
+    total = boost(_floats(args.boost, 3, "--boost")) \
+        * rotation(_floats(args.rotate, 3, "--rotate"))
+    image = lorentz.apply(total, FourVector(*vector)).components()
     return _emit(args.json, {"kind": "fourvector",
                              "coeffs": [_round12(c) for c in image]},
                  " ".join(format_real(c) for c in image))
@@ -511,7 +506,7 @@ def _cmd_spinor(args) -> int:
             * rotation((0.0, params.theta, 0.0)) * boost((0.0, 0.0, params.xi))
         want = even_components(Spinor(product.value)).as_dict()
         errors = [abs(v - want[k]) for k, v in even_components(psi).as_dict().items()]
-        worst = math.nan if any(map(math.isnan, errors)) else max(errors)
+        worst = _max_or_nan(errors)
         scale = math.cosh(params.xi / 2.0)
         tol = CHECK_K * sys.float_info.epsilon * scale
         if not worst <= tol:
@@ -626,6 +621,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hypalg",
         description="Hyperbolic-complex Clifford algebra calculator")
     sub = parser.add_subparsers(dest="command", required=True)
+    angles = argparse.ArgumentParser(add_help=False)
+    for name in ("--phi", "--theta", "--xi"):
+        angles.add_argument(name, type=float, default=0.0)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expr")
@@ -640,10 +638,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--json", action="store_true")
     p_tr.set_defaults(func=_cmd_transform)
 
-    p_sp = sub.add_parser("spinor", help="spinor components for given parameters")
-    p_sp.add_argument("--phi", type=float, default=0.0)
-    p_sp.add_argument("--theta", type=float, default=0.0)
-    p_sp.add_argument("--xi", type=float, default=0.0)
+    p_sp = sub.add_parser("spinor", parents=[angles],
+                          help="spinor components for given parameters")
     view = p_sp.add_mutually_exclusive_group()
     view.add_argument("--even", dest="view", action="store_const", const="even")
     view.add_argument("--odd", dest="view", action="store_const", const="odd")
@@ -655,11 +651,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--json", action="store_true")
     p_sp.set_defaults(func=_cmd_spinor)
 
-    p_cs = sub.add_parser("cross-section",
+    p_cs = sub.add_parser("cross-section", parents=[angles],
                           help="spinor-product square and elastic factor")
-    p_cs.add_argument("--phi", type=float, default=0.0)
-    p_cs.add_argument("--theta", type=float, default=0.0)
-    p_cs.add_argument("--xi", type=float, default=0.0)
     p_cs.add_argument("--json", action="store_true")
     p_cs.set_defaults(func=_cmd_cross_section)
 

@@ -262,10 +262,8 @@ class HyperComplex(_Frozen):
         max(|x|, |v|) = (|Re p| + |Re m|)/2, and likewise for y and w.
         """
         p, m = self.p, self.m
-        a = abs(p.real) + abs(m.real)
-        b = abs(p.imag) + abs(m.imag)
-        # max(a, b) would return a when only b is NaN
-        return (a if a >= b or a != a else b) * 0.5
+        return _max_or_nan([abs(p.real) + abs(m.real),
+                            abs(p.imag) + abs(m.imag)]) * 0.5
 
     def isclose(self, other: "HyperComplex", tol: float = 1e-12) -> bool:
         """Componentwise comparison with an absolute tolerance."""
@@ -298,6 +296,16 @@ def _mul_i(z: HyperComplex) -> HyperComplex:
     """i * z, exact: i is (i, i) on the pair, a quarter turn of each part."""
     p, m = z.p, z.m
     return _pair(complex(-p.imag, p.real), complex(-m.imag, m.real))
+
+
+def _max_or_nan(values: list[float]) -> float:
+    """The largest of the non-negative values, or NaN if one of them is NaN.
+
+    max() alone keeps a NaN only when it comes first, and a guard written as
+    ``residual > tol`` lets a NaN residual through.
+    """
+    total = sum(values)
+    return total if total != total else max(values)
 
 
 def _coerce(value) -> HyperComplex | None:

@@ -130,7 +130,7 @@ def apply(t: Rotor, x: FourVector) -> FourVector:
     NotAParavector propagates when the sandwich leaves the paravector span,
     which signals that t is not actually a rotor.
     """
-    return extract(t.value * embed(x) * t.value.dagger(), 1e-12)
+    return extract(t.value * embed(x) * t.value.dagger())
 
 
 def generators() -> tuple[tuple[Multivector, ...], tuple[Multivector, ...]]:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 
-from .cayley import (E3, ONE, Multivector, _max_or_nan, _ResidualError,
+from .cayley import (E3, ONE, Multivector, _ResidualError,
                      _sums_and_differences, sym)
-from .hypernum import HyperComplex, J, _Frozen, _mul_i, _setattr, _setters
+from .hypernum import (HyperComplex, J, _Frozen, _max_or_nan, _mul_i, _setattr,
+                       _setters)
 from .lorentz import LorentzParams, Rotor, spin_transform
 
 
@@ -51,10 +52,8 @@ def subalgebra_residual(m: Multivector) -> float:
                         abs(d3.imag)]) * 0.5
 
 
-def _check_member(m: Multivector, tol: float = 1e-12) -> Multivector:
-    residual = subalgebra_residual(m)
-    if not residual <= tol * max(1.0, m.max_abs()):
-        raise NotInSpinorAlgebra(residual)
+def _check_member(m: Multivector) -> Multivector:
+    NotInSpinorAlgebra.check(subalgebra_residual(m), m)
     return m
 
 
@@ -121,8 +120,7 @@ class EvenComponents(_Frozen):
         return t
 
     def as_dict(self) -> dict[str, float]:
-        return {"s": self.s, "b32": self.b32, "b13": self.b13, "b21": self.b21,
-                "b10": self.b10, "b20": self.b20, "b30": self.b30, "p": self.p}
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class OddComponents(_Frozen):
@@ -252,8 +250,8 @@ def to_column(psi: Spinor) -> ColumnSpinor:
 
     Componentwise: (s + i*b21 + j*b30 + ij*p, -b13 + i*b32 + j*b10 + ij*b20).
     """
-    z0, z1, z2, z3 = psi.value.slots()
-    return ColumnSpinor(z0 + z3, z1 + _mul_i(z2))
+    m = to_matrix(psi.value)
+    return ColumnSpinor(m.m11, m.m21)
 
 
 def from_column(c: ColumnSpinor) -> Spinor:
@@ -286,8 +284,7 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = 1e-12) -> HyperComplex:
     total = sym(a.value, b.value) + sym(a.value, b.value * E3) * J
     residual = _max_or_nan([abs(q) for half in _sums_and_differences(total)
                             for c in half[1:] for q in (c.real, c.imag)]) * 0.5
-    if not residual <= tol * max(1.0, total.max_abs()):
-        raise NonScalarResidual(residual)
+    NonScalarResidual.check(residual, total, tol)
     return total.scalar()
 
 
