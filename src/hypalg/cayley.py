@@ -16,8 +16,8 @@ import numbers
 from operator import add, neg, sub
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
-from .hypernum import (ZERO, HyperComplex, _Frozen, _max_or_nan, _new, _pair,
-                       _setters)
+from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
+                       _pair, _setters)
 
 
 class _ResidualError(Exception):
@@ -156,17 +156,21 @@ class Multivector(_Frozen):
         m0, m1, m2, m3 = self.m
         # as HyperComplex.max_abs does per slot
         return _max_or_nan([
-            abs(p0.real) + abs(m0.real), abs(p0.imag) + abs(m0.imag),
-            abs(p1.real) + abs(m1.real), abs(p1.imag) + abs(m1.imag),
-            abs(p2.real) + abs(m2.real), abs(p2.imag) + abs(m2.imag),
-            abs(p3.real) + abs(m3.real), abs(p3.imag) + abs(m3.imag)]) * 0.5
+            abs(p0.real) * 0.5 + abs(m0.real) * 0.5,
+            abs(p0.imag) * 0.5 + abs(m0.imag) * 0.5,
+            abs(p1.real) * 0.5 + abs(m1.real) * 0.5,
+            abs(p1.imag) * 0.5 + abs(m1.imag) * 0.5,
+            abs(p2.real) * 0.5 + abs(m2.real) * 0.5,
+            abs(p2.imag) * 0.5 + abs(m2.imag) * 0.5,
+            abs(p3.real) * 0.5 + abs(m3.real) * 0.5,
+            abs(p3.imag) * 0.5 + abs(m3.imag) * 0.5])
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
         return all(a.isclose(b, tol) for a, b in zip(self.slots(), other.slots()))
 
     def coeffs16(self) -> list[float]:
         """Flat real coefficients, ordered (1, i, j, ij) x (1, s1, s2, s3)."""
-        return [c for block in zip(*[z.coeffs() for z in self.slots()])
+        return [c for block in zip(*map(_coeffs, self.p, self.m))
                 for c in block]
 
     @classmethod
@@ -197,11 +201,6 @@ def _halves(p: tuple, m: tuple) -> Multivector:
     _set_p(a, p)
     _set_m(a, m)
     return a
-
-
-def _sums_and_differences(a: Multivector) -> tuple[tuple, tuple]:
-    """p + m = 2(x + iy) and p - m = 2(v + iw) of each slot (see hypernum)."""
-    return tuple(map(add, a.p, a.m)), tuple(map(sub, a.p, a.m))
 
 
 def _pauli(a: tuple, b: tuple) -> tuple:
@@ -306,15 +305,13 @@ def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
     A NaN outside the span raises too.  A NaN coefficient shares its
     idempotent pair part with one outside the span, so any NaN does.
     """
-    (s0, s1, s2, s3), (d0, d1, d2, d3) = _sums_and_differences(m)
-    # y, v, w of z0 and x, y, w of z1, z2, z3
-    residual = _max_or_nan([abs(s0.imag), abs(d0.real), abs(d0.imag),
-                            abs(s1.real), abs(s1.imag), abs(d1.imag),
-                            abs(s2.real), abs(s2.imag), abs(d2.imag),
-                            abs(s3.real), abs(s3.imag), abs(d3.imag)]) * 0.5
+    ((x0, y0, v0, w0), (x1, y1, v1, w1), (x2, y2, v2, w2),
+     (x3, y3, v3, w3)) = map(_coeffs, m.p, m.m)
+    residual = _max_or_nan([abs(y0), abs(v0), abs(w0), abs(x1), abs(y1),
+                            abs(w1), abs(x2), abs(y2), abs(w2), abs(x3),
+                            abs(y3), abs(w3)])
     NotAParavector.check(residual, m, tol)
-    return FourVector(s0.real * 0.5, d1.real * 0.5, d2.real * 0.5,
-                      d3.real * 0.5)
+    return FourVector(x0, v1, v2, v3)
 
 
 def minkowski_dot(x: FourVector, y: FourVector) -> float:

@@ -661,8 +661,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options that take a value; it may begin with '-' (-1e-3, -inf, -1,0,0).
+_VALUE_OPTIONS = ("--boost", "--rotate", "--vector", "--phi", "--theta", "--xi")
+
+
+def _dash_values(argv: list[str]) -> list[str]:
+    """argv with each value that begins with '-' made plain to argparse.
+
+    argparse takes such a token for an option unless it is a plain decimal
+    such as -2.  A value option followed by one is joined to it as
+    --opt=value, and an eval expression that begins with '-' moves behind
+    '--'.  Long options, -h and everything from '--' on are left as they are.
+    """
+    def dashed(token: str) -> bool:
+        return token[:1] == "-" and token[:2] != "--" and token != "-h"
+
+    out, expr = [], []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            out += argv[i:]
+            break
+        if token in _VALUE_OPTIONS and i + 1 < len(argv) and dashed(argv[i + 1]):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 1
+        elif argv[0] == "eval" and i > 0 and not expr and dashed(token):
+            expr = ["--", token]
+        else:
+            out.append(token)
+        i += 1
+    return out + expr
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_dash_values(argv))
     try:
         return args.func(args)
     except _ResidualError as exc:

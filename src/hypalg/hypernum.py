@@ -31,7 +31,9 @@ one home of equality, hashing, repr and pickling for all of them.
 
 from __future__ import annotations
 
+import math
 import numbers
+from math import frexp, ldexp
 
 
 class ZeroDivisor(ArithmeticError):
@@ -39,7 +41,10 @@ class ZeroDivisor(ArithmeticError):
 
     ``norm`` is the element's real norm, ``tol`` the threshold
     ``1e-14 * scale**4`` it did not exceed and ``scale`` its largest
-    component; ``value`` is the element itself.
+    component; ``value`` is the element itself.  The test itself runs on the
+    element scaled by a power of two (see HyperComplex.inverse); ``norm`` and
+    ``tol`` are its figures scaled back, inf or 0 where that leaves the float
+    range.
     """
 
     def __init__(self, value, norm: float, tol: float, scale: float):
@@ -144,21 +149,8 @@ class HyperComplex(_Frozen):
 
     # -- real coefficients ------------------------------------------------
 
-    @property
-    def x(self) -> float:
-        return (self.p.real + self.m.real) * 0.5
-
-    @property
-    def y(self) -> float:
-        return (self.p.imag + self.m.imag) * 0.5
-
-    @property
-    def v(self) -> float:
-        return (self.p.real - self.m.real) * 0.5
-
-    @property
-    def w(self) -> float:
-        return (self.p.imag - self.m.imag) * 0.5
+    x, y, v, w = (property(lambda self, k=k: _coeffs(self.p, self.m)[k])
+                  for k in range(4))
 
     # -- ring structure ---------------------------------------------------
 
@@ -237,33 +229,45 @@ class HyperComplex(_Frozen):
         m = 0), where the element has no inverse.
         """
         p, m = self.p, self.m
-        return (p.real * p.real + p.imag * p.imag) \
-            * (m.real * m.real + m.imag * m.imag)
+        return _norm(p.real, p.imag, m.real, m.imag)
 
     def inverse(self) -> "HyperComplex":
         """Multiplicative inverse, the pair (1/p, 1/m).
 
-        Raises ZeroDivisor when the real norm |p|^2 |m|^2 is below 1e-14 times
-        the fourth power of the largest component (the norm is degree 4 in the
-        components).
+        Raises ZeroDivisor when the real norm |p|^2 |m|^2 is at most 1e-14
+        times the fourth power of the largest component (the norm is degree 4
+        in the components), or when p or m is 0.  The test is evaluated on the
+        element times the power of two 2**k that brings the largest component
+        into [0.5, 1), so neither fourth power overflows or underflows; it
+        decides as the unscaled test does wherever that test's figures are
+        finite and nonzero.  Raises OverflowError when 1/p or 1/m is beyond
+        the float range.
         """
         scale = self.max_abs()
-        norm = self.real_norm()
-        tol = 1e-14 * scale ** 4
-        if norm <= tol:
-            raise ZeroDivisor(self, norm, tol, scale)
-        return _pair(1.0 / self.p, 1.0 / self.m)
+        k = -frexp(scale)[1]
+        p, m = self.p, self.m
+        norm = _norm(ldexp(p.real, k), ldexp(p.imag, k), ldexp(m.real, k),
+                     ldexp(m.imag, k))
+        tol = 1e-14 * ldexp(scale, k) ** 4
+        # a zero part with an infinite one makes the norm NaN
+        if norm <= tol or not (p and m):
+            raise ZeroDivisor(self, _ldexp_or_inf(norm, -4 * k),
+                              _ldexp_or_inf(tol, -4 * k), scale)
+        ip, im = 1.0 / p, 1.0 / m
+        if math.inf in (abs(ip.real), abs(ip.imag), abs(im.real), abs(im.imag)):
+            raise OverflowError(f"no inverse within the float range: {self}")
+        return _pair(ip, im)
 
     # -- helpers -------------------------------------------------------------
 
     def max_abs(self) -> float:
         """The largest of |x|, |y|, |v|, |w|, or NaN if one of them is NaN.
 
-        max(|x|, |v|) = (|Re p| + |Re m|)/2, and likewise for y and w.
+        max(|x|, |v|) = |Re p|/2 + |Re m|/2, and likewise for y and w.
         """
         p, m = self.p, self.m
-        return _max_or_nan([abs(p.real) + abs(m.real),
-                            abs(p.imag) + abs(m.imag)]) * 0.5
+        return _max_or_nan([abs(p.real) * 0.5 + abs(m.real) * 0.5,
+                            abs(p.imag) * 0.5 + abs(m.imag) * 0.5])
 
     def isclose(self, other: "HyperComplex", tol: float = 1e-12) -> bool:
         """Componentwise comparison with an absolute tolerance."""
@@ -271,7 +275,7 @@ class HyperComplex(_Frozen):
                 and abs(self.v - other.v) <= tol and abs(self.w - other.w) <= tol)
 
     def coeffs(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.v, self.w)
+        return _coeffs(self.p, self.m)
 
     def __repr__(self) -> str:
         x, y, v, w = self.coeffs()
@@ -296,6 +300,29 @@ def _mul_i(z: HyperComplex) -> HyperComplex:
     """i * z, exact: i is (i, i) on the pair, a quarter turn of each part."""
     p, m = z.p, z.m
     return _pair(complex(-p.imag, p.real), complex(-m.imag, m.real))
+
+
+def _coeffs(p: complex, m: complex) -> tuple[float, float, float, float]:
+    """(x, y, v, w) of p*e+ + m*e-: x + iy = p/2 + m/2, v + iw = p/2 - m/2.
+
+    Each part is halved before the two are added, so finite parts never
+    give an infinite coefficient.
+    """
+    pr, pi, mr, mi = p.real * 0.5, p.imag * 0.5, m.real * 0.5, m.imag * 0.5
+    return (pr + mr, pi + mi, pr - mr, pi - mi)
+
+
+def _norm(pr: float, pi: float, mr: float, mi: float) -> float:
+    """|p|^2 |m|^2 for p = pr + i*pi and m = mr + i*mi (see real_norm)."""
+    return (pr * pr + pi * pi) * (mr * mr + mi * mi)
+
+
+def _ldexp_or_inf(x: float, n: int) -> float:
+    """x * 2**n for x >= 0, inf where that overflows (math.ldexp raises)."""
+    try:
+        return ldexp(x, n)
+    except OverflowError:
+        return math.inf
 
 
 def _max_or_nan(values: list[float]) -> float:

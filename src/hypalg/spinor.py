@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 
-from .cayley import (E3, ONE, Multivector, _ResidualError,
-                     _sums_and_differences, sym)
-from .hypernum import (HyperComplex, J, _Frozen, _max_or_nan, _mul_i, _setattr,
-                       _setters)
+from .cayley import E3, ONE, Multivector, _ResidualError, sym
+from .hypernum import (HyperComplex, J, _coeffs, _Frozen, _max_or_nan, _mul_i,
+                       _setattr, _setters)
 from .lorentz import LorentzParams, Rotor, spin_transform
 
 
@@ -45,11 +44,10 @@ def subalgebra_residual(m: Multivector) -> float:
     NaN if one of them is NaN; since each coefficient shares its idempotent
     pair part with one outside the span, that is whenever m has a NaN.
     """
-    (s0, s1, s2, s3), (d0, d1, d2, d3) = _sums_and_differences(m)
-    # y, v of z0 and x, w of z1, z2, z3
-    return _max_or_nan([abs(s0.imag), abs(d0.real), abs(s1.real), abs(d1.imag),
-                        abs(s2.real), abs(d2.imag), abs(s3.real),
-                        abs(d3.imag)]) * 0.5
+    ((_, y0, v0, _), (x1, _, _, w1), (x2, _, _, w2),
+     (x3, _, _, w3)) = map(_coeffs, m.p, m.m)
+    return _max_or_nan([abs(y0), abs(v0), abs(x1), abs(w1), abs(x2), abs(w2),
+                        abs(x3), abs(w3)])
 
 
 def _check_member(m: Multivector) -> Multivector:
@@ -282,8 +280,8 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = 1e-12) -> HyperComplex:
     tolerance, or a NaN residual, raises NonScalarResidual.
     """
     total = sym(a.value, b.value) + sym(a.value, b.value * E3) * J
-    residual = _max_or_nan([abs(q) for half in _sums_and_differences(total)
-                            for c in half[1:] for q in (c.real, c.imag)]) * 0.5
+    residual = _max_or_nan([abs(c) for p, m in zip(total.p[1:], total.m[1:])
+                            for c in _coeffs(p, m)])
     NonScalarResidual.check(residual, total, tol)
     return total.scalar()
 

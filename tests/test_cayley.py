@@ -294,6 +294,14 @@ def test_embed_extract_round_trip(rng):
         extract(scalar(I))
 
 
+def test_extract_and_apply_finite_near_float_max():
+    from hypalg.lorentz import IDENTITY, apply
+    x = FourVector(1e308, -1e308, 0.0, 1e308)
+    assert embed(x).max_abs() == 1e308
+    assert extract(embed(x)) == x
+    assert apply(IDENTITY, x) == x
+
+
 def test_extract_refuses_nan_outside_span():
     # NaN fails `residual > tol` and max() drops it unless it comes first;
     # k = 1 is extract(Multivector(1, HyperComplex(nan, 0, 2)))

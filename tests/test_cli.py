@@ -333,6 +333,66 @@ def test_cli_verify_bracket_failure_reports_margin(capsys, monkeypatch):
                 f"{measured} > tol 1e-14"]
 
 
+def test_cli_values_that_begin_with_dash(capsys):
+    # argparse alone reads these values as options ("expected one
+    # argument"); each must act as its --opt=value or "eval --" form
+    cases = (
+        (("eval", "-(e3)"), ("eval", "--", "-(e3)")),
+        (("eval", "-(e3)", "--json"), ("eval", "--json", "--", "-(e3)")),
+        (("eval", "--json", "-(e3)"), ("eval", "--json", "--", "-(e3)")),
+        (("transform", "--vector", "-1,0,0,0"),
+         ("transform", "--vector=-1,0,0,0")),
+        (("transform", "--boost", "-1,0,0", "--vector", "1,0,0,0"),
+         ("transform", "--boost=-1,0,0", "--vector=1,0,0,0")),
+        (("spinor", "--xi", "-1e-3"), ("spinor", "--xi=-1e-3")),
+        (("cross-section", "--theta", "-inf"),
+         ("cross-section", "--theta=-inf")),
+    )
+    for argv, plain in cases:
+        got = run(capsys, *argv)
+        assert got == run(capsys, *plain), argv
+        assert "expected one argument" not in got[2] and "usage" not in got[2]
+    assert run(capsys, "eval", "-(e3)")[1] == "-j*s3\n"
+    assert run(capsys, "transform", "--vector", "-1,0,0,0")[1] == "-1 0 0 0\n"
+    assert run(capsys, "spinor", "--xi", "-1e-3")[0] == 0
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "-h"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith("usage")
+
+
+def test_cli_dash_value_in_a_child_process():
+    src = str(Path(hypalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypalg.cli", "transform", "--vector",
+         "-1,0,0,0", "--boost", "-1e-3,0,0"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split()[0] == "-1.0000005"
+
+
+def test_cli_comma_lists_name_their_option(capsys):
+    for option, text, n in (("--vector", "1,0,0", 4), ("--boost", "1,0", 3),
+                            ("--rotate", "0,0,0,1", 3)):
+        argv = ["transform", "--vector", "1,0,0,0", option, text]
+        assert run(capsys, *argv) == (
+            2, "", f"error: {option} needs {n} comma-separated values: "
+                   f"{text!r}\n")
+
+
+def test_cli_extreme_magnitudes(capsys):
+    assert run(capsys, "transform", "--vector", "1e308,0,0,0") \
+        == (0, "1e+308 0 0 0\n", "")
+    for expr, out in (("inv(1e-100)", "1e+100\n"), ("inv(1e100)", "1e-100\n"),
+                      ("inv(1e100*s1)", "1e-100*s1\n")):
+        assert run(capsys, "eval", expr) == (0, out, ""), expr
+    # the constructor's x + v overflows: out of the views' reach
+    assert run(capsys, "eval", "1e308 + 1e308*j")[0] == 4
+    assert run(capsys, "eval", "inv(1e308 + 1e308*j)")[0] == 3
+    assert run(capsys, "eval", "inv(1e-310)")[0] == 4
+
+
 GOLDEN_CROSS_SECTION = "re 0.500000013397\nij 0\nmott 0.500000013397\n"
 GOLDEN_SPINOR_EVEN = ("s 1\nb32 0\nb13 0\nb21 0\nb10 0\nb20 0\nb30 0\np 0\n")
 

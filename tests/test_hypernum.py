@@ -158,6 +158,34 @@ def test_zero_divisor_reports_norm_tol_and_scale():
         == (z, err.norm, err.tol, err.scale, str(err))
 
 
+def test_inverse_at_extreme_magnitudes():
+    for s in (1e100, 1e-100, 1e300, 1e-300):
+        for z in (HyperComplex(s), HyperComplex(s, -2 * s, 0.5 * s, 0.25 * s)):
+            inv = z.inverse()
+            assert (inv.p, inv.m) == (1.0 / z.p, 1.0 / z.m), z
+    # the null cone at every scale, where the fourth powers of the
+    # unscaled test underflow or overflow
+    for e in range(-300, 301, 10):
+        for z in (HyperComplex(10.0 ** e, 0.0, 10.0 ** e, 0.0),
+                  HyperComplex(0.0, 10.0 ** e, 0.0, -(10.0 ** e))):
+            with pytest.raises(ZeroDivisor):
+                z.inverse()
+    # 1/p is beyond the float range
+    with pytest.raises(OverflowError):
+        HyperComplex(1e-310).inverse()
+    # p overflowed to inf and m is 0, so the norm is inf * 0 = NaN
+    with pytest.raises(ZeroDivisor):
+        HyperComplex(1e308, 0.0, 1e308, 0.0).inverse()
+
+
+def test_views_finite_for_finite_parts():
+    # each part is halved before the two are added
+    z = HyperComplex(1e308)
+    assert z.coeffs() == (1e308, 0.0, 0.0, 0.0) and z.max_abs() == 1e308
+    z = HyperComplex(0.0, -1e308, 0.0, 0.0)
+    assert z.coeffs() == (0.0, -1e308, 0.0, 0.0) and z.max_abs() == 1e308
+
+
 def test_max_abs_is_nan_when_a_coefficient_is_nan():
     # max() drops a NaN unless it comes first: (0, nan) once gave 0.0
     for k in range(4):

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from hypalg import (E1, S1, S2, S3, ColumnSpinor, HyperComplex, LorentzParams,
-                    Multivector, NonScalarResidual, NotInSpinorAlgebra,
-                    Rotor, Spinor, act, even_components, from_column,
+                    Multivector, NonScalarResidual, NotAParavector,
+                    NotInSpinorAlgebra, Rotor, Spinor, act, even_components,
+                    extract, from_column,
                     from_even_components, from_matrix, from_multivector,
                     from_odd_components, from_rotor, mott_factor,
                     nonrel_vector, odd_components, product_modulus_sq,
@@ -251,6 +252,32 @@ def test_sprod_residual_guard_refuses_nan():
             with pytest.raises(NonScalarResidual) as err:
                 sprod_algebraic(a, b)
             assert math.isnan(err.value.residual), k
+
+
+@pytest.mark.parametrize("scale", (1e-3, 1.0, 1e6))
+def test_membership_guards_at_their_threshold(scale):
+    # a member of size scale plus one coefficient d outside the span, whose
+    # residual is exactly d: it passes up to 1e-12 * max(1, scale), inclusive
+    limit = 1e-12 * max(1.0, scale)
+    guards = (
+        (lambda d: extract(Multivector(H(scale, d))), NotAParavector),
+        (lambda d: from_multivector(Multivector(H(scale, d))),
+         NotInSpinorAlgebra),
+        # sprod(1, scale + d*s1) = scale + d*s1 - d*i*s2
+        (lambda d: sprod_algebraic(Spinor.standard(),
+                                   Spinor(Multivector(H(scale), H(d)))),
+         NonScalarResidual),
+    )
+    above = math.nextafter(limit, math.inf)
+    for guard, error in guards:
+        guard(math.nextafter(limit, 0.0))
+        guard(limit)
+        with pytest.raises(error) as err:
+            guard(above)
+        assert err.value.residual == above, error
+        with pytest.raises(error) as err:
+            guard(math.nan)
+        assert math.isnan(err.value.residual), error
 
 
 def test_normalization(rng):

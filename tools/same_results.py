@@ -1,0 +1,357 @@
+"""Compare hypalg's results between two source trees, call by call.
+
+    python tools/same_results.py BASE_SRC CHANGE_SRC
+
+BASE_SRC and CHANGE_SRC are directories that contain the ``hypalg`` package
+(a checkout's ``src``).  Each side runs in one subprocess, which imports
+hypalg from its tree and computes a fixed seeded set of results:
+
+- library calls (products, involutions, inverses, the coefficient views,
+  extract, apply, matrix_of, from_rotor, to_column, from_column,
+  sprod_algebraic, product_modulus_sq, exp_general) on random values and on
+  special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
+  numbers); a raised exception is a result too, recorded as its type, its
+  message and its fields (``residual``, ``norm``, ...);
+- CLI commands run in process through ``hypalg.cli.main``, each recorded as
+  its stdout, its stderr and its exit code, ``--help`` and ``verify``
+  included.
+
+Values are encoded exactly: floats as ``float.hex``, value classes as their
+stored fields.  The report gives, per op, the number of results compared and
+the number that differ, with the first difference of each op.  The exit
+status is 0 when nothing differs and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+SEED = 20061
+N_LIB = 8000   # draws per library op
+N_CLI = 3200   # random CLI commands, besides the fixed ones below
+
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 3e154,
+            -3e154, 1e308, -1e308, 1e-300, 5e-324, -5e-324, 1e-310,
+            2.2250738585072014e-308, 1.0, -1.0)
+
+
+# -- encoding -------------------------------------------------------------------
+
+def encode(value):
+    """A JSON-able form of value that keeps every bit of every float."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    if isinstance(value, BaseException):
+        fields = {k: encode(v) for k, v in sorted(vars(value).items())}
+        return ["raised", type(value).__name__, str(value), fields]
+    if hasattr(value, "tolist"):  # a numpy array
+        return encode(value.tolist())
+    cls = type(value)
+    return [cls.__name__] + [encode(getattr(value, name))
+                             for name in cls.__slots__]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # every exception is a result to compare
+        return exc
+
+
+# -- random inputs ------------------------------------------------------------------
+
+def real(rng: random.Random) -> float:
+    r = rng.random()
+    if r < 0.7:
+        return rng.uniform(-10.0, 10.0)
+    if r < 0.85:
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+    return rng.choice(SPECIALS)
+
+
+def finite(rng: random.Random, size: float = 3.0) -> float:
+    return rng.uniform(-size, size)
+
+
+def lib_cases(H):
+    """(op name, callable of one rng returning a result) for the library."""
+    from hypalg import cayley, spinor
+
+    def hyper(rng, draw=real):
+        if rng.random() < 0.1:  # on the null cone: s*(1 +- j), i*s*(1 +- j)
+            s, t = draw(rng), rng.choice((1.0, -1.0))
+            return rng.choice((H.HyperComplex(s, 0.0, t * s, 0.0),
+                               H.HyperComplex(0.0, s, 0.0, t * s)))
+        return H.HyperComplex(*(draw(rng) for _ in range(4)))
+
+    def mv(rng, draw=real):
+        if rng.random() < 0.5:  # a few nonzero coefficients
+            coeffs = [0.0] * 16
+            for _ in range(rng.randint(1, 4)):
+                coeffs[rng.randrange(16)] = draw(rng)
+            return H.Multivector.from_coeffs16(coeffs)
+        return H.Multivector(*(hyper(rng, draw) for _ in range(4)))
+
+    def member(rng, draw=real):
+        """An element of the spinor subalgebra, sometimes perturbed."""
+        u = [draw(rng) for _ in range(8)]
+        a = H.Multivector(H.HyperComplex(u[0], 0.0, 0.0, u[1]),
+                          H.HyperComplex(0.0, u[2], u[3]),
+                          H.HyperComplex(0.0, u[4], u[5]),
+                          H.HyperComplex(0.0, u[6], u[7]))
+        if rng.random() < 0.2:
+            a = a + mv(rng) * 10.0 ** rng.uniform(-16.0, 0.0)
+        return a
+
+    def four(rng, draw=real):
+        return H.FourVector(*(draw(rng) for _ in range(4)))
+
+    def rotor(rng):
+        r = rng.random()
+        if r < 0.6:
+            return (H.boost([finite(rng) for _ in range(3)])
+                    * H.rotation([finite(rng, 7.0) for _ in range(3)]))
+        if r < 0.8:
+            xi = rng.choice((finite(rng, 30.0), rng.choice(
+                (1400.0, -1400.0, math.inf, math.nan))))  # cosh(710) overflows
+            return H.spin_transform(H.LorentzParams(
+                finite(rng, 7.0), finite(rng, 4.0), xi))
+        return H.Rotor(mv(rng))
+
+    def involutions(a):
+        if isinstance(a, H.HyperComplex):
+            return a.conj(), a.rev(), a.grade()
+        return a.bar(), a.dagger(), a.hat()
+
+    def views(a):
+        if isinstance(a, H.HyperComplex):
+            return a.x, a.y, a.v, a.w, a.max_abs()
+        return a.coeffs16(), a.max_abs()
+
+    def extract_case(rng):
+        if rng.random() < 0.5:
+            a = cayley.embed(four(rng))
+            if rng.random() < 0.5:
+                a = a + mv(rng) * 10.0 ** rng.uniform(-16.0, 0.0)
+            return outcome(H.extract, a)
+        return outcome(H.extract, mv(rng))
+
+    def spinor_pair(rng):
+        return H.Spinor(member(rng)), H.Spinor(
+            member(rng) if rng.random() < 0.7
+            else H.spin_transform(H.LorentzParams(
+                finite(rng, 7.0), finite(rng, 4.0), finite(rng, 30.0))).value)
+
+    return (
+        ("hyper.mul", lambda rng: outcome(lambda a, b: a * b, hyper(rng),
+                                          hyper(rng))),
+        ("hyper.involutions", lambda rng: involutions(hyper(rng))),
+        ("hyper.inverse", lambda rng: outcome(H.HyperComplex.inverse,
+                                              hyper(rng))),
+        ("hyper.views", lambda rng: views(hyper(rng))),
+        ("mv.mul", lambda rng: outcome(lambda a, b: a * b, mv(rng), mv(rng))),
+        ("mv.involutions", lambda rng: involutions(mv(rng))),
+        ("mv.inverse", lambda rng: outcome(H.Multivector.inverse, mv(rng))),
+        ("mv.views", lambda rng: views(mv(rng))),
+        ("extract", extract_case),
+        ("apply", lambda rng: outcome(H.apply, rotor(rng), four(rng))),
+        ("matrix_of", lambda rng: outcome(H.matrix_of, rotor(rng))),
+        ("from_rotor", lambda rng: outcome(H.from_rotor, rotor(rng))),
+        ("to_column", lambda rng: outcome(
+            H.to_column, H.Spinor(member(rng) if rng.random() < 0.8
+                                  else mv(rng)))),
+        ("from_column", lambda rng: outcome(
+            H.from_column, H.ColumnSpinor(hyper(rng), hyper(rng)))),
+        ("sprod_algebraic", lambda rng: outcome(H.sprod_algebraic,
+                                                *spinor_pair(rng))),
+        ("product_modulus_sq", lambda rng: outcome(H.product_modulus_sq,
+                                                   *spinor_pair(rng))),
+        ("exp_general", lambda rng: outcome(
+            H.exp_general, mv(rng, finite) if rng.random() < 0.9
+            else mv(rng))),
+        ("from_multivector", lambda rng: outcome(spinor.from_multivector,
+                                                 member(rng))),
+    )
+
+
+# -- CLI commands -----------------------------------------------------------------
+
+NUMBERS = ("0", "1", "2", "0.5", ".25", "3e2", "1e308", "1e-100", "1e100",
+           "1e-300", "1e300", "1e-310", "1e400", "1.5707963")
+CONSTS = ("e0", "e1", "e2", "e3", "s1", "s2", "s3", "i", "j", "ij")
+FUNCS = (("bar", 1), ("rev", 1), ("grad", 1), ("exp", 1), ("inv", 1),
+         ("norm2", 1), ("dot", 2), ("wedge", 2), ("sprod", 2),
+         ("commutator", 2), ("boost", 3), ("rot", 3), ("spinor", 3))
+VALUES = ("0", "1", "-1", "0.5", "-.5", "-2", "3", "-1e-3", "1e-3", "inf",
+          "-inf", "nan", "800", "-800", "1e308", "20", "-30", "abc", "")
+
+FIXED_COMMANDS = (
+    ["-h"], ["--help"], ["eval", "-h"], ["transform", "--help"],
+    ["spinor", "-h"], ["cross-section", "-h"], ["verify", "-h"],
+    ["verify"], [], ["bogus"], ["spinor", "--phi"], ["transform"],
+    ["eval"], ["eval", "--", "-(e3)"], ["eval", "--json", "--", "-j"],
+)
+
+
+def expression(rng: random.Random, depth: int = 3) -> str:
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        atom = rng.choice(NUMBERS) if rng.random() < 0.5 else rng.choice(CONSTS)
+        return f"-{atom}" if rng.random() < 0.15 else atom
+    if r < 0.6:
+        text = (f"{expression(rng, depth - 1)} {rng.choice('+-*')} "
+                f"{expression(rng, depth - 1)}")
+        return f"({text})" if rng.random() < 0.3 else text
+    if r < 0.9:
+        name, arity = rng.choice(FUNCS)
+        if rng.random() < 0.1:
+            arity = rng.randint(0, 3)
+        args = ", ".join(expression(rng, depth - 1) for _ in range(arity))
+        return f"{name}({args})"
+    if r < 0.97:
+        return f"-({expression(rng, depth - 1)})"
+    return expression(rng, depth - 1) + rng.choice(("$", ")", "(", " 1", ""))
+
+
+def value(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return repr(round(rng.uniform(-4.0, 4.0), rng.randint(0, 6)))
+    return rng.choice(VALUES)
+
+
+def option(rng: random.Random, name: str, text: str) -> list[str]:
+    return [f"{name}={text}"] if rng.random() < 0.3 else [name, text]
+
+
+def command(rng: random.Random) -> list[str]:
+    r = rng.random()
+    if r < 0.4:
+        argv = ["eval", expression(rng)]
+        if rng.random() < 0.3:
+            argv.insert(rng.choice((1, 2)), "--json")
+        return argv
+    if r < 0.6:
+        def numbers(n):
+            n = n if rng.random() < 0.9 else rng.choice((n - 1, n + 1))
+            return ",".join(value(rng) for _ in range(n))
+        argv = ["transform"] + option(rng, "--vector", numbers(4))
+        for name in ("--boost", "--rotate"):
+            if rng.random() < 0.7:
+                argv += option(rng, name, numbers(3))
+        return argv + (["--json"] if rng.random() < 0.3 else [])
+    sub = "spinor" if r < 0.8 else "cross-section"
+    argv = [sub]
+    for name in ("--phi", "--theta", "--xi"):
+        if rng.random() < 0.8:
+            argv += option(rng, name, value(rng))
+    if sub == "spinor":
+        argv += rng.choice(([], ["--even"], ["--odd"], ["--column"]))
+        argv += ["--check"] if rng.random() < 0.5 else []
+    return argv + (["--json"] if rng.random() < 0.3 else [])
+
+
+def run_cli(main, argv: list[str]) -> tuple[str, str, object]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback is a result to compare too
+            code = encode(exc)
+    return out.getvalue(), err.getvalue(), code
+
+
+# -- the two sides -----------------------------------------------------------------
+
+def worker(src: str) -> None:
+    """Print one JSON line [op, digest, preview] per result, hypalg from src."""
+    sys.path.insert(0, os.path.abspath(src))
+    import hypalg
+    from hypalg import cli
+
+    if not os.path.abspath(hypalg.__file__).startswith(os.path.abspath(src)):
+        sys.exit(f"hypalg imported from {hypalg.__file__}, not {src}")
+
+    def emit(op: str, result) -> None:
+        text = json.dumps(result)
+        digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+        print(json.dumps([op, digest, text[:400]]))
+
+    for op, case in lib_cases(hypalg):
+        rng = random.Random(f"{SEED}:{op}")
+        for _ in range(N_LIB):
+            emit(op, encode(case(rng)))
+    rng = random.Random(f"{SEED}:cli")
+    commands = list(FIXED_COMMANDS) + [command(rng) for _ in range(N_CLI)]
+    for argv in commands:
+        kind = argv[0] if argv and not argv[0].startswith("-") else "top"
+        for stream, result in zip(("stdout", "stderr", "exit"),
+                                  run_cli(cli.main, argv)):
+            emit(f"cli.{kind}.{stream}", [argv, result])
+
+
+def results(src: str) -> dict[str, list[tuple[str, str]]]:
+    env = dict(os.environ, COLUMNS="80", PYTHONHASHSEED="0")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, __file__, "--worker", src],
+                          env=env, stdout=subprocess.PIPE, check=True,
+                          text=True)
+    table: dict[str, list[tuple[str, str]]] = {}
+    for line in proc.stdout.splitlines():
+        op, digest, preview = json.loads(line)
+        table.setdefault(op, []).append((digest, preview))
+    return table
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--worker":
+        worker(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    base, change = results(argv[0]), results(argv[1])
+    if base.keys() != change.keys():
+        print(f"ops differ: {sorted(base.keys() ^ change.keys())}")
+        return 1
+    print(f"{'op':32} {'compared':>9} {'differ':>7}")
+    totals = {"library": [0, 0], "cli": [0, 0]}
+    examples = []
+    for op in base:
+        pairs = list(zip(base[op], change[op]))
+        differ = [k for k, (a, b) in enumerate(pairs) if a[0] != b[0]]
+        print(f"{op:32} {len(pairs):9d} {len(differ):7d}")
+        total = totals["cli" if op.startswith("cli.") else "library"]
+        total[0] += len(pairs)
+        total[1] += len(differ)
+        if differ:
+            k = differ[0]
+            examples.append(f"{op} #{k}\n  base   {pairs[k][0][1]}\n"
+                            f"  change {pairs[k][1][1]}")
+    for name, (compared, differ) in totals.items():
+        print(f"{'total ' + name:32} {compared:9d} {differ:7d}")
+    commands = sum(len(v) for op, v in base.items() if op.endswith(".exit"))
+    print(f"cli commands: {commands}")
+    if examples:
+        print("\nfirst difference per op (truncated):")
+        print("\n".join(examples))
+    return 1 if any(differ for _, differ in totals.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
