@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from math import frexp, ldexp
 
 
 class ZeroDivisor(ArithmeticError):
@@ -244,11 +243,11 @@ class HyperComplex(_Frozen):
         the float range.
         """
         scale = self.max_abs()
-        k = -frexp(scale)[1]
+        k = -math.frexp(scale)[1]
         p, m = self.p, self.m
-        norm = _norm(ldexp(p.real, k), ldexp(p.imag, k), ldexp(m.real, k),
-                     ldexp(m.imag, k))
-        tol = 1e-14 * ldexp(scale, k) ** 4
+        norm = _norm(math.ldexp(p.real, k), math.ldexp(p.imag, k),
+                     math.ldexp(m.real, k), math.ldexp(m.imag, k))
+        tol = 1e-14 * math.ldexp(scale, k) ** 4
         # a zero part with an infinite one makes the norm NaN
         if norm <= tol or not (p and m):
             raise ZeroDivisor(self, _ldexp_or_inf(norm, -4 * k),
@@ -320,7 +319,7 @@ def _norm(pr: float, pi: float, mr: float, mi: float) -> float:
 def _ldexp_or_inf(x: float, n: int) -> float:
     """x * 2**n for x >= 0, inf where that overflows (math.ldexp raises)."""
     try:
-        return ldexp(x, n)
+        return math.ldexp(x, n)
     except OverflowError:
         return math.inf
 
