@@ -7,8 +7,9 @@ BASE_SRC and CHANGE_SRC are directories that contain the ``hypalg`` package
 hypalg from its tree and computes a fixed seeded set of results:
 
 - library calls (products, involutions, inverses, the coefficient views,
-  extract, apply, matrix_of, from_rotor, to_column, from_column,
-  sprod_algebraic, product_modulus_sq, exp_general) on random values and on
+  extract, apply, matrix_of, from_rotor, from_multivector, even_components,
+  act, to_column, from_column, sprod_algebraic, product_modulus_sq,
+  exp_general) on random values and on
   special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
   numbers); a raised exception is a result too, recorded as its type, its
   message and its fields (``residual``, ``norm``, ...);
@@ -185,6 +186,12 @@ def lib_cases(H):
             else mv(rng))),
         ("from_multivector", lambda rng: outcome(spinor.from_multivector,
                                                  member(rng))),
+        ("even_components", lambda rng: outcome(
+            H.even_components, H.Spinor(member(rng) if rng.random() < 0.7
+                                        else mv(rng)))),
+        ("act", lambda rng: outcome(
+            H.act, member(rng) if rng.random() < 0.7 else mv(rng),
+            H.Spinor(member(rng)))),
     )
 
 
