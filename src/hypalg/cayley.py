@@ -13,7 +13,7 @@ M2(C) on the Pauli basis, and every operation acts on the halves alone.
 from __future__ import annotations
 
 import numbers
-from operator import add, neg, sub
+from operator import add, itemgetter, neg, sub
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
 from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
@@ -23,8 +23,10 @@ from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
 class _ResidualError(Exception):
     """A membership guard's failure.
 
-    ``residual`` is the largest coefficient the guard found outside its span,
-    NaN when one of them is NaN; ``text`` formats it into the message.
+    A guard class states its ``span``: the indices in slot order (4*slot + k,
+    k over x, y, v, w) of the coefficients it admits, in the order it returns
+    them.  ``residual`` is the largest coefficient the guard found outside its
+    span, NaN when one of them is NaN; ``text`` formats it into the message.
     """
 
     text = "residual {:.3e}"
@@ -33,21 +35,37 @@ class _ResidualError(Exception):
         super().__init__(residual)
         self.residual = residual
 
+    def __init_subclass__(cls):
+        cls._inside = itemgetter(*cls.span)
+        cls._outside = itemgetter(*(k for k in range(16) if k not in cls.span))
+
     def __str__(self) -> str:
         return self.text.format(self.residual)
 
     @classmethod
-    def check(cls, residual: float, a: Multivector, tol: float = 1e-12) -> None:
-        """The membership test: raise cls(residual) unless it is at most
-        tol * max(1, a.max_abs()).  A NaN residual raises."""
+    def check(cls, a: Multivector, tol: float = 1e-12) -> tuple[float, ...]:
+        """The membership test; a's coefficients in the span if it passes.
+
+        Raises cls(residual) unless the residual is at most
+        tol * max(1, a.max_abs()).  A NaN residual raises.
+        """
+        coeffs = _slot_coeffs(a)
+        residual = _max_or_nan(list(map(abs, cls._outside(coeffs))))
         if not residual <= tol * max(1.0, a.max_abs()):
             raise cls(residual)
+        return cls._inside(coeffs)
+
+    @classmethod
+    def components(cls, a: Multivector) -> tuple[float, ...]:
+        """a's coefficients in the span, without the test."""
+        return cls._inside(_slot_coeffs(a))
 
 
 class NotAParavector(_ResidualError, ValueError):
     """A multivector expected to be an embedded four-vector is not one."""
 
     text = "residual {:.3e} outside the paravector span"
+    span = (0, 6, 10, 14)  # x0..x3: x of z0, v of z1..z3
 
 
 class IndexOutOfRange(IndexError):
@@ -195,6 +213,11 @@ _set_p, _set_m = _setters(Multivector)
 _conj = complex.conjugate
 
 
+def _slot_coeffs(a: Multivector) -> tuple[float, ...]:
+    """The 16 real coefficients in slot order: x, y, v, w of z0, then of z1..."""
+    return sum(map(_coeffs, a.p, a.m), ())
+
+
 def _halves(p: tuple, m: tuple) -> Multivector:
     """The multivector with the p parts p and the m parts m (cf. _pair)."""
     a = _new(Multivector)
@@ -305,13 +328,7 @@ def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
     A NaN outside the span raises too.  A NaN coefficient shares its
     idempotent pair part with one outside the span, so any NaN does.
     """
-    ((x0, y0, v0, w0), (x1, y1, v1, w1), (x2, y2, v2, w2),
-     (x3, y3, v3, w3)) = map(_coeffs, m.p, m.m)
-    residual = _max_or_nan([abs(y0), abs(v0), abs(w0), abs(x1), abs(y1),
-                            abs(w1), abs(x2), abs(y2), abs(w2), abs(x3),
-                            abs(y3), abs(w3)])
-    NotAParavector.check(residual, m, tol)
-    return FourVector(x0, v1, v2, v3)
+    return FourVector(*NotAParavector.check(m, tol))
 
 
 def minkowski_dot(x: FourVector, y: FourVector) -> float:

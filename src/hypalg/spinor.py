@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 
 from .cayley import E3, ONE, Multivector, _ResidualError, sym
-from .hypernum import (HyperComplex, J, _coeffs, _Frozen, _max_or_nan, _mul_i,
-                       _setattr, _setters)
+from .hypernum import HyperComplex, J, _Frozen, _mul_i, _setattr, _setters
 from .lorentz import LorentzParams, Rotor, spin_transform
 
 
@@ -30,29 +29,15 @@ class NotInSpinorAlgebra(_ResidualError, ValueError):
     """A multivector with components outside span{1, i*s_k, j*s_k, ij}."""
 
     text = "residual {:.3e} outside the spinor subalgebra"
+    # s, b32, b13, b21, b10, b20, b30, p: x of z0, y and v of z1..z3, w of z0
+    span = (0, 5, 9, 13, 6, 10, 14, 3)
 
 
 class NonScalarResidual(_ResidualError, ArithmeticError):
     """A spinor product left non-scalar terms above tolerance."""
 
     text = "non-scalar residual {:.3e} in spinor product"
-
-
-def subalgebra_residual(m: Multivector) -> float:
-    """Largest coefficient outside the spinor span (exactly 0 for members).
-
-    NaN if one of them is NaN; since each coefficient shares its idempotent
-    pair part with one outside the span, that is whenever m has a NaN.
-    """
-    ((_, y0, v0, _), (x1, _, _, w1), (x2, _, _, w2),
-     (x3, _, _, w3)) = map(_coeffs, m.p, m.m)
-    return _max_or_nan([abs(y0), abs(v0), abs(x1), abs(w1), abs(x2), abs(w2),
-                        abs(x3), abs(w3)])
-
-
-def _check_member(m: Multivector) -> Multivector:
-    NotInSpinorAlgebra.check(subalgebra_residual(m), m)
-    return m
+    span = (0, 1, 2, 3)  # z0
 
 
 class Spinor(_Frozen):
@@ -76,11 +61,12 @@ class Spinor(_Frozen):
 
 def from_rotor(t: Rotor) -> Spinor:
     """Identify the spin transformation itself as the spinor."""
-    return Spinor(_check_member(t.value))
+    return from_multivector(t.value)
 
 
 def from_multivector(m: Multivector) -> Spinor:
-    return Spinor(_check_member(m))
+    NotInSpinorAlgebra.check(m)
+    return Spinor(m)
 
 
 # -- component views ----------------------------------------------------------
@@ -133,9 +119,7 @@ class OddComponents(_Frozen):
 
 
 def even_components(psi: Spinor) -> EvenComponents:
-    z0, z1, z2, z3 = psi.value.slots()
-    return EvenComponents(s=z0.x, b32=z1.y, b13=z2.y, b21=z3.y,
-                          b10=z1.v, b20=z2.v, b30=z3.v, p=z0.w)
+    return EvenComponents(*NotInSpinorAlgebra.components(psi.value))
 
 
 def from_even_components(ec: EvenComponents) -> Spinor:
@@ -261,7 +245,7 @@ def from_column(c: ColumnSpinor) -> Spinor:
 
 def act(omega: Multivector, psi: Spinor) -> Spinor:
     """Left multiplication by a spinor-subalgebra operator."""
-    _check_member(omega)
+    NotInSpinorAlgebra.check(omega)
     return Spinor(omega * psi.value)
 
 
@@ -280,9 +264,7 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = 1e-12) -> HyperComplex:
     tolerance, or a NaN residual, raises NonScalarResidual.
     """
     total = sym(a.value, b.value) + sym(a.value, b.value * E3) * J
-    residual = _max_or_nan([abs(c) for p, m in zip(total.p[1:], total.m[1:])
-                            for c in _coeffs(p, m)])
-    NonScalarResidual.check(residual, total, tol)
+    NonScalarResidual.check(total, tol)
     return total.scalar()
 
 
