@@ -51,7 +51,8 @@ class _ResidualError(Exception):
         """
         coeffs = _slot_coeffs(a)
         residual = _max_or_nan(list(map(abs, cls._outside(coeffs))))
-        if not residual <= tol * max(1.0, a.max_abs()):
+        # max(1, ...) is at least 1, so a residual within tol needs no max_abs
+        if not (residual <= tol or residual <= tol * max(1.0, a.max_abs())):
             raise cls(residual)
         return cls._inside(coeffs)
 
