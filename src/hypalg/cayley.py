@@ -12,6 +12,7 @@ M2(C) on the Pauli basis, and every operation acts on the halves alone.
 
 from __future__ import annotations
 
+import math
 import numbers
 from operator import add, itemgetter, neg, sub
 
@@ -46,13 +47,15 @@ class _ResidualError(Exception):
     def check(cls, a: Multivector, tol: float = 1e-12) -> tuple[float, ...]:
         """The membership test; a's coefficients in the span if it passes.
 
-        Raises cls(residual) unless the residual is at most
-        tol * max(1, a.max_abs()).  A NaN residual raises.
+        Raises cls(residual) unless the residual is finite and at most
+        tol * max(1, a.max_abs()); a NaN or infinite residual raises even
+        where a.max_abs() is infinite too.
         """
         coeffs = _slot_coeffs(a)
         residual = _max_or_nan(list(map(abs, cls._outside(coeffs))))
         # max(1, ...) is at least 1, so a residual within tol needs no max_abs
-        if not (residual <= tol or residual <= tol * max(1.0, a.max_abs())):
+        within = residual <= tol or residual <= tol * max(1.0, a.max_abs())
+        if not (within and residual < math.inf):
             raise cls(residual)
         return cls._inside(coeffs)
 
@@ -326,8 +329,9 @@ def embed(x: FourVector) -> Multivector:
 def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
     """Invert embed; raises NotAParavector if m has other components.
 
-    A NaN outside the span raises too.  A NaN coefficient shares its
-    idempotent pair part with one outside the span, so any NaN does.
+    Every non-finite coefficient raises too: one in the span shares its
+    idempotent pair part with one outside it, which is then NaN or infinite,
+    so the components returned are finite.
     """
     return FourVector(*NotAParavector.check(m, tol))
 

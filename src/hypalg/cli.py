@@ -338,13 +338,13 @@ def _members(convert, args: list, positions: list[int],
     """convert(scalar(value)) per argument, convert being a membership guard.
 
     A finite residual is a type error at the argument's offset, its text
-    formatted into message; a NaN residual propagates."""
+    formatted into message; a NaN or infinite residual propagates."""
     converted = []
     for value, p in zip(args, positions):
         try:
             converted.append(convert(scalar(value)))
         except _ResidualError as exc:
-            if math.isnan(exc.residual):
+            if not math.isfinite(exc.residual):
                 raise
             raise EvalTypeError(p, message.format(exc))
     return converted
@@ -700,7 +700,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _ResidualError as exc:
-        if math.isnan(exc.residual):  # a membership guard that met a NaN
+        if not math.isfinite(exc.residual):  # a guard that met a NaN or inf
             print(f"error: no finite result: {exc}", file=sys.stderr)
             return 4
         print(f"error: {exc}", file=sys.stderr)

@@ -261,7 +261,7 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = 1e-12) -> HyperComplex:
 
     Equals sprod_column of the column pictures.  The symmetric products leave
     the scalar slot exactly on spinor-subalgebra arguments; any residual above
-    tolerance, or a NaN residual, raises NonScalarResidual.
+    tolerance, or a NaN or infinite residual, raises NonScalarResidual.
     """
     total = sym(a.value, b.value) + sym(a.value, b.value * E3) * J
     NonScalarResidual.check(total, tol)

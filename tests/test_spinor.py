@@ -280,6 +280,17 @@ def test_membership_guards_at_their_threshold(scale):
         assert math.isnan(err.value.residual), error
 
 
+def test_membership_guards_refuse_an_infinite_residual():
+    # inf <= 1e-12 * max(1, max_abs = inf) holds, so a bound test alone
+    # passed these and returned NaN or infinite components
+    with pytest.raises(NotAParavector) as err:
+        extract(Multivector(H(0.0, 0.0, math.inf)))
+    assert err.value.residual == math.inf
+    with pytest.raises(NotInSpinorAlgebra) as err:
+        from_multivector(Multivector(H(1.0), H(math.inf)))
+    assert err.value.residual == math.inf
+
+
 def test_normalization(rng):
     for _ in range(100):
         params = LorentzParams(rng.uniform(0, 2 * math.pi),
