@@ -149,21 +149,22 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        if ch.isdigit() or (ch == "." and pos + 1 < n and src[pos + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and pos + 1 < n
+                              and src[pos + 1].isdecimal()):
             start = pos
-            while pos < n and src[pos].isdigit():
+            while pos < n and src[pos].isdecimal():
                 pos += 1
             if pos < n and src[pos] == ".":
                 pos += 1
-                while pos < n and src[pos].isdigit():
+                while pos < n and src[pos].isdecimal():
                     pos += 1
             if pos < n and src[pos] in "eE":
                 mark = pos
                 pos += 1
                 if pos < n and src[pos] in "+-":
                     pos += 1
-                if pos < n and src[pos].isdigit():
-                    while pos < n and src[pos].isdigit():
+                if pos < n and src[pos].isdecimal():
+                    while pos < n and src[pos].isdecimal():
                         pos += 1
                 else:
                     pos = mark
@@ -325,6 +326,22 @@ def _left_spine(node: BinOp) -> tuple[object, list[BinOp]]:
 
 # -- evaluation ------------------------------------------------------------------
 
+def _rotor(build, value, angles: list[tuple[str, float]]) -> lorentz.Rotor:
+    """build(value), for a rotor built from the angles the user gave.
+
+    math.cos and math.sin refuse an infinite angle, or one that squaring a
+    finite input overflows to, with a bare ValueError.  That is a result
+    with no finite value here, named by the largest of angles, each a
+    (label, value) pair whose label formats the value into the message.
+    """
+    try:
+        return build(value)
+    except ValueError:
+        label, angle = max(angles, key=lambda pair: abs(pair[1]))
+        raise NonFiniteResult(
+            "infinite angle: " + label.format(format_real(angle))) from None
+
+
 def _as_real(value, pos: int) -> float:
     if isinstance(value, float):
         return value
@@ -393,9 +410,10 @@ def _eval_call(name: str, args: list, positions: list[int], pos: int):
     reals = [_as_real(value, p) for value, p in zip(args, positions)]
     if name == "boost":
         return boost(reals).value
+    angles = [(f"{{}} at offset {p}", a) for a, p in zip(reals, positions)]
     if name == "rot":
-        return rotation(reals).value
-    return spin_transform(LorentzParams(*reals)).value
+        return _rotor(rotation, reals, angles).value
+    return _rotor(spin_transform, LorentzParams(*reals), angles[:2]).value
 
 
 def evaluate(node):
@@ -482,8 +500,9 @@ def _floats(text: str, n: int, option: str) -> list[float]:
 
 def _cmd_transform(args) -> int:
     vector = _floats(args.vector, 4, "--vector")
-    total = boost(_floats(args.boost, 3, "--boost")) \
-        * rotation(_floats(args.rotate, 3, "--rotate"))
+    total = boost(_floats(args.boost, 3, "--boost"))
+    rotate = _floats(args.rotate, 3, "--rotate")
+    total *= _rotor(rotation, rotate, [("--rotate {}", a) for a in rotate])
     image = lorentz.apply(total, FourVector(*vector)).components()
     return _emit(args.json, {"kind": "fourvector",
                              "coeffs": [_round12(c) for c in image]},
@@ -497,13 +516,15 @@ CHECK_K = 16
 
 def _cmd_spinor(args) -> int:
     params = LorentzParams(args.phi, args.theta, args.xi)
+    angles = _option_angles(args)
     # Both rotors lie in the spinor subalgebra by construction, so they are
     # read without from_rotor's membership guard, which refuses any NaN: a
     # NaN parameter then fails --check, or is refused as output (exit 4).
-    psi = Spinor(spin_transform(params).value)
+    psi = Spinor(_rotor(spin_transform, params, angles).value)
     if args.check:
-        product = rotation((0.0, 0.0, params.phi)) \
-            * rotation((0.0, params.theta, 0.0)) * boost((0.0, 0.0, params.xi))
+        product = _rotor(rotation, (0.0, 0.0, params.phi), angles) \
+            * _rotor(rotation, (0.0, params.theta, 0.0), angles) \
+            * boost((0.0, 0.0, params.xi))
         want = even_components(Spinor(product.value)).as_dict()
         errors = [abs(v - want[k]) for k, v in even_components(psi).as_dict().items()]
         worst = _max_or_nan(errors)
@@ -531,9 +552,14 @@ def _cmd_spinor(args) -> int:
                  "\n".join(f"{k} {format_real(v)}" for k, v in ec.items()))
 
 
+def _option_angles(args) -> list[tuple[str, float]]:
+    """The angles of --phi and --theta, labelled for _rotor."""
+    return [("--phi {}", args.phi), ("--theta {}", args.theta)]
+
+
 def _cmd_cross_section(args) -> int:
     params = LorentzParams(args.phi, args.theta, args.xi)
-    psi = from_rotor(spin_transform(params))
+    psi = from_rotor(_rotor(spin_transform, params, _option_angles(args)))
     m2 = product_modulus_sq(psi, Spinor.standard())
     mott = mott_factor(args.theta)
     return _emit(args.json, {"kind": "cross-section", "re": _round12(m2.x),
@@ -669,12 +695,16 @@ def _dash_values(argv: list[str]) -> list[str]:
     """argv with each value that begins with '-' made plain to argparse.
 
     argparse takes such a token for an option unless it is a plain decimal
-    such as -2.  A value option followed by one is joined to it as
+    such as -2.  A value option, or a prefix of exactly one (argparse
+    accepts such an abbreviation), followed by one is joined to it as
     --opt=value, and an eval expression that begins with '-' moves behind
     '--'.  Long options, -h and everything from '--' on are left as they are.
     """
     def dashed(token: str) -> bool:
         return token[:1] == "-" and token[:2] != "--" and token != "-h"
+
+    def value_option(token: str) -> bool:
+        return sum(option.startswith(token) for option in _VALUE_OPTIONS) == 1
 
     out, expr = [], []
     i = 0
@@ -683,7 +713,7 @@ def _dash_values(argv: list[str]) -> list[str]:
         if token == "--":
             out += argv[i:]
             break
-        if token in _VALUE_OPTIONS and i + 1 < len(argv) and dashed(argv[i + 1]):
+        if value_option(token) and i + 1 < len(argv) and dashed(argv[i + 1]):
             out.append(f"{token}={argv[i + 1]}")
             i += 1
         elif argv[0] == "eval" and i > 0 and not expr and dashed(token):

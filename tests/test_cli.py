@@ -44,6 +44,11 @@ def test_parse_reports_offsets_and_expectations():
     with pytest.raises(ExprSyntaxError) as err:
         parse("1 + 2)")
     assert err.value.offset == 5
+    # str.isdigit accepts superscripts, which float() refuses
+    for src, offset in (("²", 0), ("1²", 1)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(src)
+        assert err.value.offset == offset, src
 
 
 def test_parse_depth_limit(capsys):
@@ -212,6 +217,13 @@ def test_cli_no_finite_result_exit_code(capsys):
         (("cross-section", "--phi", "nan"), "residual nan"),
         (("eval", "sprod(spinor(1e400*0, 0, 0), 1)"), "residual nan"),
         (("eval", "dot(1e400*e1 - 1e400*e1, e0)"), "residual nan"),
+        # math.cos and math.sin refuse an infinite angle as a math domain
+        # error; the message names the option, or the offset, and the value
+        (("spinor", "--theta", "inf"), "infinite angle: --theta inf\n"),
+        (("cross-section", "--phi=-inf"), "infinite angle: --phi -inf\n"),
+        (("transform", "--vector", "1,0,0,0", "--rotate", "inf,0,0"),
+         "infinite angle: --rotate inf\n"),
+        (("eval", "rot(1e400, 0, 0)"), "infinite angle: inf at offset 4\n"),
     )
     for argv, detail in cases:
         code, out, err = run(capsys, *argv)
@@ -341,6 +353,8 @@ def test_cli_values_that_begin_with_dash(capsys):
         (("eval", "-(e3)", "--json"), ("eval", "--json", "--", "-(e3)")),
         (("eval", "--json", "-(e3)"), ("eval", "--json", "--", "-(e3)")),
         (("transform", "--vector", "-1,0,0,0"),
+         ("transform", "--vector=-1,0,0,0")),
+        (("transform", "--vec", "-1,0,0,0"),
          ("transform", "--vector=-1,0,0,0")),
         (("transform", "--boost", "-1,0,0", "--vector", "1,0,0,0"),
          ("transform", "--boost=-1,0,0", "--vector=1,0,0,0")),
