@@ -237,7 +237,13 @@ def to_column(psi: Spinor) -> ColumnSpinor:
 
 
 def from_column(c: ColumnSpinor) -> Spinor:
-    """Exact inverse of to_column (eight real components each way)."""
+    """Inverse of to_column to rounding (eight real components each way).
+
+    A column entry such as m11 = z0 + z3 sums two coefficients' pair parts,
+    and each component read back halves and adds two of those, so the round
+    trip is exact only where these sums are representable, for instance for
+    components on a common binary grid.
+    """
     return from_even_components(EvenComponents(
         s=c.c1.x, b21=c.c1.y, b30=c.c1.v, p=c.c1.w,
         b13=-c.c2.x, b32=c.c2.y, b10=c.c2.v, b20=c.c2.w))
