@@ -13,12 +13,12 @@ M2(C) on the Pauli basis, and every operation acts on the halves alone.
 from __future__ import annotations
 
 import math
-import numbers
 from operator import add, itemgetter, neg, sub
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
+from .hypernum import _coerce as _coerce_scalar
 from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
-                       _pair, _setters)
+                       _pair, render_terms)
 
 
 class _ResidualError(Exception):
@@ -208,12 +208,11 @@ class Multivector(_Frozen):
         return f"Multivector(z0={z0!r}, z1={z1!r}, z2={z2!r}, z3={z3!r})"
 
     def __str__(self) -> str:
-        from .hypernum import render_terms
         labels = ("",) + BASIS_LABELS[1:]
         return render_terms(zip(self.coeffs16(), labels))
 
 
-_set_p, _set_m = _setters(Multivector)
+_set_p, _set_m = Multivector._setters
 _conj = complex.conjugate
 
 
@@ -253,11 +252,8 @@ def _pauli(a: tuple, b: tuple) -> tuple:
 def _coerce(value) -> Multivector | None:
     if isinstance(value, Multivector):
         return value
-    if isinstance(value, HyperComplex):
-        return Multivector(value)
-    if isinstance(value, numbers.Real):
-        return Multivector(HyperComplex(float(value)))
-    return None
+    z = _coerce_scalar(value)
+    return None if z is None else Multivector(z)
 
 
 def scalar(value) -> Multivector:
@@ -317,7 +313,7 @@ class FourVector(_Frozen):
                    for p, q in zip(self.components(), other.components()))
 
 
-_set_x0, _set_x1, _set_x2, _set_x3 = _setters(FourVector)
+_set_x0, _set_x1, _set_x2, _set_x3 = FourVector._setters
 
 
 def embed(x: FourVector) -> Multivector:

@@ -27,7 +27,7 @@ from .cayley import (E, E0, E1, E2, E3, S1, S2, S3, FourVector, Multivector,
                      _ResidualError, antisym, extract, minkowski_dot, scalar,
                      sym)
 from .hypernum import (I, IJ, J, HyperComplex, ZeroDivisor, _Frozen,
-                       _max_or_nan, _setattr, format_real)
+                       _max_or_nan, format_real)
 from .lorentz import LorentzParams, NoConvergence, boost, commutator, \
     exp_general, generators, rotation, spin_transform
 from .spinor import (Spinor, even_components, from_rotor, mott_factor,
@@ -73,8 +73,7 @@ class Num(_Frozen):
     _compared = ("value",)
 
     def __init__(self, value: float, pos: int = 0):
-        _setattr(self, "value", value)
-        _setattr(self, "pos", pos)
+        self._fill(value, pos)
 
 
 class Const(_Frozen):
@@ -82,8 +81,7 @@ class Const(_Frozen):
     _compared = ("name",)
 
     def __init__(self, name: str, pos: int = 0):
-        _setattr(self, "name", name)
-        _setattr(self, "pos", pos)
+        self._fill(name, pos)
 
 
 class Neg(_Frozen):
@@ -91,8 +89,7 @@ class Neg(_Frozen):
     _compared = ("operand",)
 
     def __init__(self, operand, pos: int = 0):
-        _setattr(self, "operand", operand)
-        _setattr(self, "pos", pos)
+        self._fill(operand, pos)
 
 
 class BinOp(_Frozen):
@@ -103,10 +100,7 @@ class BinOp(_Frozen):
     __slots__ = __match_args__ = ("op", "lhs", "rhs", "pos")
 
     def __init__(self, op: str, lhs, rhs, pos: int = 0):
-        _setattr(self, "op", op)
-        _setattr(self, "lhs", lhs)
-        _setattr(self, "rhs", rhs)
-        _setattr(self, "pos", pos)
+        self._fill(op, lhs, rhs, pos)
 
     def _key(self) -> tuple:
         # equal exactly when (op, lhs, rhs) are equal at every link
@@ -125,9 +119,7 @@ class Call(_Frozen):
     _compared = ("name", "args")
 
     def __init__(self, name: str, args: tuple, pos: int = 0):
-        _setattr(self, "name", name)
-        _setattr(self, "args", args)
-        _setattr(self, "pos", pos)
+        self._fill(name, args, pos)
 
 
 # -- tokenizer / parser -------------------------------------------------------

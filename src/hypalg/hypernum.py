@@ -26,7 +26,8 @@ components on a common binary grid no wider than the float mantissa.
 Every hypalg value class, here and in the other modules, derives from
 ``_Frozen``, defined here as the bottom module: a plain class with
 ``__slots__`` whose fields cannot be assigned or deleted, and which is the
-one home of equality, hashing, repr and pickling for all of them.
+one home of filling the fields, equality, hashing, repr and pickling for all
+of them.
 """
 
 from __future__ import annotations
@@ -65,23 +66,34 @@ def format_real(value: float) -> str:
 
 
 _new = object.__new__
-_setattr = object.__setattr__
 
 
 class _Frozen:
     """Base of the immutable value classes.
 
     A subclass names its stored fields in ``__slots__``, in constructor order,
-    and fills them in its own ``__init__``, through ``_setattr`` or, on the
-    hot path, through the slot descriptors (see ``_setters``), since
-    assignment and deletion raise AttributeError.  Equality and hashing read
-    the fields named in ``_compared`` (all of them when it is None) and need
-    the same class; repr shows every field; pickling and copying store the
-    fields as they are and rebuild without calling ``__init__``.
+    and fills them in its own ``__init__`` through ``_fill``, since
+    assignment and deletion raise AttributeError.  ``_setters`` holds the
+    ``__set__`` of each slot, in ``__slots__`` order; the classes built on the
+    hot path call them directly, which skips ``_fill``'s loop.  Equality and
+    hashing read the fields named in ``_compared`` (all of them when it is
+    None) and need the same class; repr shows every field; pickling and
+    copying store the fields as they are and rebuild without calling
+    ``__init__``.
     """
 
     __slots__ = ()
     _compared: tuple[str, ...] | None = None
+    _setters: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple([cls.__dict__[name].__set__
+                              for name in cls.__slots__])
+
+    def _fill(self, *values) -> None:
+        """Store values in the fields, one per slot in ``__slots__`` order."""
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name)
@@ -111,20 +123,10 @@ class _Frozen:
                                             for name in self.__slots__]))
 
 
-def _setters(cls: type) -> tuple:
-    """The ``__set__`` of each slot of cls, in ``__slots__`` order.
-
-    Calling one stores a field directly, a little faster than
-    ``object.__setattr__``, which first looks the name up.
-    """
-    return tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
-
-
 def _rebuild(cls: type, values: tuple) -> _Frozen:
     """The instance of cls with the stored fields values (for pickle, copy)."""
     obj = _new(cls)
-    for set_field, value in zip(_setters(cls), values):
-        set_field(obj, value)
+    obj._fill(*values)
     return obj
 
 
@@ -284,7 +286,7 @@ class HyperComplex(_Frozen):
         return render_terms(zip(self.coeffs(), ("", "i", "j", "ij")))
 
 
-_set_p, _set_m = _setters(HyperComplex)
+_set_p, _set_m = HyperComplex._setters
 
 
 def _pair(p: complex, m: complex) -> HyperComplex:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .cayley import ONE, S1, S2, S3, FourVector, Multivector, embed, extract
-from .hypernum import HyperComplex, _Frozen, _setters
+from .hypernum import HyperComplex, _Frozen
 
 
 class NoConvergence(ArithmeticError):
@@ -36,12 +36,7 @@ class LorentzParams(_Frozen):
     __slots__ = __match_args__ = ("phi", "theta", "xi")
 
     def __init__(self, phi: float = 0.0, theta: float = 0.0, xi: float = 0.0):
-        _set_phi(self, phi)
-        _set_theta(self, theta)
-        _set_xi(self, xi)
-
-
-_set_phi, _set_theta, _set_xi = _setters(LorentzParams)
+        self._fill(phi, theta, xi)
 
 
 class Rotor(_Frozen):
@@ -65,7 +60,7 @@ class Rotor(_Frozen):
         return (self.value * self.value.bar()).isclose(ONE, tol)
 
 
-(_set_value,) = _setters(Rotor)
+(_set_value,) = Rotor._setters
 
 IDENTITY = Rotor(ONE)
 

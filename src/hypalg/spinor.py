@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .cayley import E3, ONE, Multivector, _ResidualError, sym
-from .hypernum import HyperComplex, J, _Frozen, _mul_i, _setattr, _setters
+from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
 from .lorentz import LorentzParams, Rotor, spin_transform
 
 
@@ -56,7 +56,7 @@ class Spinor(_Frozen):
         return self.value.isclose(other.value, tol)
 
 
-(_set_value,) = _setters(Spinor)
+(_set_value,) = Spinor._setters
 
 
 def from_rotor(t: Rotor) -> Spinor:
@@ -79,14 +79,7 @@ class EvenComponents(_Frozen):
 
     def __init__(self, s: float, b32: float, b13: float, b21: float,
                  b10: float, b20: float, b30: float, p: float):
-        _setattr(self, "s", s)
-        _setattr(self, "b32", b32)
-        _setattr(self, "b13", b13)
-        _setattr(self, "b21", b21)
-        _setattr(self, "b10", b10)
-        _setattr(self, "b20", b20)
-        _setattr(self, "b30", b30)
-        _setattr(self, "p", p)
+        self._fill(s, b32, b13, b21, b10, b20, b30, p)
 
     @property
     def b(self) -> tuple[float, float, float, float, float, float]:
@@ -114,8 +107,7 @@ class OddComponents(_Frozen):
 
     def __init__(self, v: tuple[float, float, float, float],
                  eta: tuple[float, float, float, float]):
-        _setattr(self, "v", v)
-        _setattr(self, "eta", eta)
+        self._fill(v, eta)
 
 
 def even_components(psi: Spinor) -> EvenComponents:
@@ -161,10 +153,10 @@ class HMat2(_Frozen):
 
     def __init__(self, m11: HyperComplex, m12: HyperComplex,
                  m21: HyperComplex, m22: HyperComplex):
-        _set_pauli(self, Multivector((m11 + m22) * 0.5,
-                                     (m12 + m21) * 0.5,
-                                     _mul_i(m12 - m21) * 0.5,
-                                     (m11 - m22) * 0.5))
+        self._fill(Multivector((m11 + m22) * 0.5,
+                               (m12 + m21) * 0.5,
+                               _mul_i(m12 - m21) * 0.5,
+                               (m11 - m22) * 0.5))
 
     @property
     def m11(self) -> HyperComplex:
@@ -195,17 +187,13 @@ class HMat2(_Frozen):
                             self.m21 * c.c1 + self.m22 * c.c2)
 
 
-(_set_pauli,) = _setters(HMat2)
-
-
 class ColumnSpinor(_Frozen):
     """Two-component matrix-picture spinor."""
 
     __slots__ = __match_args__ = ("c1", "c2")
 
     def __init__(self, c1: HyperComplex, c2: HyperComplex):
-        _setattr(self, "c1", c1)
-        _setattr(self, "c2", c2)
+        self._fill(c1, c2)
 
     def isclose(self, other: "ColumnSpinor", tol: float = 1e-12) -> bool:
         return self.c1.isclose(other.c1, tol) and self.c2.isclose(other.c2, tol)
@@ -217,9 +205,7 @@ def to_matrix(a: Multivector) -> HMat2:
     An algebra isomorphism onto all 16 real dimensions.  The matrix represents
     a itself (see HMat2), so from_matrix inverts it exactly.
     """
-    m = object.__new__(HMat2)
-    _set_pauli(m, a)
-    return m
+    return _rebuild(HMat2, (a,))
 
 
 def from_matrix(m: HMat2) -> Multivector:
