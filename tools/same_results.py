@@ -9,10 +9,13 @@ hypalg from its tree and computes a fixed seeded set of results:
 - library calls (products, involutions, inverses, the coefficient views,
   extract, apply, matrix_of, from_rotor, from_multivector, even_components,
   act, to_column, from_column, sprod_algebraic, product_modulus_sq,
-  exp_general) on random values and on
+  exp_general, rotation, boost) on random values and on
   special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
   numbers); a raised exception is a result too, recorded as its type, its
   message and its fields (``residual``, ``norm``, ...);
+- every value class not built by those calls (HMat2 from entries,
+  EvenComponents, OddComponents, ColumnSpinor, LorentzParams, parsed ASTs)
+  built from random fields, with its pickle and copy round trips;
 - CLI commands run in process through ``hypalg.cli.main``, each recorded as
   its stdout, its stderr and its exit code, ``--help`` and ``verify``
   included.
@@ -25,11 +28,13 @@ status is 0 when nothing differs and 1 otherwise.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -90,7 +95,7 @@ def finite(rng: random.Random, size: float = 3.0) -> float:
 
 def lib_cases(H):
     """(op name, callable of one rng returning a result) for the library."""
-    from hypalg import cayley, spinor
+    from hypalg import cayley, cli, spinor
 
     def hyper(rng, draw=real):
         if rng.random() < 0.1:  # on the null cone: s*(1 +- j), i*s*(1 +- j)
@@ -132,6 +137,46 @@ def lib_cases(H):
             return H.spin_transform(H.LorentzParams(
                 finite(rng, 7.0), finite(rng, 4.0), xi))
         return H.Rotor(mv(rng))
+
+    def axis(rng):
+        """An axis-angle or rapidity; some components square past the
+        float range (from 1.3e154 on), some are infinite or NaN."""
+        def component():
+            r = rng.random()
+            if r < 0.5:
+                return finite(rng, 7.0)
+            if r < 0.6:
+                return 0.0
+            if r < 0.9:
+                return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(154.12,
+                                                                     308.25)
+            return rng.choice((math.inf, -math.inf, math.nan))
+        return [component() for _ in range(3)]
+
+    def value_class(rng):
+        """A value of a class no other op builds, from random fields."""
+        k = rng.randrange(6)
+        if k == 0:
+            return H.HMat2(*(hyper(rng) for _ in range(4)))
+        if k == 1:
+            return H.EvenComponents(*(real(rng) for _ in range(8)))
+        if k == 2:
+            return H.OddComponents(tuple(real(rng) for _ in range(4)),
+                                   tuple(real(rng) for _ in range(4)))
+        if k == 3:
+            return H.ColumnSpinor(hyper(rng), hyper(rng))
+        if k == 4:
+            return H.LorentzParams(real(rng), real(rng), real(rng))
+        return cli.parse(expression(rng))
+
+    def round_trips(rng):
+        a = outcome(value_class, rng)
+        if isinstance(a, Exception):
+            return a
+        copies = [pickle.loads(pickle.dumps(a, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(a), copy.deepcopy(a)]
+        return a, copies, [b == a for b in copies]
 
     def involutions(a):
         if isinstance(a, H.HyperComplex):
@@ -192,6 +237,9 @@ def lib_cases(H):
         ("act", lambda rng: outcome(
             H.act, member(rng) if rng.random() < 0.7 else mv(rng),
             H.Spinor(member(rng)))),
+        ("rotation", lambda rng: outcome(H.rotation, axis(rng))),
+        ("boost", lambda rng: outcome(H.boost, axis(rng))),
+        ("values.round_trips", round_trips),
     )
 
 
