@@ -321,10 +321,10 @@ def _left_spine(node: BinOp) -> tuple[object, list[BinOp]]:
 def _rotor(build, value, angles: list[tuple[str, float]]) -> lorentz.Rotor:
     """build(value), for a rotor built from the angles the user gave.
 
-    math.cos and math.sin refuse an infinite angle, or one that squaring a
-    finite input overflows to, with a bare ValueError.  That is a result
-    with no finite value here, named by the largest of angles, each a
-    (label, value) pair whose label formats the value into the message.
+    math.cos and math.sin refuse an infinite angle with a bare ValueError.
+    That is a result with no finite value here, named by the largest of
+    angles, each a (label, value) pair whose label formats the value into
+    the message.
     """
     try:
         return build(value)
@@ -364,7 +364,7 @@ def _members(convert, args: list, positions: list[int],
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _eval_call(name: str, args: list, positions: list[int], pos: int):
+def _eval_call(name: str, args: list, positions: list[int]):
     if name in ("bar", "rev", "grad"):
         val = args[0]
         if isinstance(val, float):
@@ -430,7 +430,7 @@ def evaluate(node):
                 f"{node.name} takes {arity} argument(s), got {len(node.args)}")
         args = [evaluate(a) for a in node.args]
         positions = [a.pos for a in node.args]
-        return _eval_call(node.name, args, positions, node.pos)
+        return _eval_call(node.name, args, positions)
     raise TypeError(f"not an AST node: {node!r}")
 
 

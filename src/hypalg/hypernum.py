@@ -369,7 +369,6 @@ def render_terms(terms) -> str:
 
 
 ZERO = HyperComplex()
-ONE = HyperComplex(1.0)
 I = HyperComplex(0.0, 1.0)
 J = HyperComplex(0.0, 0.0, 1.0)
 IJ = HyperComplex(0.0, 0.0, 0.0, 1.0)

@@ -66,9 +66,15 @@ IDENTITY = Rotor(ONE)
 
 
 def rotation(axis_angle) -> Rotor:
-    """Closed form cos(|t|/2) - i sin(|t|/2) (t_hat . s) for axis-angle t."""
+    """Closed form cos(|t|/2) - i sin(|t|/2) (t_hat . s) for axis-angle t.
+
+    An infinite |t| raises ValueError (from math.cos); a finite one whose
+    squares overflow is taken from math.hypot instead.
+    """
     tx, ty, tz = axis_angle
     t = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if t == math.inf:
+        t = math.hypot(tx, ty, tz)
     if t == 0.0:
         return IDENTITY
     s = -math.sin(t / 2.0) / t

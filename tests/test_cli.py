@@ -44,8 +44,9 @@ def test_parse_reports_offsets_and_expectations():
     with pytest.raises(ExprSyntaxError) as err:
         parse("1 + 2)")
     assert err.value.offset == 5
-    # str.isdigit accepts superscripts, which float() refuses
-    for src, offset in (("²", 0), ("1²", 1)):
+    # str.isdigit accepts superscripts, which float() refuses; an exponent
+    # without digits is left to the next token
+    for src, offset in (("²", 0), ("1²", 1), ("2e", 1)):
         with pytest.raises(ExprSyntaxError) as err:
             parse(src)
         assert err.value.offset == offset, src
@@ -113,6 +114,8 @@ def test_render_parse_fixed_point():
         "commutator(s1, s2) - rot(0, 0, 1)*2",
         "--4*-2",
         "1 - (2 - 3)",
+        "(1 + 2)*3",
+        "2*(3*4)",
     ]
     for src in sources:
         ast = parse(src)
@@ -153,6 +156,11 @@ def test_eval_scalar_identities():
     assert evaluate(parse("i*i")) == HyperComplex(-1)
     assert evaluate(parse("dot(e0,e0)")) == 1.0
     assert evaluate(parse("dot(e3,e3)")) == -1.0
+    assert str(evaluate(parse("wedge(e1, e2)"))) == "-i*s3"
+    assert str(evaluate(parse("commutator(s1, s2)"))) == "2*i*s3"
+    # a real-valued hypercomplex argument counts as a real
+    assert str(evaluate(parse("rot(j*j, 0, 0)"))) \
+        == "0.87758256189 - 0.479425538604*i*s1"
 
 
 def test_eval_spinor_product_value():
@@ -167,6 +175,8 @@ def test_eval_involution_functions():
     assert evaluate(parse("rev(i)")) == HyperComplex(0, -1)
     assert evaluate(parse("grad(j)")) == HyperComplex(0, 0, -1)
     assert evaluate(parse("bar(e1)")) == evaluate(parse("-e1"))
+    for name in ("bar", "rev", "grad"):
+        assert evaluate(parse(f"{name}(2)")) == 2.0
 
 
 def test_eval_exp_and_inverse():
@@ -405,6 +415,11 @@ def test_cli_extreme_magnitudes(capsys):
     assert run(capsys, "eval", "1e308 + 1e308*j")[0] == 4
     assert run(capsys, "eval", "inv(1e308 + 1e308*j)")[0] == 3
     assert run(capsys, "eval", "inv(1e-310)")[0] == 4
+    # the angle's squares overflow, the angle does not
+    assert run(capsys, "transform", "--vector", "1,0,0,0", "--rotate",
+               "1e200,0,0") == (0, "1 0 0 0\n", "")
+    code, out, err = run(capsys, "spinor", "--phi", "1e308", "--check")
+    assert (code, err) == (0, "") and out.startswith("s ")
 
 
 GOLDEN_CROSS_SECTION = "re 0.500000013397\nij 0\nmott 0.500000013397\n"

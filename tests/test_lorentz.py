@@ -30,6 +30,8 @@ def test_rotation_examples():
         S3 * HyperComplex(0, -1), 1e-15)
     assert rotation((0, 0, 2 * math.pi)).value.isclose(scalar(-1.0), 1e-15)
     assert rotation((0, 0, 4 * math.pi)).value.isclose(ONE, 1e-15)
+    # the squares of the components overflow, the angle does not
+    assert rotation((1e200, 1e200, -1e200)).is_unit()
 
 
 def test_rotation_reversion_facts(rng):
@@ -37,6 +39,7 @@ def test_rotation_reversion_facts(rng):
         r = rotation(tuple(rng.uniform(-3, 3) for _ in range(3)))
         assert r.value.dagger() == r.value.bar()
         assert rel_close(r.value * r.value.bar(), ONE, 1e-14)
+        assert r.inverse() == Rotor(r.value.bar())
 
 
 def test_boost_examples(rng):

@@ -198,6 +198,8 @@ def test_from_column_examples_and_round_trip(rng):
 def test_act_identity_and_closure(rng):
     psi = Spinor(rand_subalgebra(rng))
     assert act(ONE, psi).value == psi.value
+    assert act(ONE, psi).isclose(psi, 0.0)
+    assert not act(PSEUDOSCALAR, psi).isclose(psi)
     with pytest.raises(NotInSpinorAlgebra):
         act(S1, psi)
 
