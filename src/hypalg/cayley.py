@@ -173,7 +173,10 @@ class Multivector(_Frozen):
         return tuple(map(_pair, self.p, self.m))
 
     def max_abs(self) -> float:
-        """The largest coefficient magnitude; NaN if any coefficient is NaN."""
+        """The largest coefficient magnitude, as HyperComplex.max_abs reads it.
+
+        NaN when a stored part is NaN, and otherwise inf when one is infinite.
+        """
         p0, p1, p2, p3 = self.p
         m0, m1, m2, m3 = self.m
         # as HyperComplex.max_abs does per slot

@@ -262,9 +262,13 @@ class HyperComplex(_Frozen):
     # -- helpers -------------------------------------------------------------
 
     def max_abs(self) -> float:
-        """The largest of |x|, |y|, |v|, |w|, or NaN if one of them is NaN.
+        """The largest of |x|, |y|, |v|, |w|, read from the stored pair.
 
-        max(|x|, |v|) = |Re p|/2 + |Re m|/2, and likewise for y and w.
+        max(|x|, |v|) = |Re p|/2 + |Re m|/2, and likewise for y and w.  The
+        result is NaN when a part of p or m is NaN, and otherwise inf when
+        one is infinite, even where a view is inf - inf, which is NaN:
+        HyperComplex(0, 0, inf) has x NaN and max_abs() inf.  inverse relies
+        on that infinite scale to refuse such a value.
         """
         p, m = self.p, self.m
         return _max_or_nan([abs(p.real) * 0.5 + abs(m.real) * 0.5,

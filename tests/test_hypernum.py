@@ -195,6 +195,9 @@ def test_max_abs_is_nan_when_a_coefficient_is_nan():
             assert math.isnan(HyperComplex(*coeffs).max_abs()), (k, other)
     assert HyperComplex(3.0, -4.0, 1.0, 0.5).max_abs() == 4.0
     assert HyperComplex(0.5, 0.0, -2.0, 0.0).max_abs() == 2.0
+    # inf - inf makes the view x NaN; no stored part is NaN
+    z = HyperComplex(0.0, 0.0, math.inf)
+    assert math.isnan(z.x) and z.max_abs() == math.inf
 
 
 def test_division():
