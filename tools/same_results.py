@@ -13,9 +13,9 @@ hypalg from its tree and computes a fixed seeded set of results:
   special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
   numbers); a raised exception is a result too, recorded as its type, its
   message and its fields (``residual``, ``norm``, ...);
-- every value class not built by those calls (HMat2 from entries,
-  EvenComponents, OddComponents, ColumnSpinor, LorentzParams, parsed ASTs)
-  built from random fields, with its pickle and copy round trips;
+- values built from random fields (HMat2 from its entries, EvenComponents,
+  OddComponents, ColumnSpinor, LorentzParams, parsed ASTs), with their
+  pickle and copy round trips;
 - CLI commands run in process through ``hypalg.cli.main``, each recorded as
   its stdout, its stderr and its exit code, ``--help`` and ``verify``
   included.
@@ -154,7 +154,7 @@ def lib_cases(H):
         return [component() for _ in range(3)]
 
     def value_class(rng):
-        """A value of a class no other op builds, from random fields."""
+        """A value built from random fields by its constructor."""
         k = rng.randrange(6)
         if k == 0:
             return H.HMat2(*(hyper(rng) for _ in range(4)))
