@@ -65,34 +65,40 @@ class NonFiniteResult(ArithmeticError):
 
 
 # -- abstract syntax ----------------------------------------------------------
-# Every node ends with its source offset pos, which equality and hashing
-# leave out, so that reparsing rendered text yields an equal AST.
 
-class Num(_Frozen):
+class _Node(_Frozen):
+    """Base of the AST nodes.  Every node ends with its source offset pos,
+    which equality and hashing leave out, so that reparsing rendered text
+    yields an equal AST."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__[:-1]])
+
+
+class Num(_Node):
     __slots__ = __match_args__ = ("value", "pos")
-    _compared = ("value",)
 
     def __init__(self, value: float, pos: int = 0):
         self._fill(value, pos)
 
 
-class Const(_Frozen):
+class Const(_Node):
     __slots__ = __match_args__ = ("name", "pos")
-    _compared = ("name",)
 
     def __init__(self, name: str, pos: int = 0):
         self._fill(name, pos)
 
 
-class Neg(_Frozen):
+class Neg(_Node):
     __slots__ = __match_args__ = ("operand", "pos")
-    _compared = ("operand",)
 
     def __init__(self, operand, pos: int = 0):
         self._fill(operand, pos)
 
 
-class BinOp(_Frozen):
+class BinOp(_Node):
     """A binary operation.  A long chain such as 1+1+...+1 nests its BinOps
     in lhs, so equality, hashing and repr walk that left spine in a loop
     (see _left_spine) instead of recursing once per link."""
@@ -114,9 +120,8 @@ class BinOp(_Frozen):
         return "".join(heads + [repr(leaf)] + tails)
 
 
-class Call(_Frozen):
+class Call(_Node):
     __slots__ = __match_args__ = ("name", "args", "pos")
-    _compared = ("name", "args")
 
     def __init__(self, name: str, args: tuple, pos: int = 0):
         self._fill(name, args, pos)
@@ -436,50 +441,58 @@ def evaluate(node):
 
 # -- output formatting --------------------------------------------------------------
 
-def _round12(value: float) -> float:
-    return float(format_real(value))
-
-
 def value_to_json(value) -> dict:
     if isinstance(value, Multivector):
-        return {"kind": "multivector",
-                "coeffs": [_round12(c) for c in value.coeffs16()],
+        return {"kind": "multivector", "coeffs": value.coeffs16(),
                 "basis": list(cayley.BASIS_LABELS)}
     if isinstance(value, HyperComplex):
-        return {"kind": "hypercomplex",
-                "coeffs": [_round12(c) for c in value.coeffs()],
+        return {"kind": "hypercomplex", "coeffs": list(value.coeffs()),
                 "basis": ["1", "i", "j", "ij"]}
-    return {"kind": "real", "coeffs": [_round12(value)], "basis": ["1"]}
+    return {"kind": "real", "coeffs": [value], "basis": ["1"]}
 
 
-def value_to_text(value) -> str:
-    if isinstance(value, (Multivector, HyperComplex)):
-        return str(value)
-    return format_real(value)
-
-
-def _emit(as_json: bool, doc: dict, text: str) -> int:
+def _emit(as_json: bool, doc: dict, text: str | None = None) -> int:
     """Print doc as JSON if as_json, else text; refuse NaN and infinity.
 
     Every subcommand prints its numbers through here, so no NaN or infinite
-    result leaves with exit 0: NonFiniteResult is exit 4.
+    result leaves with exit 0: NonFiniteResult is exit 4.  JSON carries every
+    number rounded to format_real's 12 digits.  Without text, each key but
+    "kind" prints as one line: the key, then its numbers.
     """
-    for key, value in doc.items():
-        for number in value if isinstance(value, list) else [value]:
+    rows = {key: value if isinstance(value, list) else [value]
+            for key, value in doc.items()}
+    for key, numbers in rows.items():
+        for number in numbers:
             if isinstance(number, float) and not math.isfinite(number):
                 raise NonFiniteResult(f"{number} in {key!r}")
     if as_json:
         import json
-        text = json.dumps(doc)
+        text = json.dumps(_rounded(doc))
+    elif text is None:
+        text = "\n".join([" ".join([key, *map(format_real, numbers)])
+                          for key, numbers in rows.items() if key != "kind"])
     print(text)
     return 0
+
+
+def _rounded(value):
+    """value with every float in it rounded to format_real's 12 digits."""
+    if isinstance(value, float):
+        return float(format_real(value))
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
 
 
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
     value = evaluate(parse(args.expr))
-    return _emit(args.json, value_to_json(value), value_to_text(value))
+    text = str(value) if isinstance(value, (Multivector, HyperComplex)) \
+        else format_real(value)
+    return _emit(args.json, value_to_json(value), text)
 
 
 def _floats(text: str, n: int, option: str) -> list[float]:
@@ -496,8 +509,7 @@ def _cmd_transform(args) -> int:
     rotate = _floats(args.rotate, 3, "--rotate")
     total *= _rotor(rotation, rotate, [("--rotate {}", a) for a in rotate])
     image = lorentz.apply(total, FourVector(*vector)).components()
-    return _emit(args.json, {"kind": "fourvector",
-                             "coeffs": [_round12(c) for c in image]},
+    return _emit(args.json, {"kind": "fourvector", "coeffs": list(image)},
                  " ".join(format_real(c) for c in image))
 
 
@@ -529,19 +541,13 @@ def _cmd_spinor(args) -> int:
             return 1
     if args.view == "odd":
         oc = spinor.odd_components(psi)
-        return _emit(args.json, {"v": [_round12(c) for c in oc.v],
-                                 "eta": [_round12(c) for c in oc.eta]},
-                     f"v {' '.join(map(format_real, oc.v))}\n"
-                     f"eta {' '.join(map(format_real, oc.eta))}")
+        return _emit(args.json, {"v": list(oc.v), "eta": list(oc.eta)})
     if args.view == "column":
         col = spinor.to_column(psi)
-        return _emit(args.json,
-                     {"c1": [_round12(c) for c in col.c1.coeffs()],
-                      "c2": [_round12(c) for c in col.c2.coeffs()]},
+        return _emit(args.json, {"c1": list(col.c1.coeffs()),
+                                 "c2": list(col.c2.coeffs())},
                      f"c1 {col.c1}\nc2 {col.c2}")
-    ec = even_components(psi).as_dict()
-    return _emit(args.json, {k: _round12(v) for k, v in ec.items()},
-                 "\n".join(f"{k} {format_real(v)}" for k, v in ec.items()))
+    return _emit(args.json, even_components(psi).as_dict())
 
 
 def _option_angles(args) -> list[tuple[str, float]]:
@@ -554,10 +560,8 @@ def _cmd_cross_section(args) -> int:
     psi = from_rotor(_rotor(spin_transform, params, _option_angles(args)))
     m2 = product_modulus_sq(psi, Spinor.standard())
     mott = mott_factor(args.theta)
-    return _emit(args.json, {"kind": "cross-section", "re": _round12(m2.x),
-                             "ij": _round12(m2.w), "mott": _round12(mott)},
-                 f"re {format_real(m2.x)}\nij {format_real(m2.w)}\n"
-                 f"mott {format_real(mott)}")
+    return _emit(args.json, {"kind": "cross-section", "re": m2.x, "ij": m2.w,
+                             "mott": mott})
 
 
 _SIGN_TABLE = (
@@ -574,9 +578,6 @@ _SIGN_TABLE = (
 
 # absolute bound on every coefficient of a bracket's error; NaN fails it
 BRACKET_TOL = 1e-14
-
-_EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-        (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
 
 
 def _verify_checks():
@@ -596,22 +597,16 @@ def _verify_checks():
             yield (f"metric e{mu}.e{nu} = {format_real(want)}", ok, str(got))
 
     J_gen, K_gen = generators()
-    zero = cayley.ONE * 0.0
     for a in range(3):
         for b in range(3):
-            if a == b:
-                eps, c = 0, 0
-            else:
-                c = 3 - a - b
-                eps = _EPS[(a + 1, b + 1, c + 1)]
+            # the Levi-Civita sign of (a+1, b+1, c+1), 0 when a == b
+            eps = (b - a + 1) % 3 - 1
+            c = (3 - a - b) % 3
             i_eps = HyperComplex(0.0, float(eps))
             checks = (
-                ("J,J", commutator(J_gen[a], J_gen[b]),
-                 J_gen[c] * i_eps if eps else zero),
-                ("J,K", commutator(J_gen[a], K_gen[b]),
-                 K_gen[c] * i_eps if eps else zero),
-                ("K,K", commutator(K_gen[a], K_gen[b]),
-                 J_gen[c] * (-i_eps) if eps else zero),
+                ("J,J", commutator(J_gen[a], J_gen[b]), J_gen[c] * i_eps),
+                ("J,K", commutator(J_gen[a], K_gen[b]), K_gen[c] * i_eps),
+                ("K,K", commutator(K_gen[a], K_gen[b]), J_gen[c] * (-i_eps)),
             )
             for label, got, want in checks:
                 err = (got - want).max_abs()
@@ -645,7 +640,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expr")
-    p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_tr = sub.add_parser("transform",
@@ -653,7 +647,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--boost", default="0,0,0", metavar="BX,BY,BZ")
     p_tr.add_argument("--rotate", default="0,0,0", metavar="AX,AY,AZ")
     p_tr.add_argument("--vector", required=True, metavar="X0,X1,X2,X3")
-    p_tr.add_argument("--json", action="store_true")
     p_tr.set_defaults(func=_cmd_transform)
 
     p_sp = sub.add_parser("spinor", parents=[angles],
@@ -666,16 +659,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sp.set_defaults(view="even")
     p_sp.add_argument("--check", action="store_true",
                       help="cross-check against the closed-form components")
-    p_sp.add_argument("--json", action="store_true")
     p_sp.set_defaults(func=_cmd_spinor)
 
     p_cs = sub.add_parser("cross-section", parents=[angles],
                           help="spinor-product square and elastic factor")
-    p_cs.add_argument("--json", action="store_true")
     p_cs.set_defaults(func=_cmd_cross_section)
 
     p_v = sub.add_parser("verify", help="run the built-in identity suites")
     p_v.set_defaults(func=_cmd_verify)
+    for p in (p_eval, p_tr, p_sp, p_cs):
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -76,14 +76,13 @@ class _Frozen:
     assignment and deletion raise AttributeError.  ``_setters`` holds the
     ``__set__`` of each slot, in ``__slots__`` order; the classes built on the
     hot path call them directly, which skips ``_fill``'s loop.  Equality and
-    hashing read the fields named in ``_compared`` (all of them when it is
-    None) and need the same class; repr shows every field; pickling and
-    copying store the fields as they are and rebuild without calling
-    ``__init__``.
+    hashing need the same class and read every field, through ``_key``; the
+    CLI's AST nodes override ``_key`` to leave out their source offset.  repr
+    shows every field; pickling and copying store the fields as they are and
+    rebuild without calling ``__init__``.
     """
 
     __slots__ = ()
-    _compared: tuple[str, ...] | None = None
     _setters: tuple = ()
 
     def __init_subclass__(cls):
@@ -96,8 +95,7 @@ class _Frozen:
             set_field(self, value)
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, name)
-                      for name in self._compared or self.__slots__])
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
