@@ -177,19 +177,26 @@ class HyperComplex(_Frozen):
         return _pair(-self.p, -self.m)
 
     def __mul__(self, other) -> "HyperComplex":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        # complex multiplication commutes bit-exactly, so a*b == b*a
-        return _pair(self.p * o.p, self.m * o.m)
+        if isinstance(other, HyperComplex):
+            # complex multiplication commutes bit-exactly, so a*b == b*a
+            return _pair(self.p * other.p, self.m * other.m)
+        if isinstance(other, numbers.Real):
+            # each half alone: a complex product with complex(other, 0)
+            # would form inf*0 and give an infinite part a NaN half
+            p, m = self.p, self.m
+            return _pair(complex(p.real * other, p.imag * other),
+                         complex(m.real * other, m.imag * other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "HyperComplex":
-        if isinstance(other, numbers.Real):
-            return _pair(self.p / other, self.m / other)
         if isinstance(other, HyperComplex):
             return self * other.inverse()
+        if isinstance(other, numbers.Real):
+            p, m = self.p, self.m
+            return _pair(complex(p.real / other, p.imag / other),
+                         complex(m.real / other, m.imag / other))
         return NotImplemented
 
     # -- involutions -------------------------------------------------------
@@ -364,9 +371,9 @@ def render_terms(terms) -> str:
         else:
             body = f"{format_real(abs(coeff))}*{label}"
         if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(f"-{body}" if coeff < 0 else body)
         else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
     return " ".join(parts) if parts else "0"
 
 

@@ -145,7 +145,9 @@ class HMat2(_Frozen):
     of ``z0 + z3`` is the sum of two parts and needs one more bit), so the
     Pauli coefficients are what the matrix keeps.  Built from its entries, a
     matrix is decomposed into Pauli coefficients by half sums and
-    differences, to rounding.
+    differences, to rounding.  The product of two matrices is the matrix of
+    the product of their multivectors, so to_matrix is exactly a
+    homomorphism.
     """
 
     __slots__ = ("pauli",)
@@ -177,10 +179,7 @@ class HMat2(_Frozen):
     def __mul__(self, other: "HMat2") -> "HMat2":
         if not isinstance(other, HMat2):
             return NotImplemented
-        a11, a12, a21, a22 = self.m11, self.m12, self.m21, self.m22
-        b11, b12, b21, b22 = other.m11, other.m12, other.m21, other.m22
-        return HMat2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                     a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+        return to_matrix(self.pauli * other.pauli)
 
     def apply(self, c: "ColumnSpinor") -> "ColumnSpinor":
         return ColumnSpinor(self.m11 * c.c1 + self.m12 * c.c2,

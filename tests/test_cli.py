@@ -278,6 +278,9 @@ def test_cli_eval_json_schema(capsys):
     assert doc["kind"] == "hypercomplex" and doc["coeffs"] == [1.0, 0, 0, 0]
     doc = json.loads(run(capsys, "eval", "dot(e0,e0)", "--json")[1])
     assert doc["kind"] == "real" and doc["coeffs"] == [1.0]
+    # numbers are rounded to 12 significant digits, as the text is
+    doc = json.loads(run(capsys, "eval", "0.1 + 0.2", "--json")[1])
+    assert doc["coeffs"] == [0.3]
 
 
 def test_cli_transform(capsys):
@@ -326,6 +329,7 @@ def test_cli_cross_section_values(capsys):
     doc = json.loads(out)
     assert abs(doc["re"] - math.cos(0.3) ** 2) < 1e-9
     assert abs(doc["mott"] - math.cos(0.3) ** 2) < 1e-9
+    assert doc["mott"] == float(f"{math.cos(0.3) ** 2:.12g}")
 
 
 def test_cli_verify(capsys):

@@ -204,6 +204,11 @@ def test_division():
     z = HyperComplex(1, 2, 0.5, -1)
     assert_hyper_close(z / 2.0, z * 0.5, 0.0)
     assert_hyper_close(z / z, ONE, 1e-12)
+    # a real scales each half of each part alone, so no inf*0 turns an
+    # infinite part's zero half into NaN
+    inf = HyperComplex(math.inf)
+    for scaled in (inf * 2.0, 2.0 * inf, inf / 2.0):
+        assert (scaled.p, scaled.m) == (complex(math.inf, 0.0),) * 2
 
 
 def test_text_rendering():
@@ -211,3 +216,8 @@ def test_text_rendering():
     assert str(HyperComplex(1, -2, 0, 0.5)) == "1 - 2*i + 0.5*ij"
     assert str(HyperComplex()) == "0"
     assert str(-J) == "-j"
+    # NaN has no sign to show
+    assert str(HyperComplex(math.nan)) == "nan + nan*j"
+    with pytest.raises(ZeroDivisor) as info:
+        HyperComplex(0, 0, math.inf).inverse()
+    assert str(info.value) == "no inverse: nan + inf*j lies on the null cone"
