@@ -7,12 +7,13 @@ BASE_SRC and CHANGE_SRC are directories that contain the ``hypalg`` package
 hypalg from its tree and computes a fixed seeded set of results:
 
 - library calls (products, involutions, inverses, the coefficient views,
-  extract, apply, matrix_of, from_rotor, from_multivector, even_components,
-  act, to_column, from_column, sprod_algebraic, product_modulus_sq,
-  exp_general, rotation, boost) on random values and on
-  special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
-  numbers); a raised exception is a result too, recorded as its type, its
-  message and its fields (``residual``, ``norm``, ...);
+  a scalar times and divided by a real, ``str``, extract, apply, matrix_of,
+  from_rotor, from_multivector, even_components, act, to_column,
+  from_column, sprod_algebraic, product_modulus_sq, exp_general, rotation,
+  boost, and the HMat2 product and apply) on random values and on special
+  ones (signed zeros, infinities, NaN, huge, tiny and subnormal numbers); a
+  raised exception is a result too, recorded as its type, its message and
+  its fields (``residual``, ``norm``, ...);
 - values built from random fields (HMat2 from its entries, EvenComponents,
   OddComponents, ColumnSpinor, LorentzParams, parsed ASTs), with their
   pickle and copy round trips;
@@ -93,6 +94,10 @@ def finite(rng: random.Random, size: float = 3.0) -> float:
     return rng.uniform(-size, size)
 
 
+def special(rng: random.Random) -> float:
+    return rng.choice(SPECIALS)
+
+
 def lib_cases(H):
     """(op name, callable of one rng returning a result) for the library."""
     from hypalg import cayley, cli, spinor
@@ -153,6 +158,23 @@ def lib_cases(H):
             return rng.choice((math.inf, -math.inf, math.nan))
         return [component() for _ in range(3)]
 
+    def matrix(rng):
+        """The matrix of a random multivector, or one of special entries."""
+        if rng.random() < 0.5:
+            return H.to_matrix(mv(rng))
+        return outcome(H.HMat2, *(hyper(rng, special) for _ in range(4)))
+
+    def scaled(rng):
+        z, r = hyper(rng), special(rng)
+        return (outcome(lambda: z * r), outcome(lambda: r * z),
+                outcome(lambda: z / r))
+
+    def text(rng):
+        """str of values some of whose parts are infinite or NaN."""
+        def draw(rng):
+            return special(rng) if rng.random() < 0.5 else real(rng)
+        return str(hyper(rng, draw)), str(mv(rng, draw))
+
     def value_class(rng):
         """A value built from random fields by its constructor."""
         k = rng.randrange(6)
@@ -209,6 +231,8 @@ def lib_cases(H):
         ("hyper.inverse", lambda rng: outcome(H.HyperComplex.inverse,
                                               hyper(rng))),
         ("hyper.views", lambda rng: views(hyper(rng))),
+        ("hyper.scaled", scaled),
+        ("str", text),
         ("mv.mul", lambda rng: outcome(lambda a, b: a * b, mv(rng), mv(rng))),
         ("mv.involutions", lambda rng: involutions(mv(rng))),
         ("mv.inverse", lambda rng: outcome(H.Multivector.inverse, mv(rng))),
@@ -237,6 +261,11 @@ def lib_cases(H):
         ("act", lambda rng: outcome(
             H.act, member(rng) if rng.random() < 0.7 else mv(rng),
             H.Spinor(member(rng)))),
+        ("hmat.mul", lambda rng: outcome(lambda a, b: a * b, matrix(rng),
+                                         matrix(rng))),
+        ("hmat.apply", lambda rng: outcome(
+            lambda a, c: a.apply(c), matrix(rng),
+            H.ColumnSpinor(hyper(rng), hyper(rng)))),
         ("rotation", lambda rng: outcome(H.rotation, axis(rng))),
         ("boost", lambda rng: outcome(H.boost, axis(rng))),
         ("values.round_trips", round_trips),
