@@ -81,21 +81,21 @@ def outcome(fn, *args):
 
 # -- random inputs ------------------------------------------------------------------
 
+def special(rng: random.Random) -> float:
+    return rng.choice(SPECIALS)
+
+
 def real(rng: random.Random) -> float:
     r = rng.random()
     if r < 0.7:
         return rng.uniform(-10.0, 10.0)
     if r < 0.85:
         return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
-    return rng.choice(SPECIALS)
+    return special(rng)
 
 
 def finite(rng: random.Random, size: float = 3.0) -> float:
     return rng.uniform(-size, size)
-
-
-def special(rng: random.Random) -> float:
-    return rng.choice(SPECIALS)
 
 
 def lib_cases(H):
