@@ -177,18 +177,10 @@ class Multivector(_Frozen):
 
         NaN when a stored part is NaN, and otherwise inf when one is infinite.
         """
-        p0, p1, p2, p3 = self.p
-        m0, m1, m2, m3 = self.m
         # as HyperComplex.max_abs does per slot
-        return _max_or_nan([
-            abs(p0.real) * 0.5 + abs(m0.real) * 0.5,
-            abs(p0.imag) * 0.5 + abs(m0.imag) * 0.5,
-            abs(p1.real) * 0.5 + abs(m1.real) * 0.5,
-            abs(p1.imag) * 0.5 + abs(m1.imag) * 0.5,
-            abs(p2.real) * 0.5 + abs(m2.real) * 0.5,
-            abs(p2.imag) * 0.5 + abs(m2.imag) * 0.5,
-            abs(p3.real) * 0.5 + abs(m3.real) * 0.5,
-            abs(p3.imag) * 0.5 + abs(m3.imag) * 0.5])
+        return _max_or_nan([abs(x) * 0.5 + abs(y) * 0.5
+                            for p, m in zip(self.p, self.m)
+                            for x, y in ((p.real, m.real), (p.imag, m.imag))])
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
         return all(a.isclose(b, tol) for a, b in zip(self.slots(), other.slots()))
@@ -250,6 +242,45 @@ def _pauli(a: tuple, b: tuple) -> tuple:
             a0 * b1 + a1 * b0 + complex(-c1.imag, c1.real),
             a0 * b2 + a2 * b0 + complex(-c2.imag, c2.real),
             a0 * b3 + a3 * b0 + complex(-c3.imag, c3.real))
+
+
+_LN2 = math.log(2.0)
+
+
+def _exp_pauli(a: tuple) -> tuple:
+    """One idempotent half of the exponential, in closed form.
+
+    a holds the four complex parts of one half, a0 + a.s in M2(C).  Since
+    (a.s)^2 = s^2 with s^2 = a1^2 + a2^2 + a3^2, the exponential is
+    c + k a.s with c = exp(a0) cosh s and k = exp(a0) sinh(s) / s (k =
+    exp(a0) at s = 0, the nilpotent case).  From |s| = 1 on, c and k are
+    taken from the eigenvalue exponentials e+- = exp(a0 +- s) as
+    (e+ + e-) / 2 and (e+ - e-) / (2 s), since cosh s alone can overflow
+    where c does not (a0 = -1000, s = 1000 gives c = 1/2).  Each exponential
+    is of its argument less ln 2, the 2 restored last, so none overflows
+    where c and k a are in range (exp(709.9) does, cosh(709.9) does not).
+    OverflowError is raised when cmath.exp overflows and when s^2 does.
+    cmath is imported on the first call, so importing hypalg does not load it.
+    """
+    import cmath
+
+    a0, a1, a2, a3 = a
+    s = cmath.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    if abs(s) < 1.0:
+        half = cmath.exp(a0 - _LN2)
+        c = half * cmath.cosh(s) * 2.0
+        k = (half * (cmath.sinh(s) / s) if s else half) * 2.0
+    elif cmath.isfinite(s):
+        plus, minus = cmath.exp(a0 + s - _LN2), cmath.exp(a0 - s - _LN2)
+        c, k = plus + minus, (plus - minus) / s
+    else:
+        raise OverflowError("a1^2 + a2^2 + a3^2 is beyond the float range")
+    return (c, k * a1, k * a2, k * a3)
+
+
+def _exp(a: Multivector) -> Multivector:
+    """exp(a), one idempotent half at a time (see _exp_pauli)."""
+    return _halves(_exp_pauli(a.p), _exp_pauli(a.m))
 
 
 def _coerce(value) -> Multivector | None:

@@ -505,10 +505,10 @@ def _floats(text: str, n: int, option: str) -> list[float]:
 
 def _cmd_transform(args) -> int:
     vector = _floats(args.vector, 4, "--vector")
-    total = boost(_floats(args.boost, 3, "--boost"))
+    rapidity = _floats(args.boost, 3, "--boost")
     rotate = _floats(args.rotate, 3, "--rotate")
-    total *= _rotor(rotation, rotate, [("--rotate {}", a) for a in rotate])
-    image = lorentz.apply(total, FourVector(*vector)).components()
+    turn = _rotor(rotation, rotate, [("--rotate {}", a) for a in rotate])
+    image = lorentz.apply(boost(rapidity) * turn, FourVector(*vector)).components()
     return _emit(args.json, {"kind": "fourvector", "coeffs": list(image)},
                  " ".join(format_real(c) for c in image))
 
@@ -523,7 +523,8 @@ def _cmd_spinor(args) -> int:
     angles = _option_angles(args)
     # Both rotors lie in the spinor subalgebra by construction, so they are
     # read without from_rotor's membership guard, which refuses any NaN: a
-    # NaN parameter then fails --check, or is refused as output (exit 4).
+    # NaN angle then fails --check, and a NaN --xi is refused by --check's
+    # boost or as output (exit 4).
     psi = Spinor(_rotor(spin_transform, params, angles).value)
     if args.check:
         product = _rotor(rotation, (0.0, 0.0, params.phi), angles) \

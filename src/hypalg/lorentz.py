@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import math
 
-from .cayley import ONE, S1, S2, S3, FourVector, Multivector, embed, extract
+from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp, embed,
+                     extract)
 from .hypernum import HyperComplex, _Frozen
 
 
 class NoConvergence(ArithmeticError):
-    """Exponential series failed to settle; the input is pathological.
+    """exp_general's refusal of an input with a NaN or infinite part.
 
-    ``terms`` is the number of series terms summed, 0 when the input is not
-    finite, and ``squarings`` the number of squarings the scaling called for.
+    The exponential is a closed form that sums no series and squares
+    nothing, so exp_general raises it with ``terms`` and ``squarings`` both
+    0, and its message says the input is not finite.
     """
 
     def __init__(self, terms: int, squarings: int):
@@ -85,9 +87,17 @@ def rotation(axis_angle) -> Rotor:
 
 
 def boost(rapidity) -> Rotor:
-    """Closed form cosh(|x|/2) + j sinh(|x|/2) (x_hat . s) for rapidity x."""
+    """Closed form cosh(|x|/2) + j sinh(|x|/2) (x_hat . s) for rapidity x.
+
+    OverflowError is raised when cosh(|x|/2) is not finite: from math.sinh
+    for a finite |x| past about 1420, and here for an |x| that is NaN or
+    inf, where math.sinh and math.cosh return NaN or inf.  Squares that
+    overflow need no math.hypot, as rotation's do: their |x| is over 1e154.
+    """
     bx, by, bz = rapidity
     t = math.sqrt(bx * bx + by * by + bz * bz)
+    if not t < math.inf:
+        raise OverflowError(f"cosh(|x|/2) is not finite: x = ({bx}, {by}, {bz})")
     if t == 0.0:
         return IDENTITY
     s = math.sinh(t / 2.0) / t
@@ -98,31 +108,21 @@ def boost(rapidity) -> Rotor:
 
 
 def exp_general(a: Multivector) -> Multivector:
-    """Taylor exponential with scaling and squaring.
+    """The exponential, in closed form on each idempotent half.
 
     Agrees with the rotation/boost closed forms on their generators; exists
-    as an independent cross-check of those formulas.
+    as an independent cross-check of those formulas.  A NaN or infinite
+    input raises NoConvergence(0, 0).  OverflowError is raised where
+    cmath.exp or a sum of squares overflows (see cayley._exp_pauli) and for
+    a result with a part beyond the float range, so every result returned
+    is finite.
     """
-    scale = a.max_abs()
-    if not math.isfinite(scale):
-        # every term would hold the NaN or inf, so the series cannot settle
+    if not math.isfinite(a.max_abs()):
         raise NoConvergence(0, 0)
-    squarings = 0
-    if scale > 1.0:
-        squarings = max(1, math.ceil(math.log2(scale)))
-        a = a * (2.0 ** -squarings)
-    acc = ONE
-    term = ONE
-    for n in range(1, 201):
-        term = term * a * (1.0 / n)
-        acc = acc + term
-        if term.max_abs() < 1e-16 * max(1.0, acc.max_abs()):
-            break
-    else:
-        raise NoConvergence(n, squarings)
-    for _ in range(squarings):
-        acc = acc * acc
-    return acc
+    e = _exp(a)
+    if not math.isfinite(e.max_abs()):
+        raise OverflowError(f"exp beyond the float range: max_abs {e.max_abs()}")
+    return e
 
 
 def apply(t: Rotor, x: FourVector) -> FourVector:

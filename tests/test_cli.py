@@ -203,6 +203,12 @@ def test_eval_type_errors():
 
 # -- subcommands ---------------------------------------------------------------
 
+def test_cli_eval_exp_of_a_large_phase(capsys):
+    # exp(i t) has modulus 1 however large t is
+    assert run(capsys, "eval", "exp(1e17*i)") == \
+        (0, "-0.885557328298 - 0.464530104835*i\n", "")
+
+
 def test_cli_eval_exit_codes(capsys):
     assert run(capsys, "eval", "j*j")[0] == 0
     code, _, err = run(capsys, "eval", "1 + * 2")
@@ -218,6 +224,7 @@ def test_cli_no_finite_result_exit_code(capsys):
         (("eval", "boost(0,0,2000)"), "range error"),           # OverflowError
         (("cross-section", "--xi", "2000"), "range error"),
         (("eval", "exp(1e400*s1)"), "did not settle"),          # NoConvergence
+        (("eval", "exp(2e154*s1 + 2e154*i*s2)"), "beyond the float range"),
         (("eval", "1e400*e1"), "nan"),                          # NaN result
         (("eval", "1e308 + 1e308*j", "--json"), "inf"),         # inf result
         (("spinor", "--phi", "nan"), "nan"),
@@ -255,14 +262,15 @@ def test_cli_spinor_check_tolerance_scales(capsys):
 
 def test_import_does_not_load_numpy():
     # the import budget of every hypalg command: numpy loads only for
-    # matrix_of, json only for --json, and no value class needs dataclasses
-    # (which brings inspect)
+    # matrix_of, json only for --json, cmath only for exp, and no value
+    # class needs dataclasses (which brings inspect)
     src = str(Path(hypalg.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, hypalg.cli; assert 'numpy' not in sys.modules; "
-         "print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"],
+         "print(*sorted({'cmath', 'dataclasses', 'inspect', 'json'}"
+         " & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr

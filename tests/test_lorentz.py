@@ -1,11 +1,14 @@
 """Rotors, boosts, the exponential map, sandwich action, and generators."""
 
+import cmath
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
-from hypalg import (S2, S3, FourVector, HyperComplex,
+from hypalg import (S1, S2, S3, FourVector, HyperComplex,
                     LorentzParams, Multivector, NoConvergence,
                     NotAParavector, Rotor, apply, boost, commutator, embed,
                     exp_general, extract, generators, matrix_of, minkowski_dot,
@@ -68,6 +71,90 @@ def test_exp_general_large_argument_scaling():
     want = boost((0, 0, 5.4)).value
     got = exp_general(arg)
     assert rel_close(got, want, 1e-12)
+
+
+def test_boost_overflow_raises():
+    # the squares of the first two overflow; |x| does not, but cosh(|x|/2) does
+    for rapidity in ((0, 0, 1e155), (1e200, 0, 0), (0, 0, 2000),
+                     (math.inf, 0, 0), (0, -math.inf, 0), (0, 0, math.nan)):
+        with pytest.raises(OverflowError):
+            boost(rapidity)
+    assert math.isfinite(boost((0, 0, 1400)).value.max_abs())
+
+
+def test_exp_general_unit_phase_at_any_size():
+    # exp(i t) has modulus 1 for every finite t, however large
+    ulp = 2.0 ** -52
+    for t in (1e17, 1e100, 1e308):
+        got = exp_general(Multivector(HyperComplex(0, t))).z0
+        want = cmath.exp(1j * t)
+        assert abs(got.x - want.real) <= 4 * ulp, t
+        assert abs(got.y - want.imag) <= 4 * ulp, t
+        assert got.v == got.w == 0.0, t
+
+
+def test_exp_general_nilpotent_and_cancelling_factors():
+    # s1 + i*s2 squares to 0, so exp is 1 plus the argument, at any size
+    nil = S1 * 1e154 + S2 * HyperComplex(0, 1e154)
+    assert exp_general(nil) == ONE + nil
+    # exp(-1000) underflows and cosh(1000) overflows, their product does not
+    arg = scalar(-1000.0) + S3 * HyperComplex(0, 0, 1000.0)
+    want = scalar(0.5) + S3 * HyperComplex(0, 0, 0.5)
+    assert exp_general(arg).isclose(want, 1e-15)
+
+
+def test_exp_general_overflow_raises():
+    for arg in (S1 * 2e154 + S2 * HyperComplex(0, 2e154),  # a1^2 overflows
+                scalar(HyperComplex(0, 0, 710.0)),          # exp(710) does
+                # exp(709) fits, exp(709) * 1e154 does not
+                scalar(HyperComplex(0, 0, 709.0)) + S1 * 1e154
+                + S2 * HyperComplex(0, 1e154)):
+        with pytest.raises(OverflowError):
+            exp_general(arg)
+
+
+def _expm_half(half):
+    """exp of one idempotent half, a0 + a.s, by mpmath.expm of its 2x2 matrix."""
+    a0, a1, a2, a3 = (mpmath.mpc(z.real, z.imag) for z in half)
+    i = mpmath.mpc(0, 1)
+    with mpmath.workprec(113):
+        m = mpmath.expm(mpmath.matrix([[a0 + a3, a1 - i * a2],
+                                       [a1 + i * a2, a0 - a3]]))
+        return ((m[0, 0] + m[1, 1]) / 2, (m[0, 1] + m[1, 0]) / 2,
+                (m[1, 0] - m[0, 1]) / (2 * i), (m[0, 0] - m[1, 1]) / 2)
+
+
+def _exp_error_units(a) -> float:
+    """exp_general(a)'s worst error on a half against mpmath, in units of
+    eps (1 + max |a_k|) times the size of that half's exponential, the
+    condition of exp."""
+    got, worst = exp_general(a), 0.0
+    for half, got_half in ((a.p, got.p), (a.m, got.m)):
+        want = _expm_half(half)
+        error = max(abs(g - w) for g, w in zip(got_half, want))
+        size = max(map(abs, want)) * (1 + max(map(abs, half)))
+        worst = max(worst, float(error / size) / 2.0 ** -52)
+    return worst
+
+
+def test_exp_general_against_mpmath():
+    # K = 4 units; the worst seen here is 1.9
+    rng = random.Random(0xE4)
+    for scale in (1e-6, 1e-2, 1.0, 10.0, 30.0):
+        for _ in range(40):
+            a = rand_multivector(rng, -scale, scale)
+            assert _exp_error_units(a) <= 4, (scale, a)
+
+
+def test_exp_general_at_the_top_of_the_float_range():
+    # exp(709.9) overflows, but cosh(709.9) = 1.01e308 and
+    # exp(709.9) cos(0.9) = 1.26e308 do not
+    for arg in (S3 * HyperComplex(0, 0, 709.9),
+                scalar(HyperComplex(0, 0, 709.9))
+                + S3 * HyperComplex(0, 0, 0, 0.9)):
+        assert _exp_error_units(arg) <= 4, arg
+    assert rel_close(exp_general(S3 * HyperComplex(0, 0, 709.9)),
+                     boost((0, 0, 1419.8)).value, 1e-12)
 
 
 def test_exp_general_no_convergence():
