@@ -74,7 +74,7 @@ def test_exp_general_large_argument_scaling():
 
 
 def test_boost_overflow_raises():
-    # the squares of the first two overflow; |x| does not, but cosh(|x|/2) does
+    # the squares overflow in the first two; in the third only cosh(|x|/2)
     for rapidity in ((0, 0, 1e155), (1e200, 0, 0), (0, 0, 2000),
                      (math.inf, 0, 0), (0, -math.inf, 0), (0, 0, math.nan)):
         with pytest.raises(OverflowError):
