@@ -52,12 +52,17 @@ class _ResidualError(Exception):
         where a.max_abs() is infinite too.
         """
         coeffs = _slot_coeffs(a)
-        residual = _max_or_nan(list(map(abs, cls._outside(coeffs))))
+        cls._decide(_max_or_nan(list(map(abs, cls._outside(coeffs)))),
+                    a.max_abs, tol)
+        return cls._inside(coeffs)
+
+    @classmethod
+    def _decide(cls, residual: float, max_abs, tol: float) -> None:
+        """check's rule on a residual already read; max_abs() gives the scale."""
         # max(1, ...) is at least 1, so a residual within tol needs no max_abs
-        within = residual <= tol or residual <= tol * max(1.0, a.max_abs())
+        within = residual <= tol or residual <= tol * max(1.0, max_abs())
         if not (within and residual < math.inf):
             raise cls(residual)
-        return cls._inside(coeffs)
 
     @classmethod
     def components(cls, a: Multivector) -> tuple[float, ...]:
@@ -244,6 +249,62 @@ def _pauli(a: tuple, b: tuple) -> tuple:
             a0 * b3 + a3 * b0 + complex(-c3.imag, c3.real))
 
 
+# -- the spin half ---------------------------------------------------------------
+#
+# An element of the spinor span {1, i*s_k, j*s_k, ij} has the m half
+# _sigma(p) of its p half p, so it is one element A of M2(C), and a
+# paravector's p half is the Hermitian matrix X = x0 + x.s.  Rotors and their
+# sandwiches then act on the p half alone, as A X A^dagger (R. Penrose and
+# W. Rindler, *Spinors and Space-Time*, vol. 1, 1984).
+
+def _sigma(p: tuple) -> tuple:
+    """The m half that the spinor span pairs with the p half p."""
+    p0, p1, p2, p3 = p
+    return (p0.conjugate(), -p1.conjugate(), -p2.conjugate(), -p3.conjugate())
+
+
+def _zero_if_finite(q: tuple) -> complex:
+    """0 when the four complex parts q are finite; NaN in a part otherwise."""
+    q0, q1, q2, q3 = q
+    return (q0 - q0) + (q1 - q1) + (q2 - q2) + (q3 - q3)  # inf - inf is NaN
+
+
+def _spin_half(a: Multivector) -> tuple | None:
+    """a.p when a.m == _sigma(a.p) and every part is finite, else None.
+
+    An infinite part can pass the first test, yet the full products read
+    inf - inf where the half does not, so it takes the full products.
+    """
+    p = a.p
+    if a.m == _sigma(p) and _zero_if_finite(p) == 0:
+        return p
+    return None
+
+
+def _spin_sandwich(p: tuple, x: FourVector, tol: float = 1e-12) -> FourVector:
+    """extract(a * embed(x) * a.dagger()) for the a with _spin_half(a) == p.
+
+    The p half of the sandwich is Y = A X A^dagger, and its m half _sigma(Y),
+    so extract's coefficients are x0..x3 = Re Y in the span and Im Y outside
+    it, besides zeros r/2 - r/2 that are NaN where a part of Y is not finite.
+    NotAParavector is raised by its own rule on that residual.
+    """
+    y = _pauli(_pauli(p, (complex(x.x0), complex(x.x1), complex(x.x2),
+                          complex(x.x3))), tuple(map(_conj, p)))
+    y0, y1, y2, y3 = y
+    residual = (max(abs(y0.imag), abs(y1.imag), abs(y2.imag), abs(y3.imag))
+                if _zero_if_finite(y) == 0 else math.nan)
+    NotAParavector._decide(residual, lambda: _max_or_nan(
+        [abs(c) for z in y for c in (z.real, z.imag)]), tol)
+    return FourVector(y0.real, y1.real, y2.real, y3.real)
+
+
+def _spin_product(p: tuple, q: tuple) -> Multivector:
+    """a * b for the a, b with _spin_half(a) == p and _spin_half(b) == q."""
+    r = _pauli(p, q)
+    return _halves(r, _sigma(r))
+
+
 _LN2 = math.log(2.0)
 
 
@@ -259,22 +320,30 @@ def _exp_pauli(a: tuple) -> tuple:
     where c does not (a0 = -1000, s = 1000 gives c = 1/2).  Each exponential
     is of its argument less ln 2, the 2 restored last, so none overflows
     where c and k a are in range (exp(709.9) does, cosh(709.9) does not).
-    OverflowError is raised when cmath.exp overflows and when s^2 does.
-    cmath is imported on the first call, so importing hypalg does not load it.
+    Where s^2 overflows, s is taken from a1..a3 scaled by a power of two and
+    scaled back.  OverflowError is raised when cmath.exp overflows and when s
+    does.  cmath is imported on the first call, so importing hypalg does not
+    load it.
     """
     import cmath
 
     a0, a1, a2, a3 = a
     s = cmath.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    if not cmath.isfinite(s):  # as lorentz.rotation falls back to math.hypot
+        n = math.frexp(max([abs(c) for z in (a1, a2, a3)
+                            for c in (z.real, z.imag)]))[1]
+        b1, b2, b3 = a1 * 2.0 ** -n, a2 * 2.0 ** -n, a3 * 2.0 ** -n
+        s = cmath.sqrt(b1 * b1 + b2 * b2 + b3 * b3) * 2.0 ** (n - 1) * 2.0
+    # abs(s) raises past the float range, math.hypot gives inf
+    if not math.hypot(s.real, s.imag) < math.inf:
+        raise OverflowError("a1^2 + a2^2 + a3^2 is beyond the float range")
     if abs(s) < 1.0:
         half = cmath.exp(a0 - _LN2)
         c = half * cmath.cosh(s) * 2.0
         k = (half * (cmath.sinh(s) / s) if s else half) * 2.0
-    elif cmath.isfinite(s):
+    else:
         plus, minus = cmath.exp(a0 + s - _LN2), cmath.exp(a0 - s - _LN2)
         c, k = plus + minus, (plus - minus) / s
-    else:
-        raise OverflowError("a1^2 + a2^2 + a3^2 is beyond the float range")
     return (c, k * a1, k * a2, k * a3)
 
 

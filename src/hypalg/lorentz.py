@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp, embed,
-                     extract)
+from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp,
+                     _spin_half, _spin_product, _spin_sandwich, embed, extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -50,10 +50,18 @@ class Rotor(_Frozen):
         _set_value(self, value)
 
     def __mul__(self, other: "Rotor") -> "Rotor":
-        """Composition; (t2 * t1) acts as t2 after t1."""
+        """Composition; (t2 * t1) acts as t2 after t1.
+
+        When both values have m == sigma(p) and every part finite (see
+        cayley._spin_half), the product is taken on the p half alone and its
+        m half is sigma of it; otherwise it is the full geometric product.
+        """
         if not isinstance(other, Rotor):
             return NotImplemented
-        return Rotor(self.value * other.value)
+        p, q = _spin_half(self.value), _spin_half(other.value)
+        if p is None or q is None:
+            return Rotor(self.value * other.value)
+        return Rotor(_spin_product(p, q))
 
     def inverse(self) -> "Rotor":
         return Rotor(self.value.bar())
@@ -128,10 +136,16 @@ def exp_general(a: Multivector) -> Multivector:
 def apply(t: Rotor, x: FourVector) -> FourVector:
     """Sandwich t x dagger(t) on the embedded paravector.
 
-    NotAParavector propagates when the sandwich leaves the paravector span,
-    which signals that t is not actually a rotor.
+    When t.value has m == sigma(p) and every part finite (see
+    cayley._spin_half), the sandwich is A X A^dagger on the p half alone;
+    otherwise it is the full product.  NotAParavector propagates when the
+    sandwich leaves the paravector span, which signals that t is not
+    actually a rotor; both routes raise it by the same rule.
     """
-    return extract(t.value * embed(x) * t.value.dagger())
+    p = _spin_half(t.value)
+    if p is None:
+        return extract(t.value * embed(x) * t.value.dagger())
+    return _spin_sandwich(p, x)
 
 
 def generators() -> tuple[tuple[Multivector, ...], tuple[Multivector, ...]]:
@@ -171,6 +185,8 @@ def spin_transform(p: LorentzParams) -> Rotor:
 def matrix_of(t: Rotor):
     """The 4x4 real numpy array M with M x = apply(t, x), built column by column.
 
+    Each column is apply's result, so it takes the same route: the p half
+    alone when m == sigma(p) and every part is finite, else the full sandwich.
     numpy is imported on the first call, so importing hypalg does not load it.
     """
     import numpy as np

@@ -13,7 +13,7 @@ from hypalg import (S1, S2, S3, FourVector, HyperComplex,
                     NotAParavector, Rotor, apply, boost, commutator, embed,
                     exp_general, extract, generators, matrix_of, minkowski_dot,
                     rotation, spin_transform)
-from hypalg.cayley import ONE, scalar
+from hypalg.cayley import ONE, _halves, _sigma, _spin_half, scalar
 
 from conftest import rand_multivector, rel_close
 
@@ -104,8 +104,15 @@ def test_exp_general_nilpotent_and_cancelling_factors():
 
 
 def test_exp_general_overflow_raises():
-    for arg in (S1 * 2e154 + S2 * HyperComplex(0, 2e154),  # a1^2 overflows
-                scalar(HyperComplex(0, 0, 710.0)),          # exp(710) does
+    # a1^2 overflows, the exponential does not: s is taken from scaled parts
+    got = exp_general(S3 * HyperComplex(0, 1e200)).coeffs16()
+    ulp = 2.0 ** -52
+    assert abs(got[0] - math.cos(1e200)) <= 4 * ulp
+    assert abs(got[7] - math.sin(1e200)) <= 4 * ulp  # the i*s3 coefficient
+    assert not any(got[k] for k in range(16) if k not in (0, 7))
+    nil = S1 * 2e154 + S2 * HyperComplex(0, 2e154)
+    assert exp_general(nil) == ONE + nil
+    for arg in (scalar(HyperComplex(0, 0, 710.0)),          # exp(710) overflows
                 # exp(709) fits, exp(709) * 1e154 does not
                 scalar(HyperComplex(0, 0, 709.0)) + S1 * 1e154
                 + S2 * HyperComplex(0, 1e154)):
@@ -207,6 +214,70 @@ def test_apply_is_the_sandwich_product(rng):
         with pytest.raises(NotAParavector) as want:
             extract(t.value * embed(x) * t.value.dagger())
         assert got.value.residual == want.value.residual
+
+
+def spin_rotor(rng) -> Rotor:
+    """A random product of one to three rotation, boost and spin_transform."""
+    draws = (lambda: rotation([rng.uniform(-7, 7) for _ in range(3)]),
+             lambda: boost([rng.uniform(-1, 1) for _ in range(3)]),
+             lambda: spin_transform(LorentzParams(
+                 rng.uniform(-7, 7), rng.uniform(-4, 4), rng.uniform(-2, 2))))
+    t = rng.choice(draws)()
+    for _ in range(rng.randint(0, 2)):
+        t = t * rng.choice(draws)()
+    return t
+
+
+def test_spin_half_agrees_with_the_full_products(rng):
+    # == reads -0.0 as 0.0, the one way the routes differ at these sizes
+    for _ in range(300):
+        a, b = spin_rotor(rng), spin_rotor(rng)
+        assert _spin_half(a.value) is not None and _spin_half(b.value) is not None
+        ab = a * b
+        assert ab == Rotor(a.value * b.value)
+        assert ab.value.m == _sigma(ab.value.p)
+        x = FourVector(*(rng.uniform(-5, 5) for _ in range(4)))
+        assert apply(ab, x) == extract(ab.value * embed(x) * ab.value.dagger())
+        m = matrix_of(ab)
+        for mu, basis in enumerate(np.eye(4).tolist()):
+            assert m[:, mu].tolist() == list(apply(ab, FourVector(*basis))
+                                              .components())
+
+
+def _guard_outcome(route, *args):
+    try:
+        return route(*args).components()
+    except NotAParavector as exc:
+        return "raised", repr(exc.residual)  # repr, so that NaN equals NaN
+
+
+def test_spin_half_guard_is_the_full_guard():
+    # apply's half path raises what extract raises on _halves(Y, sigma(Y)),
+    # with Y the p half of the full sandwich, NaN residuals included
+    sizes = (0.0, -0.0, 1.0, -2.5, 1e300, 1e308, -1e308, math.inf,
+             -math.inf, math.nan)
+    rotors = (Rotor(ONE), rotation((0.3, -1.1, 2.0)), boost((0, 0, 700)),
+              boost((0, 0, 1400)),
+              spin_transform(LorentzParams(0.4, 1.3, -2.0)))
+    rng = random.Random(0x5A4D)
+    for t in rotors:
+        assert _spin_half(t.value) is not None
+        for _ in range(40):
+            x = FourVector(*(rng.choice(sizes) for _ in range(4)))
+            y = (t.value * embed(x) * t.value.dagger()).p
+            want = _guard_outcome(extract, _halves(y, _sigma(y)))
+            assert _guard_outcome(apply, t, x) == want, (t, x)
+    got = _guard_outcome(apply, boost((0, 0, 1400)), FourVector(1, 0, 0, 0))
+    assert got == ("raised", "nan")
+
+
+def test_spin_half_refuses_an_infinite_part():
+    # m == sigma(p) holds, but the full sandwich reads inf - inf: NaN
+    t = Rotor(Multivector(HyperComplex(math.inf)))
+    assert t.value.m == _sigma(t.value.p) and _spin_half(t.value) is None
+    with pytest.raises(NotAParavector) as got:
+        apply(t, FourVector(1, 0, 0, 0))
+    assert math.isnan(got.value.residual)
 
 
 def test_apply_preserves_dot(rng):

@@ -8,12 +8,12 @@ hypalg from its tree and computes a fixed seeded set of results:
 
 - library calls (products, involutions, inverses, the coefficient views,
   a scalar times and divided by a real, ``str``, extract, apply, matrix_of,
-  from_rotor, from_multivector, even_components, act, to_column,
-  from_column, sprod_algebraic, product_modulus_sq, exp_general, rotation,
-  boost, and the HMat2 product and apply) on random values and on special
-  ones (signed zeros, infinities, NaN, huge, tiny and subnormal numbers); a
-  raised exception is a result too, recorded as its type, its message and
-  its fields (``residual``, ``norm``, ...);
+  rotor composition, from_rotor, from_multivector, even_components, act,
+  to_column, from_column, sprod_algebraic, product_modulus_sq, exp_general,
+  rotation, boost, and the HMat2 product and apply) on random values and on
+  special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
+  numbers); a raised exception is a result too, recorded as its type, its
+  message and its fields (``residual``, ``norm``, ...);
 - values built from random fields (HMat2 from its entries, EvenComponents,
   OddComponents, ColumnSpinor, LorentzParams, parsed ASTs), with their
   pickle and copy round trips;
@@ -240,6 +240,8 @@ def lib_cases(H):
         ("extract", extract_case),
         ("apply", lambda rng: outcome(H.apply, rotor(rng), four(rng))),
         ("matrix_of", lambda rng: outcome(H.matrix_of, rotor(rng))),
+        ("rotor.mul", lambda rng: outcome(lambda a, b: a * b, rotor(rng),
+                                          rotor(rng))),
         ("from_rotor", lambda rng: outcome(H.from_rotor, rotor(rng))),
         ("to_column", lambda rng: outcome(
             H.to_column, H.Spinor(member(rng) if rng.random() < 0.8
