@@ -77,6 +77,10 @@ class NotAParavector(_ResidualError, ValueError):
     span = (0, 6, 10, 14)  # x0..x3: x of z0, v of z1..z3
 
 
+# extract's tolerance; apply's half route (_spin_sandwich) decides by it too
+_SPAN_TOL = 1e-12
+
+
 class IndexOutOfRange(IndexError):
     """A spacetime index outside 0..3."""
 
@@ -281,13 +285,14 @@ def _spin_half(a: Multivector) -> tuple | None:
     return None
 
 
-def _spin_sandwich(p: tuple, x: FourVector, tol: float = 1e-12) -> FourVector:
+def _spin_sandwich(p: tuple, x: FourVector) -> FourVector:
     """extract(a * embed(x) * a.dagger()) for the a with _spin_half(a) == p.
 
     The p half of the sandwich is Y = A X A^dagger, and its m half _sigma(Y),
     so extract's coefficients are x0..x3 = Re Y in the span and Im Y outside
     it, besides zeros r/2 - r/2 that are NaN where a part of Y is not finite.
-    NotAParavector is raised by its own rule on that residual.
+    NotAParavector is raised by its own rule on that residual, with
+    extract's tolerance _SPAN_TOL.
     """
     y = _pauli(_pauli(p, (complex(x.x0), complex(x.x1), complex(x.x2),
                           complex(x.x3))), tuple(map(_conj, p)))
@@ -295,14 +300,8 @@ def _spin_sandwich(p: tuple, x: FourVector, tol: float = 1e-12) -> FourVector:
     residual = (max(abs(y0.imag), abs(y1.imag), abs(y2.imag), abs(y3.imag))
                 if _zero_if_finite(y) == 0 else math.nan)
     NotAParavector._decide(residual, lambda: _max_or_nan(
-        [abs(c) for z in y for c in (z.real, z.imag)]), tol)
+        [abs(c) for z in y for c in (z.real, z.imag)]), _SPAN_TOL)
     return FourVector(y0.real, y1.real, y2.real, y3.real)
-
-
-def _spin_product(p: tuple, q: tuple) -> Multivector:
-    """a * b for the a, b with _spin_half(a) == p and _spin_half(b) == q."""
-    r = _pauli(p, q)
-    return _halves(r, _sigma(r))
 
 
 _LN2 = math.log(2.0)
@@ -321,9 +320,9 @@ def _exp_pauli(a: tuple) -> tuple:
     is of its argument less ln 2, the 2 restored last, so none overflows
     where c and k a are in range (exp(709.9) does, cosh(709.9) does not).
     Where s^2 overflows, s is taken from a1..a3 scaled by a power of two and
-    scaled back.  OverflowError is raised when cmath.exp overflows and when s
-    does.  cmath is imported on the first call, so importing hypalg does not
-    load it.
+    scaled back.  OverflowError is raised when cmath.exp or its argument
+    overflows and when s does.  cmath is imported on the first call, so
+    importing hypalg does not load it.
     """
     import cmath
 
@@ -343,6 +342,9 @@ def _exp_pauli(a: tuple) -> tuple:
         k = (half * (cmath.sinh(s) / s) if s else half) * 2.0
     else:
         plus, minus = cmath.exp(a0 + s - _LN2), cmath.exp(a0 - s - _LN2)
+        # an infinite argument (a0 + s past the float range) does not raise
+        if not (cmath.isfinite(plus) and cmath.isfinite(minus)):
+            raise OverflowError("math range error")
         c, k = plus + minus, (plus - minus) / s
     return (c, k * a1, k * a2, k * a3)
 
@@ -425,7 +427,7 @@ def embed(x: FourVector) -> Multivector:
     return _halves((x0, x1, x2, x3), (x0, -x1, -x2, -x3))
 
 
-def extract(m: Multivector, tol: float = 1e-12) -> FourVector:
+def extract(m: Multivector, tol: float = _SPAN_TOL) -> FourVector:
     """Invert embed; raises NotAParavector if m has other components.
 
     Every non-finite coefficient raises too: one in the span shares its

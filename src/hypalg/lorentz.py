@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp,
-                     _spin_half, _spin_product, _spin_sandwich, embed, extract)
+                     _spin_half, _spin_sandwich, embed, extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -52,16 +52,13 @@ class Rotor(_Frozen):
     def __mul__(self, other: "Rotor") -> "Rotor":
         """Composition; (t2 * t1) acts as t2 after t1.
 
-        When both values have m == sigma(p) and every part finite (see
-        cayley._spin_half), the product is taken on the p half alone and its
-        m half is sigma of it; otherwise it is the full geometric product.
+        The geometric product, whose m half is already _pauli of the m
+        halves, so a product of rotors with m == sigma(p) keeps it and
+        apply takes the half route on it.
         """
         if not isinstance(other, Rotor):
             return NotImplemented
-        p, q = _spin_half(self.value), _spin_half(other.value)
-        if p is None or q is None:
-            return Rotor(self.value * other.value)
-        return Rotor(_spin_product(p, q))
+        return Rotor(self.value * other.value)
 
     def inverse(self) -> "Rotor":
         return Rotor(self.value.bar())
