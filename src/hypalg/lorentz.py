@@ -118,7 +118,7 @@ def exp_general(a: Multivector) -> Multivector:
     Agrees with the rotation/boost closed forms on their generators; exists
     as an independent cross-check of those formulas.  A NaN or infinite
     input raises NoConvergence(0, 0).  OverflowError is raised where
-    cmath.exp or a sum of squares overflows (see cayley._exp_pauli) and for
+    cmath.exp, its argument or s overflows (see cayley._exp_pauli) and for
     a result with a part beyond the float range, so every result returned
     is finite.
     """
@@ -137,7 +137,7 @@ def apply(t: Rotor, x: FourVector) -> FourVector:
     cayley._spin_half), the sandwich is A X A^dagger on the p half alone;
     otherwise it is the full product.  NotAParavector propagates when the
     sandwich leaves the paravector span, which signals that t is not
-    actually a rotor; both routes raise it by the same rule.
+    actually a rotor; both routes raise it by the same rule and tolerance.
     """
     p = _spin_half(t.value)
     if p is None:
