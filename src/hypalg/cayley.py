@@ -20,6 +20,10 @@ from .hypernum import _coerce as _coerce_scalar
 from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
                        _pair, render_terms)
 
+# the membership guards' default tolerance, extract's and check's; apply's
+# half route (_spin_sandwich) decides by it too
+_SPAN_TOL = 1e-12
+
 
 class _ResidualError(Exception):
     """A membership guard's failure.
@@ -44,7 +48,7 @@ class _ResidualError(Exception):
         return self.text.format(self.residual)
 
     @classmethod
-    def check(cls, a: Multivector, tol: float = 1e-12) -> tuple[float, ...]:
+    def check(cls, a: Multivector, tol: float = _SPAN_TOL) -> tuple[float, ...]:
         """The membership test; a's coefficients in the span if it passes.
 
         Raises cls(residual) unless the residual is finite and at most
@@ -75,10 +79,6 @@ class NotAParavector(_ResidualError, ValueError):
 
     text = "residual {:.3e} outside the paravector span"
     span = (0, 6, 10, 14)  # x0..x3: x of z0, v of z1..z3
-
-
-# extract's tolerance; apply's half route (_spin_sandwich) decides by it too
-_SPAN_TOL = 1e-12
 
 
 class IndexOutOfRange(IndexError):

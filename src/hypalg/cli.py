@@ -23,13 +23,12 @@ import operator
 import sys
 
 from . import cayley, lorentz, spinor
-from .cayley import (E, E0, E1, E2, E3, S1, S2, S3, FourVector, Multivector,
-                     _ResidualError, antisym, extract, minkowski_dot, scalar,
-                     sym)
+from .cayley import (E0, E1, E2, E3, S1, S2, S3, FourVector, Multivector,
+                     _ResidualError, antisym, extract, minkowski_dot, scalar)
 from .hypernum import (I, IJ, J, HyperComplex, ZeroDivisor, _Frozen,
-                       _max_or_nan, format_real)
+                       format_real)
 from .lorentz import LorentzParams, NoConvergence, boost, commutator, \
-    exp_general, generators, rotation, spin_transform
+    exp_general, rotation, spin_transform
 from .spinor import (Spinor, even_components, from_rotor, mott_factor,
                      product_modulus_sq, sprod_algebraic)
 
@@ -513,31 +512,19 @@ def _cmd_transform(args) -> int:
                  " ".join(format_real(c) for c in image))
 
 
-# spinor --check bound, in units of eps * cosh(xi/2), the size of the largest
-# component; the two routes differ by about 2 of these units at worst.
-CHECK_K = 16
-
-
 def _cmd_spinor(args) -> int:
     params = LorentzParams(args.phi, args.theta, args.xi)
-    angles = _option_angles(args)
-    # Both rotors lie in the spinor subalgebra by construction, so they are
-    # read without from_rotor's membership guard, which refuses any NaN: a
-    # NaN angle then fails --check, and a NaN --xi is refused by --check's
-    # boost or as output (exit 4).
-    psi = Spinor(_rotor(spin_transform, params, angles).value)
+    # This rotor and --check's product lie in the spinor subalgebra by
+    # construction, so both are read without from_rotor's membership guard,
+    # which refuses any NaN: a NaN angle then fails --check, and a NaN --xi
+    # is refused by --check's boost or as output (exit 4).
+    psi = Spinor(_rotor(spin_transform, params, _option_angles(args)).value)
     if args.check:
-        product = _rotor(rotation, (0.0, 0.0, params.phi), angles) \
-            * _rotor(rotation, (0.0, params.theta, 0.0), angles) \
-            * boost((0.0, 0.0, params.xi))
-        want = even_components(Spinor(product.value)).as_dict()
-        errors = [abs(v - want[k]) for k, v in even_components(psi).as_dict().items()]
-        worst = _max_or_nan(errors)
-        scale = math.cosh(params.xi / 2.0)
-        tol = CHECK_K * sys.float_info.epsilon * scale
+        from . import checks
+        worst, tol, scale = checks.product_route_error(params, psi)
         if not worst <= tol:
             print(f"check failed: max component error {worst:.3e} exceeds "
-                  f"tolerance {tol:.3e} ({CHECK_K} eps at scale "
+                  f"tolerance {tol:.3e} ({checks.CHECK_K} eps at scale "
                   f"cosh(xi/2) = {scale:.6g})", file=sys.stderr)
             return 1
     if args.view == "odd":
@@ -565,60 +552,10 @@ def _cmd_cross_section(args) -> int:
                              "mott": mott})
 
 
-_SIGN_TABLE = (
-    ("e0", E0, (1, 1, 1)),
-    ("e1", E1, (-1, 1, -1)),
-    ("e2", E2, (-1, 1, -1)),
-    ("e3", E3, (-1, 1, -1)),
-    ("s1", S1, (1, 1, 1)),
-    ("s2", S2, (1, 1, 1)),
-    ("s3", S3, (1, 1, 1)),
-    ("i", scalar(I), (-1, -1, 1)),
-    ("j", scalar(J), (-1, 1, -1)),
-)
-
-# absolute bound on every coefficient of a bracket's error; NaN fails it
-BRACKET_TOL = 1e-14
-
-
-def _verify_checks():
-    """Yield (name, passed, detail) for the built-in identity suites."""
-    for name, element, signs in _SIGN_TABLE:
-        got = (element.bar(), element.dagger(), element.hat())
-        want = tuple(element * float(s) for s in signs)
-        yield (f"involution signs of {name}", got == want, f"{signs}")
-
-    for mu in range(4):
-        for nu in range(4):
-            want = 0.0
-            if mu == nu:
-                want = 1.0 if mu == 0 else -1.0
-            got = sym(E[mu], E[nu])
-            ok = got == scalar(want)
-            yield (f"metric e{mu}.e{nu} = {format_real(want)}", ok, str(got))
-
-    J_gen, K_gen = generators()
-    for a in range(3):
-        for b in range(3):
-            # the Levi-Civita sign of (a+1, b+1, c+1), 0 when a == b
-            eps = (b - a + 1) % 3 - 1
-            c = (3 - a - b) % 3
-            i_eps = HyperComplex(0.0, float(eps))
-            checks = (
-                ("J,J", commutator(J_gen[a], J_gen[b]), J_gen[c] * i_eps),
-                ("J,K", commutator(J_gen[a], K_gen[b]), K_gen[c] * i_eps),
-                ("K,K", commutator(K_gen[a], K_gen[b]), J_gen[c] * (-i_eps)),
-            )
-            for label, got, want in checks:
-                err = (got - want).max_abs()
-                yield (f"bracket [{label}] indices ({a + 1},{b + 1})",
-                       err <= BRACKET_TOL,
-                       f"max_abs(got - want) {err:.3e} > tol {BRACKET_TOL:.0e}")
-
-
 def _cmd_verify(_args) -> int:
+    from . import checks
     failed = 0
-    for name, ok, detail in _verify_checks():
+    for name, ok, detail in checks.verify_suites():
         if ok:
             print(f"ok {name}")
         else:

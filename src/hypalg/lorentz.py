@@ -167,8 +167,8 @@ def spin_transform(p: LorentzParams) -> Rotor:
     b10 = cp st sh, b20 = sp st sh, b30 = cp ct sh and p = -sp ct sh, each
     correct to a few eps times cosh(xi/2).  The product of the three
     exponentials, rotation((0, 0, phi)) * rotation((0, theta, 0))
-    * boost((0, 0, xi)), is the independent route that
-    ``hypalg spinor --check`` compares against.
+    * boost((0, 0, xi)), is the independent route.  Its home is
+    hypalg.checks: ``hypalg spinor --check`` compares against it there.
     """
     cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
     ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .cayley import E3, ONE, Multivector, _ResidualError, sym
+from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
 from .lorentz import LorentzParams, Rotor, spin_transform
 
@@ -247,7 +247,7 @@ def sprod_column(a: ColumnSpinor, b: ColumnSpinor) -> HyperComplex:
     return a.c1.conj() * b.c1 + a.c2.conj() * b.c2
 
 
-def sprod_algebraic(a: Spinor, b: Spinor, tol: float = 1e-12) -> HyperComplex:
+def sprod_algebraic(a: Spinor, b: Spinor, tol: float = _SPAN_TOL) -> HyperComplex:
     """a . b + j (a . (b e3)), read off as a hyperbolic-complex scalar.
 
     Equals sprod_column of the column pictures.  The symmetric products leave

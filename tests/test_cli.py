@@ -260,21 +260,63 @@ def test_cli_spinor_check_tolerance_scales(capsys):
     assert "error nan exceeds tolerance" in err and "cosh(xi/2) = 1" in err
 
 
+def test_cli_spinor_check_failure_message(capsys, monkeypatch):
+    # a product route whose boost is off by 1e-6 in xi misses by a finite
+    # amount, far above the bound
+    from hypalg import checks
+    real = checks.boost
+    monkeypatch.setattr(checks, "boost",
+                        lambda r: real((r[0], r[1], r[2] + 1e-6)))
+    assert run(capsys, "spinor", "--phi", "0.7", "--theta", "1.1", "--xi", "2",
+               "--check") == (
+        1, "", "check failed: max component error 6.179e-07 exceeds "
+               "tolerance 5.482e-15 (16 eps at scale cosh(xi/2) = 1.54308)\n")
+
+
 def test_import_does_not_load_numpy():
     # the import budget of every hypalg command: numpy loads only for
-    # matrix_of, json only for --json, cmath only for exp, and no value
-    # class needs dataclasses (which brings inspect)
+    # matrix_of, json only for --json, cmath only for exp, hypalg.checks only
+    # for verify and spinor --check, and no value class needs dataclasses
+    # (which brings inspect)
     src = str(Path(hypalg.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, hypalg.cli; assert 'numpy' not in sys.modules; "
-         "print(*sorted({'cmath', 'dataclasses', 'inspect', 'json'}"
-         " & set(sys.modules)))"],
+         "print(*sorted({'cmath', 'dataclasses', 'hypalg.checks', 'inspect',"
+         " 'json'} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [], proc.stdout
+
+
+# Runs each command in one child and prints whether it loaded hypalg.checks,
+# unloading it again before the next command.
+CHECKS_LOADED_BY = """
+import io, sys
+from contextlib import redirect_stdout
+import hypalg
+from hypalg.cli import main
+for argv in (["eval", "j*j"], ["transform", "--vector", "1,0,0,0"],
+             ["cross-section"], ["verify"], ["spinor", "--check"]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print("hypalg.checks" in sys.modules)
+    sys.modules.pop("hypalg.checks", None)
+    hypalg.__dict__.pop("checks", None)
+"""
+
+
+def test_only_verify_and_spinor_check_load_checks():
+    src = str(Path(hypalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHECKS_LOADED_BY],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 3 + ["True"] * 2
 
 
 def test_cli_eval_json_schema(capsys):
@@ -349,16 +391,16 @@ def test_cli_verify(capsys):
 
 def test_cli_verify_bracket_failure_reports_margin(capsys, monkeypatch):
     # perturb the second bracket computed, [J1, K1], whose wanted value is 0
-    from hypalg import S3, cli
+    from hypalg import S3, checks
     for perturbation, measured in ((3e-13, "3.000e-13"), (math.nan, "nan")):
         calls = []
 
-        def commutator(a, b, real=cli.commutator):
+        def commutator(a, b, real=checks.commutator):
             calls.append((a, b))
             got = real(a, b)
             return got + S3 * perturbation if len(calls) == 2 else got
 
-        monkeypatch.setattr(cli, "commutator", commutator)
+        monkeypatch.setattr(checks, "commutator", commutator)
         code, out, err = run(capsys, "verify")
         monkeypatch.undo()
         assert code == 1 and err == "1 check(s) failed\n"
