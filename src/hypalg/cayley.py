@@ -182,14 +182,11 @@ class Multivector(_Frozen):
         return tuple(map(_pair, self.p, self.m))
 
     def max_abs(self) -> float:
-        """The largest coefficient magnitude, as HyperComplex.max_abs reads it.
+        """The largest of the slots' HyperComplex.max_abs.
 
         NaN when a stored part is NaN, and otherwise inf when one is infinite.
         """
-        # as HyperComplex.max_abs does per slot
-        return _max_or_nan([abs(x) * 0.5 + abs(y) * 0.5
-                            for p, m in zip(self.p, self.m)
-                            for x, y in ((p.real, m.real), (p.imag, m.imag))])
+        return _max_or_nan(list(map(HyperComplex.max_abs, self.slots())))
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
         return all(a.isclose(b, tol) for a, b in zip(self.slots(), other.slots()))
@@ -347,11 +344,6 @@ def _exp_pauli(a: tuple) -> tuple:
             raise OverflowError("math range error")
         c, k = plus + minus, (plus - minus) / s
     return (c, k * a1, k * a2, k * a3)
-
-
-def _exp(a: Multivector) -> Multivector:
-    """exp(a), one idempotent half at a time (see _exp_pauli)."""
-    return _halves(_exp_pauli(a.p), _exp_pauli(a.m))
 
 
 def _coerce(value) -> Multivector | None:

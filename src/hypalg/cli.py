@@ -145,25 +145,18 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        if ch.isdecimal() or (ch == "." and pos + 1 < n
-                              and src[pos + 1].isdecimal()):
+        if ch.isdecimal() or (ch == "." and src[pos + 1:pos + 2].isdecimal()):
             start = pos
-            while pos < n and src[pos].isdecimal():
-                pos += 1
+            pos = _digits_end(src, pos)
             if pos < n and src[pos] == ".":
-                pos += 1
-                while pos < n and src[pos].isdecimal():
-                    pos += 1
+                pos = _digits_end(src, pos + 1)
             if pos < n and src[pos] in "eE":
-                mark = pos
-                pos += 1
-                if pos < n and src[pos] in "+-":
-                    pos += 1
-                if pos < n and src[pos].isdecimal():
-                    while pos < n and src[pos].isdecimal():
-                        pos += 1
-                else:
-                    pos = mark
+                mark = pos + 1
+                if mark < n and src[mark] in "+-":
+                    mark += 1
+                end = _digits_end(src, mark)
+                if end > mark:  # without a digit the number ends before e
+                    pos = end
             tokens.append(("NUMBER", src[start:pos], start))
             continue
         if ch.isalpha() or ch == "_":
@@ -175,6 +168,18 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
         raise ExprSyntaxError(pos, ("a number", "a name", "an operator"))
     tokens.append(("EOF", "", n))
     return tokens
+
+
+def _digits_end(src: str, i: int) -> int:
+    """The offset past the decimal digits of src from offset i on.
+
+    A digit is whatever str.isdecimal accepts, which is what float() reads
+    (Arabic-Indic and other Unicode decimal digits included); the
+    tokenizer's digit runs all end here.
+    """
+    while i < len(src) and src[i].isdecimal():
+        i += 1
+    return i
 
 
 _ATOM_EXPECTED = ("a number", "a constant", "a function call", "'('", "'-'")
@@ -322,20 +327,18 @@ def _left_spine(node: BinOp) -> tuple[object, list[BinOp]]:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _rotor(build, value, angles: list[tuple[str, float]]) -> lorentz.Rotor:
-    """build(value), for a rotor built from the angles the user gave.
+def _check_angles(angles: list[tuple[str, float]]) -> None:
+    """Refuse the first infinite angle, before a rotor is built from them.
 
-    math.cos and math.sin refuse an infinite angle with a bare ValueError.
-    That is a result with no finite value here, named by the largest of
-    angles, each a (label, value) pair whose label formats the value into
-    the message.
+    angles are (label, value) pairs, each label formatting its value into
+    the message.  math.cos and math.sin refuse an infinite angle with a bare
+    ValueError; here it is a result with no finite value, NonFiniteResult,
+    named even where a NaN angle comes before it.
     """
-    try:
-        return build(value)
-    except ValueError:
-        label, angle = max(angles, key=lambda pair: abs(pair[1]))
-        raise NonFiniteResult(
-            "infinite angle: " + label.format(format_real(angle))) from None
+    for label, angle in angles:
+        if math.isinf(angle):
+            raise NonFiniteResult(
+                "infinite angle: " + label.format(format_real(angle)))
 
 
 def _as_real(value, pos: int) -> float:
@@ -408,8 +411,10 @@ def _eval_call(name: str, args: list, positions: list[int]):
         return boost(reals).value
     angles = [(f"{{}} at offset {p}", a) for a, p in zip(reals, positions)]
     if name == "rot":
-        return _rotor(rotation, reals, angles).value
-    return _rotor(spin_transform, LorentzParams(*reals), angles[:2]).value
+        _check_angles(angles)
+        return rotation(reals).value
+    _check_angles(angles[:2])  # phi and theta; xi is a rapidity
+    return spin_transform(LorentzParams(*reals)).value
 
 
 def evaluate(node):
@@ -506,19 +511,29 @@ def _cmd_transform(args) -> int:
     vector = _floats(args.vector, 4, "--vector")
     rapidity = _floats(args.boost, 3, "--boost")
     rotate = _floats(args.rotate, 3, "--rotate")
-    turn = _rotor(rotation, rotate, [("--rotate {}", a) for a in rotate])
-    image = lorentz.apply(boost(rapidity) * turn, FourVector(*vector)).components()
+    _check_angles([("--rotate {}", a) for a in rotate])
+    image = lorentz.apply(boost(rapidity) * rotation(rotate),
+                          FourVector(*vector)).components()
     return _emit(args.json, {"kind": "fourvector", "coeffs": list(image)},
                  " ".join(format_real(c) for c in image))
 
 
+def _spin_params(args) -> LorentzParams:
+    """The parameters of --phi, --theta and --xi, for spin_transform.
+
+    An infinite --phi or --theta is refused here, before a rotor is built.
+    """
+    _check_angles([("--phi {}", args.phi), ("--theta {}", args.theta)])
+    return LorentzParams(args.phi, args.theta, args.xi)
+
+
 def _cmd_spinor(args) -> int:
-    params = LorentzParams(args.phi, args.theta, args.xi)
+    params = _spin_params(args)
     # This rotor and --check's product lie in the spinor subalgebra by
     # construction, so both are read without from_rotor's membership guard,
     # which refuses any NaN: a NaN angle then fails --check, and a NaN --xi
     # is refused by --check's boost or as output (exit 4).
-    psi = Spinor(_rotor(spin_transform, params, _option_angles(args)).value)
+    psi = Spinor(spin_transform(params).value)
     if args.check:
         from . import checks
         worst, tol, scale = checks.product_route_error(params, psi)
@@ -538,18 +553,11 @@ def _cmd_spinor(args) -> int:
     return _emit(args.json, even_components(psi).as_dict())
 
 
-def _option_angles(args) -> list[tuple[str, float]]:
-    """The angles of --phi and --theta, labelled for _rotor."""
-    return [("--phi {}", args.phi), ("--theta {}", args.theta)]
-
-
 def _cmd_cross_section(args) -> int:
-    params = LorentzParams(args.phi, args.theta, args.xi)
-    psi = from_rotor(_rotor(spin_transform, params, _option_angles(args)))
+    psi = from_rotor(spin_transform(_spin_params(args)))
     m2 = product_modulus_sq(psi, Spinor.standard())
-    mott = mott_factor(args.theta)
     return _emit(args.json, {"kind": "cross-section", "re": m2.x, "ij": m2.w,
-                             "mott": mott})
+                             "mott": mott_factor(args.theta)})
 
 
 def _cmd_verify(_args) -> int:
@@ -647,26 +655,31 @@ def _dash_values(argv: list[str]) -> list[str]:
     return out + expr
 
 
+def _fail(code: int, exc: Exception) -> int:
+    """Print exc to stderr as an error line, and return the exit status code.
+
+    The one home of the prefixes: exit 4, a result with no finite value,
+    says so after "error: ".
+    """
+    prefix = "error: no finite result: " if code == 4 else "error: "
+    print(f"{prefix}{exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_dash_values(argv))
     try:
         return args.func(args)
     except _ResidualError as exc:
-        if not math.isfinite(exc.residual):  # a guard that met a NaN or inf
-            print(f"error: no finite result: {exc}", file=sys.stderr)
-            return 4
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # exit 4 for a guard that met a NaN or inf
+        return _fail(2 if math.isfinite(exc.residual) else 4, exc)
     except (ExprSyntaxError, EvalTypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, exc)
     except ZeroDivisor as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, exc)
     except (OverflowError, NoConvergence, NonFiniteResult) as exc:
-        print(f"error: no finite result: {exc}", file=sys.stderr)
-        return 4
+        return _fail(4, exc)
 
 
 if __name__ == "__main__":

@@ -281,8 +281,8 @@ class HyperComplex(_Frozen):
 
     def isclose(self, other: "HyperComplex", tol: float = 1e-12) -> bool:
         """Componentwise comparison with an absolute tolerance."""
-        return (abs(self.x - other.x) <= tol and abs(self.y - other.y) <= tol
-                and abs(self.v - other.v) <= tol and abs(self.w - other.w) <= tol)
+        return all([abs(a - b) <= tol
+                    for a, b in zip(self.coeffs(), other.coeffs())])
 
     def coeffs(self) -> tuple[float, float, float, float]:
         return _coeffs(self.p, self.m)

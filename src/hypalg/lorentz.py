@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp,
-                     _spin_half, _spin_sandwich, embed, extract)
+from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp_pauli,
+                     _halves, _spin_half, _spin_sandwich, embed, extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -124,7 +124,7 @@ def exp_general(a: Multivector) -> Multivector:
     """
     if not math.isfinite(a.max_abs()):
         raise NoConvergence(0, 0)
-    e = _exp(a)
+    e = _halves(_exp_pauli(a.p), _exp_pauli(a.m))
     if not math.isfinite(e.max_abs()):
         raise OverflowError(f"exp beyond the float range: max_abs {e.max_abs()}")
     return e
@@ -173,10 +173,25 @@ def spin_transform(p: LorentzParams) -> Rotor:
     cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
     ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
     ch, sh = math.cosh(p.xi / 2.0), math.sinh(p.xi / 2.0)
-    return Rotor(Multivector(HyperComplex(cp * ct * ch, 0.0, 0.0, -sp * ct * sh),
-                             HyperComplex(0.0, sp * st * ch, cp * st * sh),
-                             HyperComplex(0.0, -cp * st * ch, sp * st * sh),
-                             HyperComplex(0.0, -sp * ct * ch, cp * ct * sh)))
+    return Rotor(_spinor_span(cp * ct * ch, sp * st * ch, -cp * st * ch,
+                              -sp * ct * ch, cp * st * sh, sp * st * sh,
+                              cp * ct * sh, -sp * ct * sh))
+
+
+def _spinor_span(s: float, b32: float, b13: float, b21: float, b10: float,
+                 b20: float, b30: float, p: float) -> Multivector:
+    """The spinor-span value with the even components s, b32, ..., p.
+
+    That is s + b32 i s1 + b13 i s2 + b21 i s3 + b10 j s1 + b20 j s2
+    + b30 j s3 + p ij, the expansion that names the components (see
+    hypalg.spinor).  The one builder of that layout: spin_transform,
+    from_even_components, from_odd_components and from_column all build
+    through it.
+    """
+    return Multivector(HyperComplex(s, 0.0, 0.0, p),
+                       HyperComplex(0.0, b32, b10),
+                       HyperComplex(0.0, b13, b20),
+                       HyperComplex(0.0, b21, b30))
 
 
 def matrix_of(t: Rotor):

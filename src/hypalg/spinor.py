@@ -22,7 +22,7 @@ import math
 
 from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
-from .lorentz import LorentzParams, Rotor, spin_transform
+from .lorentz import LorentzParams, Rotor, _spinor_span, spin_transform
 
 
 class NotInSpinorAlgebra(_ResidualError, ValueError):
@@ -115,10 +115,7 @@ def even_components(psi: Spinor) -> EvenComponents:
 
 
 def from_even_components(ec: EvenComponents) -> Spinor:
-    return Spinor(Multivector(HyperComplex(ec.s, 0.0, 0.0, ec.p),
-                              HyperComplex(0.0, ec.b32, ec.b10),
-                              HyperComplex(0.0, ec.b13, ec.b20),
-                              HyperComplex(0.0, ec.b21, ec.b30)))
+    return Spinor(_spinor_span(ec.s, *ec.b, ec.p))
 
 
 def odd_components(psi: Spinor) -> OddComponents:
@@ -128,10 +125,7 @@ def odd_components(psi: Spinor) -> OddComponents:
 
 
 def from_odd_components(oc: OddComponents) -> Spinor:
-    v, eta = oc.v, oc.eta
-    return from_even_components(EvenComponents(
-        s=v[0], b32=eta[1], b13=eta[2], b21=eta[3],
-        b10=v[1], b20=v[2], b30=v[3], p=eta[0]))
+    return Spinor(_spinor_span(oc.v[0], *oc.eta[1:], *oc.v[1:], oc.eta[0]))
 
 
 # -- matrix representation -------------------------------------------------------
@@ -229,9 +223,8 @@ def from_column(c: ColumnSpinor) -> Spinor:
     trip is exact only where these sums are representable, for instance for
     components on a common binary grid.
     """
-    return from_even_components(EvenComponents(
-        s=c.c1.x, b21=c.c1.y, b30=c.c1.v, p=c.c1.w,
-        b13=-c.c2.x, b32=c.c2.y, b10=c.c2.v, b20=c.c2.w))
+    (s, b21, b30, p), (x2, b32, b10, b20) = c.c1.coeffs(), c.c2.coeffs()
+    return Spinor(_spinor_span(s, b32, -x2, b21, b10, b20, b30, p))
 
 
 def act(omega: Multivector, psi: Spinor) -> Spinor:

@@ -12,7 +12,8 @@ import pytest
 import hypalg
 from hypalg import HyperComplex, Multivector
 from hypalg.cli import (MAX_DEPTH, BinOp, Call, Const, EvalTypeError,
-                        ExprSyntaxError, Num, evaluate, main, parse, render)
+                        ExprSyntaxError, Num, _tokenize, evaluate, main, parse,
+                        render)
 
 
 def run(capsys, *argv):
@@ -50,6 +51,26 @@ def test_parse_reports_offsets_and_expectations():
         with pytest.raises(ExprSyntaxError) as err:
             parse(src)
         assert err.value.offset == offset, src
+
+
+def test_tokenize_number_tokens():
+    # (kind, text, offset) of every token; an exponent needs a digit, so
+    # "1e+" and "2e" end their number before the e
+    cases = {
+        "1.": [("NUMBER", "1.", 0)],
+        ".5": [("NUMBER", ".5", 0)],
+        "1.5e-3": [("NUMBER", "1.5e-3", 0)],
+        "2E+5": [("NUMBER", "2E+5", 0)],
+        "1.e5": [("NUMBER", "1.e5", 0)],
+        "\u0663": [("NUMBER", "\u0663", 0)],  # ARABIC-INDIC DIGIT THREE
+        "1e+": [("NUMBER", "1", 0), ("NAME", "e", 1), ("+", "+", 2)],
+        "2e": [("NUMBER", "2", 0), ("NAME", "e", 1)],
+    }
+    for src, tokens in cases.items():
+        assert _tokenize(src) == tokens + [("EOF", "", len(src))], src
+        for kind, text, _ in tokens:
+            if kind == "NUMBER":
+                float(text)  # every NUMBER is text that float() reads
 
 
 def test_parse_depth_limit(capsys):
@@ -241,6 +262,13 @@ def test_cli_no_finite_result_exit_code(capsys):
         (("transform", "--vector", "1,0,0,0", "--rotate", "inf,0,0"),
          "infinite angle: --rotate inf\n"),
         (("eval", "rot(1e400, 0, 0)"), "infinite angle: inf at offset 4\n"),
+        # the first infinite angle is named, also after a NaN one
+        (("spinor", "--phi", "nan", "--theta", "inf"),
+         "infinite angle: --theta inf\n"),
+        (("transform", "--vector", "1,0,0,0", "--rotate", "nan,inf,0"),
+         "infinite angle: --rotate inf\n"),
+        (("eval", "spinor(0*1e400, 1e400, 0)"),
+         "infinite angle: inf at offset 16\n"),
     )
     for argv, detail in cases:
         code, out, err = run(capsys, *argv)

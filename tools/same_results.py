@@ -18,8 +18,8 @@ hypalg from its tree and computes a fixed seeded set of results:
   OddComponents, ColumnSpinor, LorentzParams, parsed ASTs), with their
   pickle and copy round trips;
 - CLI commands run in process through ``hypalg.cli.main``, each recorded as
-  its stdout, its stderr and its exit code, ``--help`` and ``verify``
-  included.
+  its stdout, its stderr and its exit code, ``--help``, ``verify`` and
+  commands with both a NaN and an infinite angle included.
 
 Values are encoded exactly: floats as ``float.hex``, value classes as their
 stored fields.  The report gives, per op, the number of results compared and
@@ -290,6 +290,10 @@ FIXED_COMMANDS = (
     ["spinor", "-h"], ["cross-section", "-h"], ["verify", "-h"],
     ["verify"], [], ["bogus"], ["spinor", "--phi"], ["transform"],
     ["eval"], ["eval", "--", "-(e3)"], ["eval", "--json", "--", "-j"],
+    # a NaN angle before an infinite one: the infinite one is named
+    ["spinor", "--phi", "nan", "--theta", "inf"],
+    ["transform", "--vector", "1,0,0,0", "--rotate", "nan,inf,0"],
+    ["eval", "spinor(0*1e400, 1e400, 0)"],
 )
 
 
