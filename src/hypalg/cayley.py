@@ -18,7 +18,7 @@ from operator import add, itemgetter, neg, sub
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
 from .hypernum import _coerce as _coerce_scalar
 from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
-                       _pair, render_terms)
+                       _pair, _part_abs, render_terms)
 
 # the membership guards' default tolerance, extract's and check's; apply's
 # half route (_spin_sandwich) decides by it too
@@ -182,11 +182,12 @@ class Multivector(_Frozen):
         return tuple(map(_pair, self.p, self.m))
 
     def max_abs(self) -> float:
-        """The largest of the slots' HyperComplex.max_abs.
+        """The largest coefficient magnitude, as HyperComplex.max_abs reads it.
 
         NaN when a stored part is NaN, and otherwise inf when one is infinite.
         """
-        return _max_or_nan(list(map(HyperComplex.max_abs, self.slots())))
+        return _max_or_nan([v for pair in map(_part_abs, self.p, self.m)
+                            for v in pair])
 
     def isclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
         return all(a.isclose(b, tol) for a, b in zip(self.slots(), other.slots()))

@@ -327,18 +327,25 @@ def _left_spine(node: BinOp) -> tuple[object, list[BinOp]]:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _check_angles(angles: list[tuple[str, float]]) -> None:
+def _check_angles(angles: list[tuple[str, float]],
+                  axis_angle: bool = False) -> None:
     """Refuse the first infinite angle, before a rotor is built from them.
 
     angles are (label, value) pairs, each label formatting its value into
     the message.  math.cos and math.sin refuse an infinite angle with a bare
     ValueError; here it is a result with no finite value, NonFiniteResult,
-    named even where a NaN angle comes before it.
+    named even where a NaN angle comes before it.  When the angles are the
+    components of an axis_angle for rotation, whose cos and sin read their
+    norm, finite components whose norm is past the float range (math.hypot
+    gives inf) are refused too, named by the largest of them.
     """
-    for label, angle in angles:
-        if math.isinf(angle):
-            raise NonFiniteResult(
-                "infinite angle: " + label.format(format_real(angle)))
+    infinite = [pair for pair in angles if math.isinf(pair[1])]
+    if axis_angle and math.hypot(*[a for _, a in angles]) == math.inf:
+        infinite.append(max(angles, key=lambda pair: abs(pair[1])))
+    if infinite:
+        label, angle = infinite[0]
+        raise NonFiniteResult(
+            "infinite angle: " + label.format(format_real(angle)))
 
 
 def _as_real(value, pos: int) -> float:
@@ -411,7 +418,7 @@ def _eval_call(name: str, args: list, positions: list[int]):
         return boost(reals).value
     angles = [(f"{{}} at offset {p}", a) for a, p in zip(reals, positions)]
     if name == "rot":
-        _check_angles(angles)
+        _check_angles(angles, axis_angle=True)
         return rotation(reals).value
     _check_angles(angles[:2])  # phi and theta; xi is a rapidity
     return spin_transform(LorentzParams(*reals)).value
@@ -511,7 +518,7 @@ def _cmd_transform(args) -> int:
     vector = _floats(args.vector, 4, "--vector")
     rapidity = _floats(args.boost, 3, "--boost")
     rotate = _floats(args.rotate, 3, "--rotate")
-    _check_angles([("--rotate {}", a) for a in rotate])
+    _check_angles([("--rotate {}", a) for a in rotate], axis_angle=True)
     image = lorentz.apply(boost(rapidity) * rotation(rotate),
                           FourVector(*vector)).components()
     return _emit(args.json, {"kind": "fourvector", "coeffs": list(image)},
@@ -556,8 +563,9 @@ def _cmd_spinor(args) -> int:
 def _cmd_cross_section(args) -> int:
     psi = from_rotor(spin_transform(_spin_params(args)))
     m2 = product_modulus_sq(psi, Spinor.standard())
+    mott = mott_factor(args.theta)
     return _emit(args.json, {"kind": "cross-section", "re": m2.x, "ij": m2.w,
-                             "mott": mott_factor(args.theta)})
+                             "mott": mott})
 
 
 def _cmd_verify(_args) -> int:

@@ -269,15 +269,13 @@ class HyperComplex(_Frozen):
     def max_abs(self) -> float:
         """The largest of |x|, |y|, |v|, |w|, read from the stored pair.
 
-        max(|x|, |v|) = |Re p|/2 + |Re m|/2, and likewise for y and w.  The
+        _part_abs reads max(|x|, |v|) and max(|y|, |w|) from p and m.  The
         result is NaN when a part of p or m is NaN, and otherwise inf when
         one is infinite, even where a view is inf - inf, which is NaN:
         HyperComplex(0, 0, inf) has x NaN and max_abs() inf.  inverse relies
         on that infinite scale to refuse such a value.
         """
-        p, m = self.p, self.m
-        return _max_or_nan([abs(p.real) * 0.5 + abs(m.real) * 0.5,
-                            abs(p.imag) * 0.5 + abs(m.imag) * 0.5])
+        return _max_or_nan(_part_abs(self.p, self.m))
 
     def isclose(self, other: "HyperComplex", tol: float = 1e-12) -> bool:
         """Componentwise comparison with an absolute tolerance."""
@@ -333,6 +331,16 @@ def _ldexp_or_inf(x: float, n: int) -> float:
         return math.ldexp(x, n)
     except OverflowError:
         return math.inf
+
+
+def _part_abs(p: complex, m: complex) -> list[float]:
+    """[max(|x|, |v|), max(|y|, |w|)] of the pair (p, m), for max_abs.
+
+    max(|x|, |v|) = |Re p|/2 + |Re m|/2, and likewise for y and w; each is
+    NaN when a part it reads is NaN, and inf when one is infinite.
+    """
+    return [abs(p.real) * 0.5 + abs(m.real) * 0.5,
+            abs(p.imag) * 0.5 + abs(m.imag) * 0.5]
 
 
 def _max_or_nan(values: list[float]) -> float:

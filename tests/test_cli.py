@@ -269,6 +269,12 @@ def test_cli_no_finite_result_exit_code(capsys):
          "infinite angle: --rotate inf\n"),
         (("eval", "spinor(0*1e400, 1e400, 0)"),
          "infinite angle: inf at offset 16\n"),
+        # finite components whose norm is past the float range: the
+        # largest is named
+        (("transform", "--vector", "1,0,0,0", "--rotate", "1.3e308,1.3e308,0"),
+         "infinite angle: --rotate 1.3e+308\n"),
+        (("eval", "rot(1.3e308, 1.3e308, 0)"),
+         "infinite angle: 1.3e+308 at offset 4\n"),
     )
     for argv, detail in cases:
         code, out, err = run(capsys, *argv)

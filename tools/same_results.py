@@ -294,6 +294,9 @@ FIXED_COMMANDS = (
     ["spinor", "--phi", "nan", "--theta", "inf"],
     ["transform", "--vector", "1,0,0,0", "--rotate", "nan,inf,0"],
     ["eval", "spinor(0*1e400, 1e400, 0)"],
+    # finite rotation angles whose norm is past the float range
+    ["transform", "--vector", "1,0,0,0", "--rotate", "1.3e308,1.3e308,0"],
+    ["eval", "rot(1.3e308, 1.3e308, 0)"],
 )
 
 
