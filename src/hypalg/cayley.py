@@ -265,6 +265,24 @@ def _sigma(p: tuple) -> tuple:
     return (p0.conjugate(), -p1.conjugate(), -p2.conjugate(), -p3.conjugate())
 
 
+def _spinor_span(s: float, b32: float, b13: float, b21: float, b10: float,
+                 b20: float, b30: float, p: float) -> Multivector:
+    """The spinor-span value with the even components s, b32, ..., p.
+
+    That is s + b32 i s1 + b13 i s2 + b21 i s3 + b10 j s1 + b20 j s2
+    + b30 j s3 + p ij, the expansion that names the components (see
+    hypalg.spinor).  Its p half is v + i*eta in the odd picture, v = (s,
+    b10, b20, b30) and eta = (p, b32, b13, b21), and its m half is _sigma of
+    that, so every value built here has m == _sigma(p) exactly.  The one
+    builder of that layout: lorentz.rotation, boost, IDENTITY and
+    spin_transform, and spinor.from_even_components, from_odd_components
+    and from_column all build through it.
+    """
+    half = (complex(s, p), complex(b10, b32), complex(b20, b13),
+            complex(b30, b21))
+    return _halves(half, _sigma(half))
+
+
 def _zero_if_finite(q: tuple) -> complex:
     """0 when the four complex parts q are finite; NaN in a part otherwise."""
     q0, q1, q2, q3 = q

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 
 from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp_pauli,
-                     _halves, _spin_half, _spin_sandwich, embed, extract)
+                     _halves, _spin_half, _spin_sandwich, _spinor_span, embed,
+                     extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -69,14 +70,15 @@ class Rotor(_Frozen):
 
 (_set_value,) = Rotor._setters
 
-IDENTITY = Rotor(ONE)
+IDENTITY = Rotor(_spinor_span(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def rotation(axis_angle) -> Rotor:
     """Closed form cos(|t|/2) - i sin(|t|/2) (t_hat . s) for axis-angle t.
 
-    An infinite |t| raises ValueError (from math.cos); a finite one whose
-    squares overflow is taken from math.hypot instead.
+    An infinite |t| raises ValueError (from math.sin), also where the
+    components are finite and their norm overflows, since math.hypot then
+    gives inf; a finite |t| whose squares overflow is taken from math.hypot.
     """
     tx, ty, tz = axis_angle
     t = math.sqrt(tx * tx + ty * ty + tz * tz)
@@ -85,10 +87,8 @@ def rotation(axis_angle) -> Rotor:
     if t == 0.0:
         return IDENTITY
     s = -math.sin(t / 2.0) / t
-    return Rotor(Multivector(HyperComplex(math.cos(t / 2.0)),
-                             HyperComplex(0.0, s * tx),
-                             HyperComplex(0.0, s * ty),
-                             HyperComplex(0.0, s * tz)))
+    return Rotor(_spinor_span(math.cos(t / 2.0), s * tx, s * ty, s * tz,
+                              0.0, 0.0, 0.0, 0.0))
 
 
 def boost(rapidity) -> Rotor:
@@ -106,10 +106,8 @@ def boost(rapidity) -> Rotor:
     if t == 0.0:
         return IDENTITY
     s = math.sinh(t / 2.0) / t
-    return Rotor(Multivector(HyperComplex(math.cosh(t / 2.0)),
-                             HyperComplex(0.0, 0.0, s * bx),
-                             HyperComplex(0.0, 0.0, s * by),
-                             HyperComplex(0.0, 0.0, s * bz)))
+    return Rotor(_spinor_span(math.cosh(t / 2.0), 0.0, 0.0, 0.0, s * bx,
+                              s * by, s * bz, 0.0))
 
 
 def exp_general(a: Multivector) -> Multivector:
@@ -176,22 +174,6 @@ def spin_transform(p: LorentzParams) -> Rotor:
     return Rotor(_spinor_span(cp * ct * ch, sp * st * ch, -cp * st * ch,
                               -sp * ct * ch, cp * st * sh, sp * st * sh,
                               cp * ct * sh, -sp * ct * sh))
-
-
-def _spinor_span(s: float, b32: float, b13: float, b21: float, b10: float,
-                 b20: float, b30: float, p: float) -> Multivector:
-    """The spinor-span value with the even components s, b32, ..., p.
-
-    That is s + b32 i s1 + b13 i s2 + b21 i s3 + b10 j s1 + b20 j s2
-    + b30 j s3 + p ij, the expansion that names the components (see
-    hypalg.spinor).  The one builder of that layout: spin_transform,
-    from_even_components, from_odd_components and from_column all build
-    through it.
-    """
-    return Multivector(HyperComplex(s, 0.0, 0.0, p),
-                       HyperComplex(0.0, b32, b10),
-                       HyperComplex(0.0, b13, b20),
-                       HyperComplex(0.0, b21, b30))
 
 
 def matrix_of(t: Rotor):

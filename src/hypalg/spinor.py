@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 
-from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
+from .cayley import (E3, ONE, _SPAN_TOL, Multivector, _ResidualError,
+                     _spinor_span, sym)
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
-from .lorentz import LorentzParams, Rotor, _spinor_span, spin_transform
+from .lorentz import LorentzParams, Rotor, spin_transform
 
 
 class NotInSpinorAlgebra(_ResidualError, ValueError):

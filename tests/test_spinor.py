@@ -4,16 +4,17 @@ import math
 
 import pytest
 
-from hypalg import (E1, S1, S2, S3, ColumnSpinor, HMat2, HyperComplex,
-                    LorentzParams, Multivector, NonScalarResidual,
-                    NotAParavector, NotInSpinorAlgebra, Rotor, Spinor, act,
-                    even_components, extract, from_column,
-                    from_even_components, from_matrix, from_multivector,
-                    from_odd_components, from_rotor, mott_factor,
-                    nonrel_vector, odd_components, product_modulus_sq,
-                    spin_transform, sprod_algebraic, sprod_column, to_column,
-                    to_matrix)
-from hypalg.cayley import ONE, PSEUDOSCALAR
+from hypalg import (E1, S1, S2, S3, ColumnSpinor, EvenComponents, HMat2,
+                    HyperComplex, LorentzParams, Multivector,
+                    NonScalarResidual, NotAParavector, NotInSpinorAlgebra,
+                    OddComponents, Rotor, Spinor, act, boost, even_components,
+                    extract, from_column, from_even_components, from_matrix,
+                    from_multivector, from_odd_components, from_rotor,
+                    mott_factor, nonrel_vector, odd_components,
+                    product_modulus_sq, rotation, spin_transform,
+                    sprod_algebraic, sprod_column, to_column, to_matrix)
+from hypalg.cayley import ONE, PSEUDOSCALAR, _sigma
+from hypalg.lorentz import IDENTITY
 from hypalg.hypernum import I, J
 
 from conftest import (assert_hyper_close, rand_hyper, rand_multivector,
@@ -193,6 +194,48 @@ def test_from_column_examples_and_round_trip(rng):
         assert from_column(to_column(psi)).value == psi.value
         col = ColumnSpinor(rand_hyper(rng), rand_hyper(rng))
         assert to_column(from_column(col)) == col
+
+
+def _bits(half):
+    return [(c.real.hex(), c.imag.hex()) for c in half]
+
+
+def test_library_spin_values_have_m_sigma_of_p_bit_for_bit(rng):
+    # every rotor and spinor the library builds comes from its p half, so
+    # its m half is _sigma(p) to the sign of every zero (Rotor * Rotor is
+    # equal only up to zero signs, and is left out)
+    specials = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310,
+                1e300, -1e300)
+    finite_specials = (0.0, -0.0, 5e-324, -1e-310, 1e300, -1e300)
+
+    def field(choices=specials, size=10.0):
+        if rng.random() < 0.3:
+            return rng.choice(choices)
+        return rng.uniform(-size, size)
+
+    def angle():
+        return field((0.0, -0.0, 5e-324, -1e-310), 7.0)
+
+    values = [IDENTITY.value]
+    for _ in range(400):
+        values += [
+            rotation([field(finite_specials) for _ in range(3)]).value,
+            boost([angle() for _ in range(3)]).value,
+            spin_transform(LorentzParams(
+                field(finite_specials), field(finite_specials),
+                field((0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan),
+                      30.0))).value,
+            from_even_components(EvenComponents(
+                *(field() for _ in range(8)))).value,
+            from_odd_components(OddComponents(
+                tuple(field() for _ in range(4)),
+                tuple(field() for _ in range(4)))).value,
+            from_column(ColumnSpinor(H(*(field() for _ in range(4))),
+                                     H(*(field() for _ in range(4))))).value,
+        ]
+    values += [rotation((0.0, -0.0, 0.0)).value, boost((-0.0, 0.0, 0.0)).value]
+    for a in values:
+        assert _bits(a.m) == _bits(_sigma(a.p)), a
 
 
 def test_act_identity_and_closure(rng):

@@ -10,7 +10,8 @@ hypalg from its tree and computes a fixed seeded set of results:
   a scalar times and divided by a real, ``str``, extract, apply, matrix_of,
   rotor composition, from_rotor, from_multivector, even_components, act,
   to_column, from_column, sprod_algebraic, product_modulus_sq, exp_general,
-  rotation, boost, and the HMat2 product and apply) on random values and on
+  rotation, boost, spin_transform, from_even_components, from_odd_components,
+  and the HMat2 product and apply) on random values and on
   special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
   numbers); a raised exception is a result too, recorded as its type, its
   message and its fields (``residual``, ``norm``, ...);
@@ -22,9 +23,12 @@ hypalg from its tree and computes a fixed seeded set of results:
   commands with both a NaN and an infinite angle included.
 
 Values are encoded exactly: floats as ``float.hex``, value classes as their
-stored fields.  The report gives, per op, the number of results compared and
-the number that differ, with the first difference of each op.  The exit
-status is 0 when nothing differs and 1 otherwise.
+stored fields.  Each result is digested twice: once over its encoding, and
+once with every negative zero read as a positive one.  The report gives, per
+op, the number of results compared, the number that differ and how many of
+those differ only in the sign of a zero (equal in the second digest), with
+up to three differing results of each op.  The exit status is 0 when nothing
+differs and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from contextlib import redirect_stderr, redirect_stdout
 SEED = 20061
 N_LIB = 8000   # draws per library op
 N_CLI = 3200   # random CLI commands, besides the fixed ones below
+N_SHOWN = 3    # differing results printed per op
 
 SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 3e154,
             -3e154, 1e308, -1e308, 1e-300, 5e-324, -5e-324, 1e-310,
@@ -96,6 +101,15 @@ def real(rng: random.Random) -> float:
 
 def finite(rng: random.Random, size: float = 3.0) -> float:
     return rng.uniform(-size, size)
+
+
+def finite_real(rng: random.Random) -> float:
+    """real(rng) drawn again until it is finite (signed zeros, 1e300 and
+    subnormals stay in)."""
+    x = real(rng)
+    while not math.isfinite(x):
+        x = real(rng)
+    return x
 
 
 def lib_cases(H):
@@ -270,6 +284,18 @@ def lib_cases(H):
             H.ColumnSpinor(hyper(rng), hyper(rng)))),
         ("rotation", lambda rng: outcome(H.rotation, axis(rng))),
         ("boost", lambda rng: outcome(H.boost, axis(rng))),
+        # finite angles: math.cos refuses an infinite one before any
+        # value is built
+        ("spin_transform", lambda rng: outcome(
+            H.spin_transform, H.LorentzParams(
+                finite_real(rng), finite_real(rng), real(rng)))),
+        ("from_even_components", lambda rng: outcome(
+            H.from_even_components,
+            H.EvenComponents(*(real(rng) for _ in range(8))))),
+        ("from_odd_components", lambda rng: outcome(
+            H.from_odd_components,
+            H.OddComponents(tuple(real(rng) for _ in range(4)),
+                            tuple(real(rng) for _ in range(4))))),
         ("values.round_trips", round_trips),
     )
 
@@ -372,7 +398,8 @@ def run_cli(main, argv: list[str]) -> tuple[str, str, object]:
 # -- the two sides -----------------------------------------------------------------
 
 def worker(src: str) -> None:
-    """Print one JSON line [op, digest, preview] per result, hypalg from src."""
+    """Print one JSON line [op, digest, zero-sign digest, preview] per
+    result, hypalg from src."""
     sys.path.insert(0, os.path.abspath(src))
     import hypalg
     from hypalg import cli
@@ -380,10 +407,13 @@ def worker(src: str) -> None:
     if not os.path.abspath(hypalg.__file__).startswith(os.path.abspath(src)):
         sys.exit(f"hypalg imported from {hypalg.__file__}, not {src}")
 
+    def digest(text: str) -> str:
+        return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
     def emit(op: str, result) -> None:
         text = json.dumps(result)
-        digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-        print(json.dumps([op, digest, text[:400]]))
+        unsigned = text.replace('"-0x0.0p+0"', '"0x0.0p+0"')
+        print(json.dumps([op, digest(text), digest(unsigned), text[:400]]))
 
     for op, case in lib_cases(hypalg):
         rng = random.Random(f"{SEED}:{op}")
@@ -398,16 +428,16 @@ def worker(src: str) -> None:
             emit(f"cli.{kind}.{stream}", [argv, result])
 
 
-def results(src: str) -> dict[str, list[tuple[str, str]]]:
+def results(src: str) -> dict[str, list[tuple[str, str, str]]]:
     env = dict(os.environ, COLUMNS="80", PYTHONHASHSEED="0")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, __file__, "--worker", src],
                           env=env, stdout=subprocess.PIPE, check=True,
                           text=True)
-    table: dict[str, list[tuple[str, str]]] = {}
+    table: dict[str, list[tuple[str, str, str]]] = {}
     for line in proc.stdout.splitlines():
-        op, digest, preview = json.loads(line)
-        table.setdefault(op, []).append((digest, preview))
+        op, digest, unsigned, preview = json.loads(line)
+        table.setdefault(op, []).append((digest, unsigned, preview))
     return table
 
 
@@ -422,28 +452,28 @@ def main(argv: list[str]) -> int:
     if base.keys() != change.keys():
         print(f"ops differ: {sorted(base.keys() ^ change.keys())}")
         return 1
-    print(f"{'op':32} {'compared':>9} {'differ':>7}")
-    totals = {"library": [0, 0], "cli": [0, 0]}
+    print(f"{'op':32} {'compared':>9} {'differ':>7} {'zero-sign':>9}")
+    totals = {"library": [0, 0, 0], "cli": [0, 0, 0]}
     examples = []
     for op in base:
         pairs = list(zip(base[op], change[op]))
         differ = [k for k, (a, b) in enumerate(pairs) if a[0] != b[0]]
-        print(f"{op:32} {len(pairs):9d} {len(differ):7d}")
+        zero_sign = sum(pairs[k][0][1] == pairs[k][1][1] for k in differ)
+        counts = (len(pairs), len(differ), zero_sign)
+        print(f"{op:32} {counts[0]:9d} {counts[1]:7d} {counts[2]:9d}")
         total = totals["cli" if op.startswith("cli.") else "library"]
-        total[0] += len(pairs)
-        total[1] += len(differ)
-        if differ:
-            k = differ[0]
-            examples.append(f"{op} #{k}\n  base   {pairs[k][0][1]}\n"
-                            f"  change {pairs[k][1][1]}")
-    for name, (compared, differ) in totals.items():
-        print(f"{'total ' + name:32} {compared:9d} {differ:7d}")
+        for k, n in enumerate(counts):
+            total[k] += n
+        examples += [f"{op} #{k}\n  base   {pairs[k][0][2]}\n"
+                     f"  change {pairs[k][1][2]}" for k in differ[:N_SHOWN]]
+    for name, (compared, differ, zero_sign) in totals.items():
+        print(f"{'total ' + name:32} {compared:9d} {differ:7d} {zero_sign:9d}")
     commands = sum(len(v) for op, v in base.items() if op.endswith(".exit"))
     print(f"cli commands: {commands}")
     if examples:
-        print("\nfirst difference per op (truncated):")
+        print(f"\nfirst {N_SHOWN} differences per op (truncated):")
         print("\n".join(examples))
-    return 1 if any(differ for _, differ in totals.values()) else 0
+    return 1 if any(total[1] for total in totals.values()) else 0
 
 
 if __name__ == "__main__":
