@@ -524,3 +524,30 @@ def test_cli_golden_outputs(capsys):
     assert runs[0] == runs[1] == GOLDEN_SPINOR_EVEN
 
     assert run(capsys, "verify")[0] == 0
+
+
+def _same_results():
+    """tools/same_results.py, which owns the transcript's commands."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
+    spec = importlib.util.spec_from_file_location("same_results", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_transcript(monkeypatch):
+    # tests/cli_transcript.txt holds the digest of stdout, stderr and exit
+    # code of each command; `python tools/same_results.py --transcript`
+    # rewrites it when output changes on purpose
+    same_results = _same_results()
+    monkeypatch.setenv("COLUMNS", "80")
+    header, *want = Path(same_results.TRANSCRIPT).read_text(
+        encoding="utf-8").splitlines()
+    got = same_results.transcript_lines(main)
+    assert len(got) == len(want)
+    differ = [line.split(" ", 1)[1] for line, old in zip(got, want)
+              if line != old]
+    assert not differ, (f"{len(differ)} commands differ; transcript written "
+                        f"with {header[2:]}, run with "
+                        f"{same_results.transcript_header()[2:]}", differ[:10])

@@ -40,6 +40,7 @@ import json
 import math
 import os
 import pickle
+import platform
 import random
 import subprocess
 import sys
@@ -49,6 +50,10 @@ SEED = 20061
 N_LIB = 8000   # draws per library op
 N_CLI = 3200   # random CLI commands, besides the fixed ones below
 N_SHOWN = 3    # differing results printed per op
+N_TRANSCRIPT = 1000  # random CLI commands in the golden transcript
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRANSCRIPT = os.path.join(ROOT, "tests", "cli_transcript.txt")
 
 SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 3e154,
             -3e154, 1e308, -1e308, 1e-300, 5e-324, -5e-324, 1e-310,
@@ -383,6 +388,12 @@ def command(rng: random.Random) -> list[str]:
     return argv + (["--json"] if rng.random() < 0.3 else [])
 
 
+def cli_commands(n: int) -> list[list[str]]:
+    """The fixed commands, then the first n seeded random ones."""
+    rng = random.Random(f"{SEED}:cli")
+    return list(FIXED_COMMANDS) + [command(rng) for _ in range(n)]
+
+
 def run_cli(main, argv: list[str]) -> tuple[str, str, object]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -395,20 +406,51 @@ def run_cli(main, argv: list[str]) -> tuple[str, str, object]:
     return out.getvalue(), err.getvalue(), code
 
 
+def digest(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+# -- the golden transcript ----------------------------------------------------------
+
+def transcript_header() -> str:
+    return (f"# python {platform.python_version()}, {sys.platform} "
+            f"{platform.machine()}, {' '.join(platform.libc_ver())}")
+
+
+def transcript_lines(main) -> list[str]:
+    """One line per transcript command: the digest of its stdout, stderr
+    and exit code, then the command as JSON.  Help texts are formatted for
+    80 columns, so COLUMNS must be 80."""
+    return [f"{digest(json.dumps(run_cli(main, argv)))} {json.dumps(argv)}"
+            for argv in cli_commands(N_TRANSCRIPT)]
+
+
+def write_transcript() -> None:
+    os.environ["COLUMNS"] = "80"
+    cli = import_cli(os.path.join(ROOT, "src"))
+    with open(TRANSCRIPT, "w", encoding="utf-8") as f:
+        f.write("\n".join([transcript_header()] + transcript_lines(cli.main))
+                + "\n")
+
+
 # -- the two sides -----------------------------------------------------------------
 
-def worker(src: str) -> None:
-    """Print one JSON line [op, digest, zero-sign digest, preview] per
-    result, hypalg from src."""
+def import_cli(src: str):
+    """hypalg.cli, imported from the tree src."""
     sys.path.insert(0, os.path.abspath(src))
     import hypalg
     from hypalg import cli
 
     if not os.path.abspath(hypalg.__file__).startswith(os.path.abspath(src)):
         sys.exit(f"hypalg imported from {hypalg.__file__}, not {src}")
+    return cli
 
-    def digest(text: str) -> str:
-        return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+def worker(src: str) -> None:
+    """Print one JSON line [op, digest, zero-sign digest, preview] per
+    result, hypalg from src."""
+    cli = import_cli(src)
+    import hypalg
 
     def emit(op: str, result) -> None:
         text = json.dumps(result)
@@ -419,9 +461,7 @@ def worker(src: str) -> None:
         rng = random.Random(f"{SEED}:{op}")
         for _ in range(N_LIB):
             emit(op, encode(case(rng)))
-    rng = random.Random(f"{SEED}:cli")
-    commands = list(FIXED_COMMANDS) + [command(rng) for _ in range(N_CLI)]
-    for argv in commands:
+    for argv in cli_commands(N_CLI):
         kind = argv[0] if argv and not argv[0].startswith("-") else "top"
         for stream, result in zip(("stdout", "stderr", "exit"),
                                   run_cli(cli.main, argv)):
@@ -444,6 +484,9 @@ def results(src: str) -> dict[str, list[tuple[str, str, str]]]:
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--worker":
         worker(argv[1])
+        return 0
+    if argv == ["--transcript"]:
+        write_transcript()
         return 0
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
