@@ -13,12 +13,13 @@ M2(C) on the Pauli basis, and every operation acts on the halves alone.
 from __future__ import annotations
 
 import math
+import numbers
 from operator import add, itemgetter, neg, sub
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
 from .hypernum import _coerce as _coerce_scalar
 from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
-                       _pair, _part_abs, render_terms)
+                       _pair, _part_abs, _scaled, render_terms)
 
 # the membership guards' default tolerance, extract's and check's; apply's
 # half route (_spin_sandwich) decides by it too
@@ -53,12 +54,18 @@ class _ResidualError(Exception):
 
         Raises cls(residual) unless the residual is finite and at most
         tol * max(1, a.max_abs()); a NaN or infinite residual raises even
-        where a.max_abs() is infinite too.
+        where a.max_abs() is infinite too.  A finite residual beside a
+        non-finite coefficient in the span is read as NaN: such a
+        coefficient's pair partner lies in the span too where the span holds
+        a whole slot (NonScalarResidual's), so nothing outside it shows it.
         """
         coeffs = _slot_coeffs(a)
-        cls._decide(_max_or_nan(list(map(abs, cls._outside(coeffs)))),
-                    a.max_abs, tol)
-        return cls._inside(coeffs)
+        inside = cls._inside(coeffs)
+        residual = _max_or_nan(list(map(abs, cls._outside(coeffs))))
+        if residual < math.inf and sum([c - c for c in inside]) != 0:
+            residual = math.nan  # c - c is 0 for a finite c, NaN otherwise
+        cls._decide(residual, a.max_abs, tol)
+        return inside
 
     @classmethod
     def _decide(cls, residual: float, max_abs, tol: float) -> None:
@@ -127,20 +134,27 @@ class Multivector(_Frozen):
         return _halves(tuple(map(neg, self.p)), tuple(map(neg, self.m)))
 
     def __mul__(self, other) -> "Multivector":
-        """Geometric product (scalar operands multiply coefficientwise).
+        """Geometric product, computed on each idempotent half alone.
 
-        Computed on each idempotent half alone (see _pauli).
+        Two multivectors multiply half by half (see _pauli).  A scalar is
+        central and acts on each half by its own part: a HyperComplex z
+        multiplies the p parts by z.p and the m parts by z.m, as z times
+        each slot does, and a real scales every part through
+        hypernum._scaled.  A real taken as a multivector would meet every
+        slot in _pauli, and an infinite part times its zeros would put NaN
+        in all of them.
         """
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _halves(_pauli(self.p, o.p), _pauli(self.m, o.m))
+        if isinstance(other, Multivector):
+            return _halves(_pauli(self.p, other.p), _pauli(self.m, other.m))
+        if isinstance(other, HyperComplex):
+            return _halves(tuple([c * other.p for c in self.p]),
+                           tuple([c * other.m for c in self.m]))
+        if isinstance(other, numbers.Real):
+            return _halves(tuple([_scaled(c, other) for c in self.p]),
+                           tuple([_scaled(c, other) for c in self.m]))
+        return NotImplemented
 
-    def __rmul__(self, other) -> "Multivector":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
+    __rmul__ = __mul__
 
     # -- involutions ---------------------------------------------------------
 
@@ -383,13 +397,22 @@ def scalar(value) -> Multivector:
 # -- symmetric / antisymmetric products ------------------------------------------
 
 def sym(a: Multivector, b: Multivector) -> Multivector:
-    """(a * bar(b) + b * bar(a)) / 2, the scalar product of paravectors."""
-    return (a * b.bar() + b * a.bar()) * 0.5
+    """(a * bar(b) + b * bar(a)) / 2, the scalar product of paravectors.
+
+    One geometric product: bar is an anti-involution, so b * bar(a) is
+    bar(a * bar(b)).
+    """
+    x = a * b.bar()
+    return (x + x.bar()) * 0.5
 
 
 def antisym(a: Multivector, b: Multivector) -> Multivector:
-    """(a * bar(b) - b * bar(a)) / 2, the wedge product (biparavector)."""
-    return (a * b.bar() - b * a.bar()) * 0.5
+    """(a * bar(b) - b * bar(a)) / 2, the wedge product (biparavector).
+
+    One geometric product, as in sym.
+    """
+    x = a * b.bar()
+    return (x - x.bar()) * 0.5
 
 
 def triparavector(mu: int, nu: int, sig: int) -> Multivector:

@@ -181,11 +181,7 @@ class HyperComplex(_Frozen):
             # complex multiplication commutes bit-exactly, so a*b == b*a
             return _pair(self.p * other.p, self.m * other.m)
         if isinstance(other, numbers.Real):
-            # each half alone: a complex product with complex(other, 0)
-            # would form inf*0 and give an infinite part a NaN half
-            p, m = self.p, self.m
-            return _pair(complex(p.real * other, p.imag * other),
-                         complex(m.real * other, m.imag * other))
+            return _pair(_scaled(self.p, other), _scaled(self.m, other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -302,6 +298,15 @@ def _pair(p: complex, m: complex) -> HyperComplex:
     _set_p(z, p)
     _set_m(z, m)
     return z
+
+
+def _scaled(c: complex, r: float) -> complex:
+    """c * r for a real r, the real and imaginary halves each alone.
+
+    A complex product with complex(r, 0) would form inf * 0 and give an
+    infinite part a NaN half: complex(inf, 0) * 0.5 is inf+nanj.
+    """
+    return complex(c.real * r, c.imag * r)
 
 
 def _mul_i(z: HyperComplex) -> HyperComplex:

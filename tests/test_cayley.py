@@ -13,7 +13,8 @@ from hypalg import (E0, E1, E2, E3, I, IJ, J, PSEUDOSCALAR, S1, S2, S3,
 from hypalg.cayley import ONE, scalar
 from hypalg.hypernum import _mul_i
 
-from conftest import multivector_matrix, rand_multivector, rel_close
+from conftest import (multivector_matrix, rand_multivector, rand_subalgebra,
+                      rel_close)
 
 
 def test_gp_pauli_relations():
@@ -190,6 +191,48 @@ def test_sym_antisym_examples():
     assert antisym(E1, E2) == S3 * HyperComplex(0, -1)
     m = rand_multivector(random.Random(3))
     assert antisym(m, m).isclose(scalar(0.0), 1e-15)
+
+
+def _hex(a: Multivector) -> list[str]:
+    """Every stored part as float.hex, so the sign of a zero counts."""
+    return [x.hex() for c in a.p + a.m for x in (c.real, c.imag)]
+
+
+def test_scalars_scale_each_half_as_each_slot(rng):
+    # a scalar is central: a * s and s * a are s times each slot, bit for
+    # bit, for reals (SPECIAL values included) and hyperbolic-complex s
+    for a, b in _pair_draws(rng):
+        for s in (_special(rng), b.z0, b.z3):
+            want = _hex(Multivector(*(z * s for z in a.slots())))
+            assert _hex(a * s) == want and _hex(s * a) == want, (a, s)
+    # a real taken as a multivector would reach every slot with inf * 0
+    assert (Multivector(HyperComplex(math.inf)) * 0.5).p == (
+        complex(math.inf, 0.0), 0j, 0j, 0j)
+
+
+def test_sym_and_antisym_take_one_product(rng):
+    # bar is an anti-involution, so b * bar(a) is bar(a * bar(b)): the one
+    # product form gives the two-product one bit for bit on dense finite
+    # values, and to the sign of a zero where coefficients are exact zeros
+    def dense():
+        return rng.choice((rand_multivector(rng), rand_subalgebra(rng),
+                           rand_multivector(rng, -1e150, 1e150)))
+
+    def sparse():
+        coeffs = [0.0] * 16
+        for _ in range(rng.randint(1, 4)):
+            coeffs[rng.randrange(16)] = rng.choice((rng.uniform(-1, 1), -0.0))
+        return Multivector.from_coeffs16(coeffs)
+
+    def check(a, b, exact):
+        for got, want in ((sym(a, b), (a * b.bar() + b * a.bar()) * 0.5),
+                          (antisym(a, b), (a * b.bar() - b * a.bar()) * 0.5)):
+            assert got == want, (a, b)  # == does not see zero signs
+            assert not exact or _hex(got) == _hex(want), (a, b)
+
+    for _ in range(1000):
+        check(dense(), dense(), True)
+        check(sparse(), rng.choice((dense(), sparse())), False)
 
 
 def test_sym_plus_antisym_is_product(rng):

@@ -281,6 +281,15 @@ def test_cli_no_finite_result_exit_code(capsys):
         assert code == 4, argv
         assert out == "" and err.startswith("error: no finite result") \
             and detail in err, (argv, err)
+    # an infinite scalar slot beside a finite residual: the scalar guard
+    # reads NaN, not the slot's own inf
+    for argv in (("eval", "(1e400 + (sprod(-e0, 1e308) - -(1e-100)))",
+                  "--json"),
+                 ("eval", "-(sprod(1.5707963, 1e308)) + "
+                          "sprod((-1e400 - 1e-310), e3 + .25)")):
+        assert run(capsys, *argv) == (
+            4, "", "error: no finite result: non-scalar residual nan in "
+                   "spinor product\n"), argv
 
 
 def test_cli_spinor_check_tolerance_scales(capsys):

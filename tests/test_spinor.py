@@ -336,6 +336,15 @@ def test_membership_guards_refuse_an_infinite_residual():
     assert err.value.residual == math.inf
 
 
+def test_scalar_guard_refuses_a_non_finite_scalar():
+    # the scalar guard's span is the whole scalar slot, so an infinite part
+    # there leaves nothing outside the span to show it
+    for z in (H(math.inf), H(0.0, 0.0, 0.0, -math.inf), H(math.nan)):
+        with pytest.raises(NonScalarResidual) as err:
+            NonScalarResidual.check(Multivector(z))
+        assert math.isnan(err.value.residual), z
+
+
 def test_normalization(rng):
     for _ in range(100):
         params = LorentzParams(rng.uniform(0, 2 * math.pi),

@@ -7,7 +7,8 @@ BASE_SRC and CHANGE_SRC are directories that contain the ``hypalg`` package
 hypalg from its tree and computes a fixed seeded set of results:
 
 - library calls (products, involutions, inverses, the coefficient views,
-  a scalar times and divided by a real, ``str``, extract, apply, matrix_of,
+  a scalar times and divided by a real, a multivector times a real or a
+  scalar on either side, sym, antisym, ``str``, extract, apply, matrix_of,
   rotor composition, from_rotor, from_multivector, even_components, act,
   to_column, from_column, sprod_algebraic, product_modulus_sq, exp_general,
   rotation, boost, spin_transform, from_even_components, from_odd_components,
@@ -144,8 +145,14 @@ def lib_cases(H):
                           H.HyperComplex(0.0, u[4], u[5]),
                           H.HyperComplex(0.0, u[6], u[7]))
         if rng.random() < 0.2:
-            a = a + mv(rng) * 10.0 ** rng.uniform(-16.0, 0.0)
+            a = a + small(rng)
         return a
+
+    def small(rng):
+        """A perturbation, built from scaled coefficients rather than by a
+        product, so that it does not depend on Multivector * real."""
+        scale = 10.0 ** rng.uniform(-16.0, 0.0)
+        return mv(rng, lambda rng: real(rng) * scale)
 
     def four(rng, draw=real):
         return H.FourVector(*(draw(rng) for _ in range(4)))
@@ -187,6 +194,11 @@ def lib_cases(H):
         z, r = hyper(rng), special(rng)
         return (outcome(lambda: z * r), outcome(lambda: r * z),
                 outcome(lambda: z / r))
+
+    def mv_scaled(rng):
+        a, r, z = mv(rng), special(rng), hyper(rng, special)
+        return (outcome(lambda: a * r), outcome(lambda: r * a),
+                outcome(lambda: a * z), outcome(lambda: z * a))
 
     def text(rng):
         """str of values some of whose parts are infinite or NaN."""
@@ -233,7 +245,7 @@ def lib_cases(H):
         if rng.random() < 0.5:
             a = cayley.embed(four(rng))
             if rng.random() < 0.5:
-                a = a + mv(rng) * 10.0 ** rng.uniform(-16.0, 0.0)
+                a = a + small(rng)
             return outcome(H.extract, a)
         return outcome(H.extract, mv(rng))
 
@@ -256,6 +268,9 @@ def lib_cases(H):
         ("mv.involutions", lambda rng: involutions(mv(rng))),
         ("mv.inverse", lambda rng: outcome(H.Multivector.inverse, mv(rng))),
         ("mv.views", lambda rng: views(mv(rng))),
+        ("mv.scaled", mv_scaled),
+        ("sym", lambda rng: outcome(cayley.sym, mv(rng), mv(rng))),
+        ("antisym", lambda rng: outcome(cayley.antisym, mv(rng), mv(rng))),
         ("extract", extract_case),
         ("apply", lambda rng: outcome(H.apply, rotor(rng), four(rng))),
         ("matrix_of", lambda rng: outcome(H.matrix_of, rotor(rng))),
