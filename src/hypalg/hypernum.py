@@ -304,7 +304,8 @@ def _scaled(c: complex, r: float) -> complex:
     """c * r for a real r, the real and imaginary halves each alone.
 
     A complex product with complex(r, 0) would form inf * 0 and give an
-    infinite part a NaN half: complex(inf, 0) * 0.5 is inf+nanj.
+    infinite part a NaN half: complex(inf, 0) * complex(0.5, 0) is inf+nanj,
+    and so is complex(inf, 0) * 0.5 on Pythons that promote the real.
     """
     return complex(c.real * r, c.imag * r)
 

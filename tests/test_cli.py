@@ -1,5 +1,6 @@
 """Expression grammar, evaluator dispatch, subcommands, and exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -537,7 +538,6 @@ def test_cli_golden_outputs(capsys):
 
 def _same_results():
     """tools/same_results.py, which owns the transcript's commands."""
-    import importlib.util
     path = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
     spec = importlib.util.spec_from_file_location("same_results", path)
     module = importlib.util.module_from_spec(spec)
