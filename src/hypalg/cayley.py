@@ -13,13 +13,12 @@ M2(C) on the Pauli basis, and every operation acts on the halves alone.
 from __future__ import annotations
 
 import math
-import numbers
 from operator import add, itemgetter, neg, sub
 
 from .hypernum import ZeroDivisor  # noqa: F401  (re-raised here)
 from .hypernum import _coerce as _coerce_scalar
-from .hypernum import (ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan, _new,
-                       _pair, _part_abs, _scaled, render_terms)
+from .hypernum import (_REAL, ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan,
+                       _new, _pair, _part_abs, _scaled, render_terms)
 
 # the membership guards' default tolerance, extract's and check's; apply's
 # half route (_spin_sandwich) decides by it too
@@ -149,7 +148,7 @@ class Multivector(_Frozen):
         if isinstance(other, HyperComplex):
             return _halves(tuple([c * other.p for c in self.p]),
                            tuple([c * other.m for c in self.m]))
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _REAL):
             return _halves(tuple([_scaled(c, other) for c in self.p]),
                            tuple([_scaled(c, other) for c in self.m]))
         return NotImplemented
@@ -332,6 +331,26 @@ def _spin_sandwich(p: tuple, x: FourVector) -> FourVector:
     NotAParavector._decide(residual, lambda: _max_or_nan(
         [abs(c) for z in y for c in (z.real, z.imag)]), _SPAN_TOL)
     return FourVector(y0.real, y1.real, y2.real, y3.real)
+
+
+def _spin_sprod(p: tuple, q: tuple) -> HyperComplex:
+    """The spinor product of the spin values with the halves p and q.
+
+    With A = M(p) and B = M(q), the entries A00 = p0 + p3, A01 = p1 - i p2,
+    A10 = p1 + i p2 and A11 = p0 - p3, the product is the pair
+    ((adj A B)00, conj((adj B A)00)): its p part A11 B00 - A01 B10 is the
+    antisymmetric form of Penrose and Rindler between B's first column and
+    A's second.  It is spinor.sprod_algebraic's value, the scalar slot of
+    sym(a, b) + sym(a, b e3) J, for the a and b with _spin_half(a) == p and
+    _spin_half(b) == q, in one 2x2 computation.  The quarter turns are
+    exact, as in _pauli.
+    """
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    ip2, iq2 = complex(-p2.imag, p2.real), complex(-q2.imag, q2.real)
+    a00, a01, a10, a11 = p0 + p3, p1 - ip2, p1 + ip2, p0 - p3
+    b00, b01, b10, b11 = q0 + q3, q1 - iq2, q1 + iq2, q0 - q3
+    return _pair(a11 * b00 - a01 * b10, (b11 * a00 - b01 * a10).conjugate())
 
 
 _LN2 = math.log(2.0)

@@ -67,6 +67,10 @@ def format_real(value: float) -> str:
 
 _new = object.__new__
 
+# a real operand; float comes first, since isinstance tries the tuple in order
+# and float's test takes about 0.02 us against 0.5 us for the numbers.Real ABC
+_REAL = (float, numbers.Real)
+
 
 class _Frozen:
     """Base of the immutable value classes.
@@ -180,7 +184,7 @@ class HyperComplex(_Frozen):
         if isinstance(other, HyperComplex):
             # complex multiplication commutes bit-exactly, so a*b == b*a
             return _pair(self.p * other.p, self.m * other.m)
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _REAL):
             return _pair(_scaled(self.p, other), _scaled(self.m, other))
         return NotImplemented
 
@@ -189,7 +193,7 @@ class HyperComplex(_Frozen):
     def __truediv__(self, other) -> "HyperComplex":
         if isinstance(other, HyperComplex):
             return self * other.inverse()
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _REAL):
             p, m = self.p, self.m
             return _pair(complex(p.real / other, p.imag / other),
                          complex(m.real / other, m.imag / other))
@@ -362,7 +366,7 @@ def _max_or_nan(values: list[float]) -> float:
 def _coerce(value) -> HyperComplex | None:
     if isinstance(value, HyperComplex):
         return value
-    if isinstance(value, numbers.Real):
+    if isinstance(value, _REAL):
         return HyperComplex(float(value))
     return None
 

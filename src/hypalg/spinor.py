@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .cayley import (E3, ONE, _SPAN_TOL, Multivector, _ResidualError,
-                     _spinor_span, sym)
+                     _spin_half, _spin_sprod, _spinor_span, sym)
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
 from .lorentz import LorentzParams, Rotor, spin_transform
 
@@ -66,7 +66,15 @@ def from_rotor(t: Rotor) -> Spinor:
 
 
 def from_multivector(m: Multivector) -> Spinor:
-    NotInSpinorAlgebra.check(m)
+    """m as a Spinor; NotInSpinorAlgebra unless m lies in the spinor span.
+
+    A value whose m half is _sigma of its p half, with every part finite
+    (cayley._spin_half), as every rotor and spinor the library builds, has
+    every coefficient outside the span exactly 0, so it is accepted without
+    the guard; the guard decides every other value.
+    """
+    if _spin_half(m) is None:
+        NotInSpinorAlgebra.check(m)
     return Spinor(m)
 
 
@@ -229,8 +237,12 @@ def from_column(c: ColumnSpinor) -> Spinor:
 
 
 def act(omega: Multivector, psi: Spinor) -> Spinor:
-    """Left multiplication by a spinor-subalgebra operator."""
-    NotInSpinorAlgebra.check(omega)
+    """Left multiplication by a spinor-subalgebra operator.
+
+    omega is accepted as from_multivector accepts a value.
+    """
+    if _spin_half(omega) is None:
+        NotInSpinorAlgebra.check(omega)
     return Spinor(omega * psi.value)
 
 
@@ -254,7 +266,20 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = _SPAN_TOL) -> HyperComple
 
 
 def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
-    """Squared modulus of the spinor product, of the form re + ij*hyper."""
+    """Squared modulus of the spinor product, of the form re + ij*hyper.
+
+    When both values carry an M2(C) half (cayley._spin_half), the product
+    is cayley._spin_sprod on the two halves, one 2x2 computation, and its
+    squared modulus is returned if finite.  Otherwise, and for a result
+    with a NaN or infinite part, it is sprod_algebraic's, with its guard:
+    the same value, or the same NonScalarResidual.
+    """
+    p, q = _spin_half(a.value), _spin_half(b.value)
+    if p is not None and q is not None:
+        m2 = _spin_sprod(p, q).modulus_sq()
+        c = m2.p
+        if c - c == 0:  # 0 for a finite c, NaN for a NaN or infinite part
+            return m2
     return sprod_algebraic(a, b).modulus_sq()
 
 
