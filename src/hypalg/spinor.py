@@ -268,19 +268,30 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = _SPAN_TOL) -> HyperComple
 def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     """Squared modulus of the spinor product, of the form re + ij*hyper.
 
-    When both values carry an M2(C) half (cayley._spin_half), the product
-    is cayley._spin_sprod on the two halves, one 2x2 computation, and its
-    squared modulus is returned if finite.  Otherwise, and for a result
-    with a NaN or infinite part, it is sprod_algebraic's, with its guard:
-    the same value, or the same NonScalarResidual.
+    When both values carry an M2(C) half (cayley._spin_half) and |a|^2 |b|^2
+    is at most 2**1000, the product is cayley._spin_sprod on the two halves,
+    one 2x2 computation.  |a|^2 is the sum of the squares of a's eight
+    components.  Within that range no part that either this route or
+    sprod_algebraic forms exceeds about 2**1011 (sprod_algebraic sums up to
+    24 products of two components before it squares), so both give a finite
+    result, and sprod_algebraic's guard passes.  Every other pair takes
+    sprod_algebraic, with its guard, so a NaN or infinite result and a
+    NonScalarResidual are exactly as it gives them.
     """
     p, q = _spin_half(a.value), _spin_half(b.value)
-    if p is not None and q is not None:
-        m2 = _spin_sprod(p, q).modulus_sq()
-        c = m2.p
-        if c - c == 0:  # 0 for a finite c, NaN for a NaN or infinite part
-            return m2
+    if p is not None and q is not None and _norm_sq(p) * _norm_sq(q) <= _RANGE:
+        return _spin_sprod(p, q).modulus_sq()
     return sprod_algebraic(a, b).modulus_sq()
+
+
+_RANGE = 2.0 ** 1000
+
+
+def _norm_sq(p: tuple) -> float:
+    """|a|^2 for the spin value a with the half p: the sum of |p_k|^2."""
+    p0, p1, p2, p3 = p
+    return (p0 * p0.conjugate() + p1 * p1.conjugate() + p2 * p2.conjugate()
+            + p3 * p3.conjugate()).real
 
 
 def mott_factor(theta: float) -> float:

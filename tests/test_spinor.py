@@ -1,6 +1,7 @@
 """Spinor subalgebra, component views, the matrix/column bridge, and products."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,8 @@ from hypalg.cayley import ONE, PSEUDOSCALAR, _sigma
 from hypalg.lorentz import IDENTITY
 from hypalg.hypernum import I, J
 
-from conftest import (assert_hyper_close, rand_hyper, rand_multivector,
-                      rand_subalgebra, rel_close)
+from conftest import (UNIT_TABLE, assert_hyper_close, rand_hyper,
+                      rand_multivector, rand_subalgebra, rel_close)
 
 H = HyperComplex
 I_S1 = Multivector(z1=H(0, 1))
@@ -384,6 +385,195 @@ def test_general_pair_modulus_can_have_hyperbolic_part():
     b = from_rotor(boost((0.0, 1.4, 0.0)))
     m2 = product_modulus_sq(a, b)
     assert abs(m2.w) > 1e-3
+
+
+# -- the half route of product_modulus_sq -------------------------------------
+#
+# product_modulus_sq takes the spinor product on the two M2(C) halves when
+# both values carry one, and sprod_algebraic otherwise.  The oracle below is
+# independent of both routes: sprod_column of the two columns, in exact
+# Fraction arithmetic through the unit table, with the eight components read
+# from the stored p half, (s + i p, b10 + i b32, b20 + i b13, b30 + i b21).
+
+EPS = 2.0 ** -52
+K = 16  # the error bounds' constant, as in perfbench's checks
+
+
+def _exact_product(x, y):
+    out = [Fraction(0)] * 4
+    for s, a in enumerate(x):
+        for t, b in enumerate(y):
+            sign, unit = UNIT_TABLE[s][t]
+            out[unit] += sign * a * b
+    return out
+
+
+def _exact_column(half):
+    """to_column of the span value with the p half, as two exact 4-tuples."""
+    (s, p), (b10, b32), (b20, b13), (b30, b21) = [
+        (Fraction(c.real), Fraction(c.imag)) for c in half]
+    return (s, b21, b30, p), (-b13, b32, b10, b20)
+
+
+def _exact_conj(z):
+    x, y, v, w = z
+    return (x, -y, -v, w)
+
+
+def _exact_modulus_sq(a: Spinor, b: Spinor) -> tuple[Fraction, Fraction]:
+    """The p part of the exact product_modulus_sq(a, b), as (re, im)."""
+    (a1, a2), (b1, b2) = _exact_column(a.value.p), _exact_column(b.value.p)
+    z = [u + v for u, v in zip(_exact_product(_exact_conj(a1), b1),
+                               _exact_product(_exact_conj(a2), b2))]
+    x, y, v, w = _exact_product(z, _exact_conj(z))
+    return x + v, y + w
+
+
+def _norm_sq(a: Spinor) -> Fraction:
+    """|a|^2, the sum of the squares of the eight components."""
+    return sum(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in a.value.p)
+
+
+def _error_sq(m2: HyperComplex, exact: tuple[Fraction, Fraction]) -> Fraction:
+    """|m2.p - exact|^2, exactly."""
+    re, im = exact
+    return (Fraction(m2.p.real) - re) ** 2 + (Fraction(m2.p.imag) - im) ** 2
+
+
+def _error(m2: HyperComplex, exact: tuple[Fraction, Fraction],
+           scale: Fraction) -> float:
+    """|m2.p - exact| / scale."""
+    return math.sqrt(_error_sq(m2, exact) / scale ** 2)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # a refusal is an outcome to compare
+        return exc
+
+
+def _finite(m2) -> bool:
+    return not isinstance(m2, Exception) and all(
+        math.isfinite(c) for z in (m2.p, m2.m) for c in (z.real, z.imag))
+
+
+def _algebraic_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
+    return sprod_algebraic(a, b).modulus_sq()
+
+
+def test_product_modulus_half_route_is_within_its_error_bound(rng):
+    # spin transforms up to |xi| = 30 and span values with coefficients of
+    # 1e-8 to 1e8: the half route is within K eps |a|^2 |b|^2 of the exact
+    # value, and its worst error is no larger than sprod_algebraic's
+    def spin():
+        return from_rotor(spin_transform(LorentzParams(
+            rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi),
+            rng.uniform(-30, 30))))
+
+    def member():
+        return from_even_components(EvenComponents(*(
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 8)
+            for _ in range(8))))
+
+    worst = {"half": 0.0, "algebraic": 0.0}
+    for draw in (spin, member):
+        for _ in range(300):
+            a, b = draw(), draw()
+            exact = _exact_modulus_sq(a, b)
+            scale = _norm_sq(a) * _norm_sq(b)
+            half = _error(product_modulus_sq(a, b), exact, scale)
+            assert half <= K * EPS, (a, b, half)
+            worst["half"] = max(worst["half"], half)
+            worst["algebraic"] = max(worst["algebraic"], _error(
+                _algebraic_modulus_sq(a, b), exact, scale))
+    assert worst["half"] <= worst["algebraic"], worst
+
+
+def test_product_modulus_keeps_every_refused_and_non_finite_outcome(rng):
+    # on values with special fields, wherever either route refuses or gives
+    # a NaN or infinite part, product_modulus_sq gives exactly what
+    # sprod_algebraic(a, b).modulus_sq() gives: the same bits, or the same
+    # exception type and message; where both are finite, both are within
+    # K eps |a|^2 |b|^2 of the exact value, plus K units of 2**-1074 for
+    # what a subnormal result loses
+    specials = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
+                3e154, -3e154, 1e308, -1e308, 1e-300, 5e-324, -5e-324,
+                1e-310, 2.2250738585072014e-308, 1.0, -1.0)
+
+    def field():
+        return rng.choice(specials) if rng.random() < 0.5 else rng.uniform(-10, 10)
+
+    def value():
+        r = rng.random()
+        if r < 0.6:
+            return from_even_components(EvenComponents(
+                *(field() for _ in range(8))))
+        if r < 0.8:  # from_rotor refuses the NaN parts of xi = inf, NaN
+            return Spinor(spin_transform(LorentzParams(
+                rng.uniform(-7, 7), rng.uniform(-4, 4), rng.choice(
+                    (rng.uniform(-30, 30), 1400.0, -1400.0, math.inf,
+                     math.nan)))).value)
+        # off the half route: a finite part of the m half moved
+        psi = from_even_components(EvenComponents(
+            *(rng.uniform(-10, 10) for _ in range(8))))
+        return Spinor(psi.value + Multivector(H(0.0, 0.0, 0.0, 1e-300)))
+
+    kept = 0
+    for _ in range(3000):
+        a, b = value(), value()
+        got = _outcome(product_modulus_sq, a, b)
+        want = _outcome(_algebraic_modulus_sq, a, b)
+        if _finite(got) and _finite(want):
+            exact = _exact_modulus_sq(a, b)
+            scale = _norm_sq(a) * _norm_sq(b)
+            bound = K * Fraction(EPS) * scale + K * Fraction(5e-324)
+            assert _error_sq(got, exact) <= bound ** 2, (a, b)
+            assert _error_sq(want, exact) <= bound ** 2, (a, b)
+        elif isinstance(want, Exception) or isinstance(got, Exception):
+            assert (type(got), str(got)) == (type(want), str(want)), (a, b)
+            kept += 1
+        else:
+            assert _bits((got.p, got.m)) == _bits((want.p, want.m)), (a, b)
+            kept += 1
+    assert kept > 1000
+
+
+def test_product_modulus_takes_the_half_route(monkeypatch):
+    # with the algebraic route out of reach, spin transforms against the
+    # standard spinor still give cos^2(theta/2), to K eps (1 + cosh xi)
+    def refuse(*args, **kwargs):
+        raise AssertionError("sprod_algebraic called")
+
+    monkeypatch.setattr("hypalg.spinor.sprod_algebraic", refuse)
+    std = Spinor.standard()
+    for phi, theta, xi in ((0.7, 1.1, 0.9), (4.4, 2.9, -2.2), (2.0, 0.2, 9.5),
+                           (0.0, math.pi / 2, 0.0)):
+        m2 = product_modulus_sq(
+            from_rotor(spin_transform(LorentzParams(phi, theta, xi))), std)
+        bound = K * EPS * (1 + math.cosh(xi))
+        assert abs(m2.x - math.cos(theta / 2) ** 2) <= bound
+        assert abs(m2.w) <= bound and m2.y == m2.v == 0.0
+    with pytest.raises(AssertionError):  # a value without a half
+        product_modulus_sq(Spinor(S1), std)
+
+
+def test_spin_values_are_accepted_without_the_spinor_guard(monkeypatch):
+    # a value with m == sigma(p) and finite parts has nothing outside the
+    # span; every other value still meets the guard
+    def refuse(*args, **kwargs):
+        raise AssertionError("guard called")
+
+    monkeypatch.setattr(NotInSpinorAlgebra, "check", refuse)
+    rotor = spin_transform(LorentzParams(0.5, 1.0, -0.3))
+    psi = from_rotor(rotor)
+    assert psi.value == rotor.value
+    assert act(PSEUDOSCALAR, psi).value == PSEUDOSCALAR * psi.value
+    for off_span in (S1, spin_transform(LorentzParams(0.5, 1.0, math.inf)).value):
+        with pytest.raises(AssertionError):
+            from_multivector(off_span)
+        with pytest.raises(AssertionError):
+            act(off_span, psi)
 
 
 def test_mott_factor():
