@@ -272,8 +272,8 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     is at most 2**1000, the product is cayley._spin_sprod on the two halves,
     one 2x2 computation.  |a|^2 is the sum of the squares of a's eight
     components.  Within that range no part that either this route or
-    sprod_algebraic forms exceeds about 2**1011 (sprod_algebraic sums up to
-    24 products of two components before it squares), so both give a finite
+    sprod_algebraic forms exceeds about 2**1011 (sprod_algebraic's parts
+    stay within 24 |a| |b| before it squares), so both give a finite
     result, and sprod_algebraic's guard passes.  Every other pair takes
     sprod_algebraic, with its guard, so a NaN or infinite result and a
     NonScalarResidual are exactly as it gives them.
@@ -284,7 +284,7 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     return sprod_algebraic(a, b).modulus_sq()
 
 
-_RANGE = 2.0 ** 1000
+_RANGE = 2.0 ** 1000  # the largest |a|^2 |b|^2 taken on the halves
 
 
 def _norm_sq(p: tuple) -> float:

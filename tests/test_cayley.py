@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +209,27 @@ def test_scalars_scale_each_half_as_each_slot(rng):
     # a real taken as a multivector would reach every slot with inf * 0
     assert (Multivector(HyperComplex(math.inf)) * 0.5).p == (
         complex(math.inf, 0.0), 0j, 0j, 0j)
+
+
+def test_every_real_type_scales_as_its_float():
+    # float takes a fast path ahead of the numbers.Real test; ints, bools,
+    # Fractions and numpy scalars still take the numbers.Real one, and on
+    # dyadic values every product is exact, so each equals its float's
+    a = Multivector.from_coeffs16([k / 8 - 1 for k in range(16)])
+    z = HyperComplex(0.5, -1.25, 3.0, -0.0)
+    for r in (3, True, False, Fraction(1, 4), np.float64(0.5),
+              np.float32(-0.25), np.int64(-2)):
+        f = float(r)
+        assert _hex(a * r) == _hex(a * f) and _hex(r * a) == _hex(a * f), r
+        assert z * r == z * f and r * z == z * f, r
+        assert (a + r) == (a + f) and (z - r) == (z - f), r
+        if f:
+            assert z / r == z / f, r
+    for other in (1j, "2", None):
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            z * other
 
 
 def test_sym_and_antisym_take_one_product(rng):

@@ -105,3 +105,75 @@ def test_sigma_is_multiplicative_and_kept_by_bar_and_dagger():
         phalf, mhalf = halves([tuple(f * c for f, c in zip(flip, z))
                                for z in slots])
         assert same(mhalf, sigma(phalf))
+
+
+def test_the_spinor_guard_sees_only_zeros_outside_its_span():
+    # the coefficients of (P, sigma(P)) in slot order (x, y, v, w of z0,
+    # then of z1...): those outside NotInSpinorAlgebra's span are 0, and
+    # those inside are s, b32, b13, b21, b10, b20, b30, p of the half
+    # P = (s + i p, b10 + i b32, b20 + i b13, b30 + i b21), in the span's
+    # order; so from_multivector may accept such a value without the guard
+    from hypalg.spinor import NotInSpinorAlgebra
+
+    names = sp.symbols("s b32 b13 b21 b10 b20 b30 p", real=True)
+    s, b32, b13, b21, b10, b20, b30, p = names
+    phalf = (s + sp.I * p, b10 + sp.I * b32, b20 + sp.I * b13,
+             b30 + sp.I * b21)
+    coeffs = []
+    for q, m in zip(phalf, sigma(phalf)):
+        xy, vw = sp.expand((q + m) / 2), sp.expand((q - m) / 2)
+        coeffs += [sp.re(xy), sp.im(xy), sp.re(vw), sp.im(vw)]
+    span = NotInSpinorAlgebra.span
+    assert all(sp.simplify(c) == 0 for k, c in enumerate(coeffs)
+               if k not in span)
+    assert same([coeffs[k] for k in span], names)
+
+
+# -- the spinor product on the half ----------------------------------------------
+
+E3 = ((0, 0, 0, 1), (0, 0, 0, -1))  # j s3: the pair (1, -1) in slot 3
+
+
+def geometric(a, b):
+    """The product of two multivectors given as (p half, m half)."""
+    return tuple(pauli_coeffs(pauli_half(x) * pauli_half(y))
+                 for x, y in zip(a, b))
+
+
+def bar(a):
+    """hypernum.conj on every coefficient: (p, m) -> (m*, p*)."""
+    p, m = a
+    return tuple(sp.conjugate(c) for c in m), tuple(sp.conjugate(c) for c in p)
+
+
+def sym(a, b):
+    """(a bar(b) + b bar(a)) / 2, as cayley.sym's docstring defines it."""
+    x, y = geometric(a, bar(b)), geometric(b, bar(a))
+    return tuple(tuple((u + v) / 2 for u, v in zip(hx, hy))
+                 for hx, hy in zip(x, y))
+
+
+def test_half_product_is_the_spinor_product():
+    # for a = (P, sigma(P)) and b = (Q, sigma(Q)), with A = M(P) and
+    # B = M(Q), sym(a, b) + sym(a, b e3) J has the scalar slot
+    # ((adj A B)00, conj((adj B A)00)) and nothing else; cayley._spin_sprod
+    # reads A's entries as A00 = P0 + P3, A01 = P1 - i P2, A10 = P1 + i P2
+    # and A11 = P0 - P3
+    def half(name):
+        re, im = sp.symbols(f"{name}r0:4", real=True), sp.symbols(
+            f"{name}i0:4", real=True)
+        return tuple(x + sp.I * y for x, y in zip(re, im))
+
+    P, Q = half("p"), half("q")
+    a, b = (P, sigma(P)), (Q, sigma(Q))
+    A, B = pauli_half(P), pauli_half(Q)
+    assert same((A[0, 0], A[0, 1], A[1, 0], A[1, 1]),
+                (P[0] + P[3], P[1] - sp.I * P[2], P[1] + sp.I * P[2],
+                 P[0] - P[3]))
+    s, t = sym(a, b), sym(a, geometric(b, E3))
+    total = (tuple(u + v for u, v in zip(s[0], t[0])),   # J is +1 on p
+             tuple(u - v for u, v in zip(s[1], t[1])))   # and -1 on m
+    assert same(total[0], ((A.adjugate() * B)[0, 0], 0, 0, 0))
+    assert same(total[1], (sp.conjugate((B.adjugate() * A)[0, 0]), 0, 0, 0))
+    assert same(((A.adjugate() * B)[0, 0],),
+                (A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0],))

@@ -390,7 +390,8 @@ def test_general_pair_modulus_can_have_hyperbolic_part():
 # -- the half route of product_modulus_sq -------------------------------------
 #
 # product_modulus_sq takes the spinor product on the two M2(C) halves when
-# both values carry one, and sprod_algebraic otherwise.  The oracle below is
+# both values carry one and |a|^2 |b|^2 <= 2**1000, and sprod_algebraic
+# otherwise.  The oracle below is
 # independent of both routes: sprod_column of the two columns, in exact
 # Fraction arithmetic through the unit table, with the eight components read
 # from the stored p half, (s + i p, b10 + i b32, b20 + i b13, b30 + i b21).
@@ -400,6 +401,7 @@ K = 16  # the error bounds' constant, as in perfbench's checks
 
 
 def _exact_product(x, y):
+    """The ring product of two (1, i, j, ij) 4-tuples of Fractions."""
     out = [Fraction(0)] * 4
     for s, a in enumerate(x):
         for t, b in enumerate(y):
