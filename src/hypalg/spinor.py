@@ -237,12 +237,8 @@ def from_column(c: ColumnSpinor) -> Spinor:
 
 
 def act(omega: Multivector, psi: Spinor) -> Spinor:
-    """Left multiplication by a spinor-subalgebra operator.
-
-    omega is accepted as from_multivector accepts a value.
-    """
-    if _spin_half(omega) is None:
-        NotInSpinorAlgebra.check(omega)
+    """Left multiplication by a spinor-subalgebra operator."""
+    NotInSpinorAlgebra.check(omega)
     return Spinor(omega * psi.value)
 
 
