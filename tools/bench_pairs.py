@@ -1,22 +1,26 @@
 """Run perfbench on two commits, interleaved, and write a BENCH_<n>.json.
 
-    python tools/bench_pairs.py PARENT CHANGE BENCH_<n>.json \\
-        --pairs xsec_grid=10,lorentz_frames=3,cli_cold=3 --trace xsec_grid
+    python tools/bench_pairs.py PARENT CHANGE BENCH_<n>.json --trace xsec_grid
 
 PARENT and CHANGE are git revisions of this repository.  Each is unpacked
 with ``git archive`` into its own new directory, and ``perfbench/run.py``
-runs there unchanged, one process at a time, with the same seed for both
-sides of a pair.  Pairs are made in rounds, one pair per workload per
-round, and the side that runs first alternates from pair to pair, so slow
-drift of the host falls on both sides alike.
+runs there unchanged, for BENCHMARK.json's ``run_seconds``, one process at
+a time, with the same seed for both sides of a pair.  ``PAIRS`` sets the
+pairs per workload: ten where a gain can be claimed, three elsewhere.
+Pairs are made in rounds, one pair per workload per round, and the side
+that runs first alternates from pair to pair, so slow drift of the host
+falls on both sides alike.  The seeds are the change's revision read as a
+number plus the round, so each change meets seeds that nobody chose.
 
 The output keeps every run's meta line and result line as perfbench
 printed them, and per workload and end-to-end metric of BENCHMARK.json:
 each side's median and quartiles, the change over the parent, the number
-of pairs each side won, and a reading by ``READING_RULE``.  ``--trace W``
-adds one ``--trace 1`` run of workload W per side, with its per-layer
-metrics.  The exit status is 0 when every run succeeded and every op of
-every run passed its check.
+of pairs each side won, and a reading by ``READING_RULE`` against the
+metric's bound.  ``--trace W`` adds ``TRACE_PAIRS`` interleaved pairs of
+``--trace 1`` runs of workload W, with each per-layer metric's median per
+side and the pairs in which the change read lower or higher.  The exit
+status is 0 when every run succeeded and every op of every run passed its
+check.
 """
 
 from __future__ import annotations
@@ -34,10 +38,17 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-READING_RULE = ("per metric: better (or worse) when the change wins (or "
-                "loses) at least 9 in 10 of the pairs (every pair, below 10 "
-                "pairs) and the medians differ by more than the parent's "
-                "interquartile range; unresolved otherwise")
+PAIRS = {"xsec_grid": 10, "lorentz_frames": 3, "cli_cold": 3}
+TRACE_PAIRS = 3
+READING_RULE = ("per end-to-end metric: better when there are at least 10 "
+                "pairs, the change wins at least 9 in 10 of them and the "
+                "medians differ by more than the parent's interquartile "
+                "range; otherwise unresolved when the parent's interquartile "
+                "range is wider than the metric's bound (relative to the "
+                "parent's median) and some run of the change reads no better "
+                "than some run of the parent; otherwise regression when the "
+                "change's median is worse than the parent's by more than the "
+                "bound, and within bound when it is not")
 
 
 def git(*args: str) -> bytes:
@@ -53,7 +64,7 @@ def checkout(rev: str, where: str) -> str:
     return path
 
 
-def command(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
+def command(workload: str, seed, seconds: float, trace) -> list[str]:
     return ["python3", "perfbench/run.py", "--workload", workload, "--seed",
             str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
 
@@ -77,16 +88,34 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def reading(better: int, worse: int, pairs: int, parent: dict,
-            change: dict) -> str:
-    """READING_RULE on one metric's pair counts and quartiles."""
-    needed = math.ceil(0.9 * pairs)
-    apart = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
-    if better >= needed and apart:
+def reading(metric: dict, values: dict[str, list[float]], better: int,
+            parent: dict, change: dict) -> str:
+    """READING_RULE on one metric's runs, pair count and quartiles."""
+    sign = 1 if metric["better"] == "higher" else -1
+    pairs = len(values["parent"])
+    spread = parent["q3"] - parent["q1"]
+    apart = abs(change["median"] - parent["median"]) > spread
+    if pairs >= 10 and better >= math.ceil(0.9 * pairs) and apart:
         return "better"
-    if worse >= needed and apart:
-        return "worse"
-    return "unresolved"
+    separated = (min(sign * v for v in values["change"])
+                 > max(sign * v for v in values["parent"]))
+    if spread > metric["bound"] * abs(parent["median"]) and not separated:
+        return "unresolved"
+    worsening = -sign * (change["median"] - parent["median"])
+    if worsening > metric["bound"] * abs(parent["median"]):
+        return "regression"
+    return "within bound"
+
+
+def paired(runs: list[dict], workload: str, trace: int) -> tuple[int, list]:
+    """The pairs of workload's runs at trace: how many were made, and the
+    {side: result} of each pair whose two runs both succeeded."""
+    pairs: dict[int, dict[str, dict]] = {}
+    for r in runs:
+        if r["workload"] == workload and r["trace"] == trace:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+    return len(pairs), [p for p in pairs.values()
+                        if all(p.get(side) is not None for side in SIDES)]
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -94,15 +123,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     quartiles of each side, the change over the parent and the reading."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        pairs: dict[int, dict[str, dict]] = {}
-        for r in runs:
-            if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
-        done = [p for p in pairs.values()
-                if all(p.get(side) is not None for side in SIDES)]
+        made, done = paired(runs, workload, 0)
         entry = {
             "pairs": len(done),
-            "correct_all": len(done) == len(pairs)
+            "correct_all": len(done) == made
             and all(p[side]["correct"] for p in done for side in SIDES),
             "failed": {side: sum(p[side]["failed"] for p in done)
                        for side in SIDES},
@@ -118,20 +142,31 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 **stats,
                 "change_over_parent": stats["change"]["median"]
                 / stats["parent"]["median"],
+                "bound": metric["bound"],
                 "change_better_pairs": better,
                 "change_worse_pairs": worse,
-                "reading": reading(better, worse, len(done), *stats.values()),
+                "reading": reading(metric, values, better, *stats.values()),
             }
         summary[workload] = entry
     return summary
 
 
-def parse_pairs(text: str) -> dict[str, int]:
-    pairs = {}
-    for item in text.split(","):
-        name, _, count = item.partition("=")
-        pairs[name] = int(count)
-    return pairs
+def summarize_trace(runs: list[dict], workload: str) -> dict:
+    """Per metric of workload's traced pairs: each side's median and the
+    pairs in which the change read lower or higher than the parent."""
+    made, done = paired(runs, workload, 1)
+    trace = {"workload": workload, "pairs": len(done),
+             "correct_all": len(done) == made}
+    for name in done[0]["parent"]["metrics"] if done else ():
+        values = {side: [p[side]["metrics"][name]["value"] for p in done]
+                  for side in SIDES}
+        trace[name] = {
+            "unit": done[0]["parent"]["metrics"][name]["unit"],
+            **{side: statistics.median(values[side]) for side in SIDES},
+            "change_lower_pairs": sum(c < p for p, c in zip(*values.values())),
+            "change_higher_pairs": sum(c > p for p, c in zip(*values.values())),
+        }
+    return trace
 
 
 def main(argv=None) -> int:
@@ -139,57 +174,49 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("out")
-    parser.add_argument("--pairs", type=parse_pairs,
-                        default="xsec_grid=5,lorentz_frames=3,cli_cold=3",
-                        help="workload=count, comma separated")
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--seed", type=int, default=1701,
-                        help="seed of the first round; round k adds k")
-    parser.add_argument("--trace", metavar="WORKLOAD",
-                        help="add one --trace 1 run of WORKLOAD per side")
+    parser.add_argument("--trace", metavar="WORKLOAD", choices=PAIRS,
+                        help="add traced pairs of WORKLOAD, the workload "
+                             "whose gain is claimed")
     parser.add_argument("--note", default="", help="kept as change_note")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     revs = {"parent": git("rev-parse", args.parent).decode().strip(),
             "change": git("rev-parse", args.change).decode().strip()}
+    first_seed = int(revs["change"][:4], 16)
+    rounds = [(workload, 0, count) for workload, count in PAIRS.items()]
+    rounds += [(args.trace, 1, TRACE_PAIRS)] if args.trace else []
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs.") as where:
         trees = {side: checkout(rev, where) for side, rev in revs.items()}
-        for k in range(max(args.pairs.values())):
-            for workload, count in args.pairs.items():
+        for k in range(max(count for *_, count in rounds)):
+            for workload, trace, count in rounds:
                 if k >= count:
                     continue
-                seed = args.seed + k
+                seed = first_seed + k
                 sides = SIDES if (len(runs) // 2) % 2 == 0 else SIDES[::-1]
                 for side in sides:
-                    got = run(trees[side], command(workload, seed, seconds, 0))
+                    got = run(trees[side], command(workload, seed, seconds, trace))
                     runs.append({"order": len(runs) + 1, "side": side,
-                                 "workload": workload, "seed": seed, **got})
-                    print(f"{len(runs):3d} {side:6} {workload:14} seed {seed}: "
+                                 "workload": workload, "seed": seed,
+                                 "trace": trace, **got})
+                    print(f"{len(runs):3d} {side:6} {workload:14} seed {seed} "
+                          f"trace {trace}: "
                           f"{'ok' if got['result'] else 'exit ' + str(got['exit'])}",
                           file=sys.stderr, flush=True)
-        trace = None
-        if args.trace:
-            argv_trace = command(args.trace, args.seed, seconds, 1)
-            trace = {"command": " ".join(argv_trace)}
-            for side in SIDES:
-                result = run(trees[side], argv_trace)["result"] or {"metrics": {}}
-                trace[side] = {name: [m["value"], m["unit"]]
-                               for name, m in result["metrics"].items()}
     out = {
-        "what": "perfbench end-to-end runs of the parent commit and of the "
+        "what": "perfbench runs of the parent commit and of the "
                 "change, interleaved one process at a time on one host, each "
                 "side from its own clean checkout; each run keeps perfbench's "
                 "meta line and result line as printed",
-        "command": " ".join(command("W", "S", seconds, 0)),
+        "command": " ".join(command("W", "S", seconds, "T")),
         "parent": revs["parent"],
         "change": revs["change"],
         "change_note": args.note,
         "reading_rule": READING_RULE,
         "summary": summarize(runs, spec["end_to_end"]),
-        **({"trace": trace} if trace else {}),
+        **({"trace": summarize_trace(runs, args.trace)} if args.trace else {}),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as f:
