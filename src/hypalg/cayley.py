@@ -278,24 +278,6 @@ def _sigma(p: tuple) -> tuple:
     return (p0.conjugate(), -p1.conjugate(), -p2.conjugate(), -p3.conjugate())
 
 
-def _spinor_span(s: float, b32: float, b13: float, b21: float, b10: float,
-                 b20: float, b30: float, p: float) -> Multivector:
-    """The spinor-span value with the even components s, b32, ..., p.
-
-    That is s + b32 i s1 + b13 i s2 + b21 i s3 + b10 j s1 + b20 j s2
-    + b30 j s3 + p ij, the expansion that names the components (see
-    hypalg.spinor).  Its p half is v + i*eta in the odd picture, v = (s,
-    b10, b20, b30) and eta = (p, b32, b13, b21), and its m half is _sigma of
-    that, so every value built here has m == _sigma(p) exactly.  The one
-    builder of that layout: lorentz.rotation, boost, IDENTITY and
-    spin_transform, and spinor.from_even_components, from_odd_components
-    and from_column all build through it.
-    """
-    half = (complex(s, p), complex(b10, b32), complex(b20, b13),
-            complex(b30, b21))
-    return _halves(half, _sigma(half))
-
-
 def _zero_if_finite(q: tuple) -> complex:
     """0 when the four complex parts q are finite; NaN in a part otherwise."""
     q0, q1, q2, q3 = q
@@ -314,23 +296,123 @@ def _spin_half(a: Multivector) -> tuple | None:
     return None
 
 
-def _spin_sandwich(p: tuple, x: FourVector) -> FourVector:
-    """extract(a * embed(x) * a.dagger()) for the a with _spin_half(a) == p.
+class _SpinValue(_Frozen):
+    """Base of lorentz.Rotor and spinor.Spinor: a value and its M2(C) half.
 
-    The p half of the sandwich is Y = A X A^dagger, and its m half _sigma(Y),
-    so extract's coefficients are x0..x3 = Re Y in the span and Im Y outside
-    it, besides zeros r/2 - r/2 that are NaN where a part of Y is not finite.
+    The half is _spin_half(value), found once, when the value is built and
+    when pickle or copy rebuilds it (both fill the fields through _fill),
+    and kept in the slot _half.  That slot is not in a subclass's
+    __slots__, so equality, hashing, repr and pickling do not see it.  The
+    operations read it instead of testing again, and take the half route
+    where it is not None.
+    """
+
+    __slots__ = ("_half",)
+
+    def __init__(self, value: Multivector):
+        self._fill(value)
+
+    def _fill(self, value: Multivector) -> None:
+        self._setters[0](self, value)
+        _set_half(self, _spin_half(value))
+
+
+(_set_half,) = _SpinValue._setters
+
+
+def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
+    """The cls with the value value and the half half, found by the caller."""
+    obj = _new(cls)
+    cls._setters[0](obj, value)
+    _set_half(obj, half)
+    return obj
+
+
+def _spin_value(cls: type, half: tuple) -> _SpinValue:
+    """The cls with the pair form (half, _sigma(half)) as its value.
+
+    Its m half is _sigma(half) by construction, so only finiteness is
+    tested: the half is kept when every part is finite and None otherwise,
+    as _spin_half would find it.
+    """
+    return _with_half(cls, _halves(half, _sigma(half)),
+                      half if _zero_if_finite(half) == 0 else None)
+
+
+def _spin_product(cls: type, p: tuple | None,
+                  q: tuple | None) -> _SpinValue | None:
+    """The cls of the product of the spin values with the halves p and q.
+
+    Its p half is _pauli(p, q) and its m half _sigma of that, which is the
+    full product's m half _pauli(_sigma(p), _sigma(q)) up to the sign of a
+    zero.  None where p or q is None or a part of the product is not
+    finite: the caller then takes the full product, so its NaN results stay
+    as they are.
+    """
+    if p is None or q is None:
+        return None
+    out = _spin_value(cls, _pauli(p, q))
+    return None if out._half is None else out
+
+
+def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
+                 b10: float, b20: float, b30: float, p: float) -> _SpinValue:
+    """The cls with the spinor-span value of the even components s, ..., p.
+
+    That is s + b32 i s1 + b13 i s2 + b21 i s3 + b10 j s1 + b20 j s2
+    + b30 j s3 + p ij, the expansion that names the components (see
+    hypalg.spinor).  Its p half is v + i*eta in the odd picture, v = (s,
+    b10, b20, b30) and eta = (p, b32, b13, b21), and its m half is _sigma of
+    that (see _spin_value).  The one builder of that layout:
+    lorentz.rotation, boost, IDENTITY and spin_transform, and
+    spinor.from_even_components, from_odd_components and from_column all
+    build through it.
+    """
+    return _spin_value(cls, (complex(s, p), complex(b10, b32),
+                             complex(b20, b13), complex(b30, b21)))
+
+
+def _spin_extract(y: tuple) -> tuple[float, float, float, float]:
+    """extract(_halves(y, _sigma(y))): x0..x3 of the pair form of the half y.
+
+    Its coefficients are x0..x3 = Re y in the span and Im y outside it,
+    besides zeros r/2 - r/2 that are NaN where a part of y is not finite.
     NotAParavector is raised by its own rule on that residual, with
     extract's tolerance _SPAN_TOL.
     """
-    y = _pauli(_pauli(p, (complex(x.x0), complex(x.x1), complex(x.x2),
-                          complex(x.x3))), tuple(map(_conj, p)))
     y0, y1, y2, y3 = y
     residual = (max(abs(y0.imag), abs(y1.imag), abs(y2.imag), abs(y3.imag))
                 if _zero_if_finite(y) == 0 else math.nan)
     NotAParavector._decide(residual, lambda: _max_or_nan(
         [abs(c) for z in y for c in (z.real, z.imag)]), _SPAN_TOL)
-    return FourVector(y0.real, y1.real, y2.real, y3.real)
+    return (y0.real, y1.real, y2.real, y3.real)
+
+
+def _spin_sandwich(p: tuple, x: FourVector) -> FourVector:
+    """extract(a * embed(x) * a.dagger()) for the a with _spin_half(a) == p.
+
+    The p half of the sandwich is Y = A X A^dagger, and its m half
+    _sigma(Y), so _spin_extract decides it.
+    """
+    return FourVector(*_spin_extract(_pauli(
+        _pauli(p, (complex(x.x0), complex(x.x1), complex(x.x2),
+                   complex(x.x3))), tuple(map(_conj, p)))))
+
+
+def _spin_columns(p: tuple) -> list[tuple[float, float, float, float]]:
+    """_spin_sandwich(p, e_nu) for nu = 0..3, the columns of lorentz.matrix_of.
+
+    X is s_nu there, so A X is the half p with its parts permuted and
+    turned a quarter: p, (p1, p0, i p3, -i p2), (p2, -i p3, p0, i p1) and
+    (p3, i p2, -i p1, p0), exact where _pauli(p, e_nu) would multiply by 0
+    and 1 (it differs at most in the sign of a zero).  The columns are
+    decided in order, so the first one that leaves the span raises.
+    """
+    p0, p1, p2, p3 = p
+    ip1, ip2, ip3 = [complex(-c.imag, c.real) for c in (p1, p2, p3)]
+    dagger = tuple(map(_conj, p))
+    return [_spin_extract(_pauli(q, dagger)) for q in (
+        p, (p1, p0, ip3, -ip2), (p2, -ip3, p0, ip1), (p3, ip2, -ip1, p0))]
 
 
 def _spin_sprod(p: tuple, q: tuple) -> HyperComplex:

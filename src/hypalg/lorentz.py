@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 
 from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp_pauli,
-                     _halves, _spin_half, _spin_sandwich, _spinor_span, embed,
-                     extract)
+                     _halves, _spin_columns, _spin_product, _spin_sandwich,
+                     _spinor_span, _SpinValue, _with_half, embed, extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -42,35 +42,41 @@ class LorentzParams(_Frozen):
         self._fill(phi, theta, xi)
 
 
-class Rotor(_Frozen):
-    """A spin-group element: value * bar(value) == 1."""
+class Rotor(_SpinValue):
+    """A spin-group element: value * bar(value) == 1.
+
+    Its M2(C) half (see cayley._SpinValue) is found once, when it is built;
+    apply, matrix_of, composition, inverse and spinor.from_rotor read it.
+    """
 
     __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value: Multivector):
-        _set_value(self, value)
 
     def __mul__(self, other: "Rotor") -> "Rotor":
         """Composition; (t2 * t1) acts as t2 after t1.
 
-        The geometric product, whose m half is already _pauli of the m
-        halves, so a product of rotors with m == sigma(p) keeps it and
-        apply takes the half route on it.
+        On two rotors that carry a half, one _pauli of the halves (see
+        cayley._spin_product); otherwise, or where that is not finite, the
+        geometric product.
         """
         if not isinstance(other, Rotor):
             return NotImplemented
-        return Rotor(self.value * other.value)
+        t = _spin_product(Rotor, self._half, other._half)
+        return Rotor(self.value * other.value) if t is None else t
 
     def inverse(self) -> "Rotor":
-        return Rotor(self.value.bar())
+        """Rotor(value.bar()), which keeps the half without a test: on a
+        value with one, bar's p half conj(m) is the adjugate (p0, -p1, -p2,
+        -p3) of the half, and its m half conj(p) is _sigma of that."""
+        value = self.value.bar()
+        if self._half is None:
+            return Rotor(value)
+        return _with_half(Rotor, value, value.p)
 
     def is_unit(self, tol: float = 1e-12) -> bool:
         return (self.value * self.value.bar()).isclose(ONE, tol)
 
 
-(_set_value,) = Rotor._setters
-
-IDENTITY = Rotor(_spinor_span(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+IDENTITY = _spinor_span(Rotor, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def rotation(axis_angle) -> Rotor:
@@ -87,8 +93,8 @@ def rotation(axis_angle) -> Rotor:
     if t == 0.0:
         return IDENTITY
     s = -math.sin(t / 2.0) / t
-    return Rotor(_spinor_span(math.cos(t / 2.0), s * tx, s * ty, s * tz,
-                              0.0, 0.0, 0.0, 0.0))
+    return _spinor_span(Rotor, math.cos(t / 2.0), s * tx, s * ty, s * tz,
+                        0.0, 0.0, 0.0, 0.0)
 
 
 def boost(rapidity) -> Rotor:
@@ -106,8 +112,8 @@ def boost(rapidity) -> Rotor:
     if t == 0.0:
         return IDENTITY
     s = math.sinh(t / 2.0) / t
-    return Rotor(_spinor_span(math.cosh(t / 2.0), 0.0, 0.0, 0.0, s * bx,
-                              s * by, s * bz, 0.0))
+    return _spinor_span(Rotor, math.cosh(t / 2.0), 0.0, 0.0, 0.0, s * bx,
+                        s * by, s * bz, 0.0)
 
 
 def exp_general(a: Multivector) -> Multivector:
@@ -131,16 +137,15 @@ def exp_general(a: Multivector) -> Multivector:
 def apply(t: Rotor, x: FourVector) -> FourVector:
     """Sandwich t x dagger(t) on the embedded paravector.
 
-    When t.value has m == sigma(p) and every part finite (see
-    cayley._spin_half), the sandwich is A X A^dagger on the p half alone;
-    otherwise it is the full product.  NotAParavector propagates when the
-    sandwich leaves the paravector span, which signals that t is not
+    When t carries a half (t.value has m == sigma(p) and every part finite,
+    see cayley._spin_half), the sandwich is A X A^dagger on the p half
+    alone; otherwise it is the full product.  NotAParavector propagates when
+    the sandwich leaves the paravector span, which signals that t is not
     actually a rotor; both routes raise it by the same rule and tolerance.
     """
-    p = _spin_half(t.value)
-    if p is None:
+    if t._half is None:
         return extract(t.value * embed(x) * t.value.dagger())
-    return _spin_sandwich(p, x)
+    return _spin_sandwich(t._half, x)
 
 
 def generators() -> tuple[tuple[Multivector, ...], tuple[Multivector, ...]]:
@@ -171,23 +176,25 @@ def spin_transform(p: LorentzParams) -> Rotor:
     cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
     ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
     ch, sh = math.cosh(p.xi / 2.0), math.sinh(p.xi / 2.0)
-    return Rotor(_spinor_span(cp * ct * ch, sp * st * ch, -cp * st * ch,
-                              -sp * ct * ch, cp * st * sh, sp * st * sh,
-                              cp * ct * sh, -sp * ct * sh))
+    return _spinor_span(Rotor, cp * ct * ch, sp * st * ch, -cp * st * ch,
+                        -sp * ct * ch, cp * st * sh, sp * st * sh,
+                        cp * ct * sh, -sp * ct * sh)
 
 
 def matrix_of(t: Rotor):
     """The 4x4 real numpy array M with M x = apply(t, x), built column by column.
 
-    Each column is apply's result, so it takes the same route: the p half
-    alone when m == sigma(p) and every part is finite, else the full sandwich.
-    numpy is imported on the first call, so importing hypalg does not load it.
+    Column nu is apply's image of the basis vector e_nu, by apply's route:
+    on t's half, cayley._spin_columns, which forms each A s_nu by a
+    permutation and quarter turns; else apply's full sandwich.  The first
+    column that leaves the span raises.  numpy is imported on the first
+    call, so importing hypalg does not load it.
     """
     import numpy as np
 
-    m = np.empty((4, 4))
-    for mu in range(4):
-        basis = [0.0, 0.0, 0.0, 0.0]
-        basis[mu] = 1.0
-        m[:, mu] = apply(t, FourVector(*basis)).components()
-    return m
+    if t._half is None:
+        columns = [apply(t, FourVector(*[float(k == nu) for k in range(4)]))
+                   .components() for nu in range(4)]
+    else:
+        columns = _spin_columns(t._half)
+    return np.array(list(zip(*columns)))

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 
 from .cayley import (E3, ONE, _SPAN_TOL, Multivector, _ResidualError,
-                     _spin_half, _spin_sprod, _spinor_span, sym)
+                     _spin_half, _spin_product, _spin_sprod, _spinor_span,
+                     _SpinValue, _with_half, sym)
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
 from .lorentz import LorentzParams, Rotor, spin_transform
 
@@ -41,13 +42,14 @@ class NonScalarResidual(_ResidualError, ArithmeticError):
     span = (0, 1, 2, 3)  # z0
 
 
-class Spinor(_Frozen):
-    """A multivector confined to the spinor subalgebra."""
+class Spinor(_SpinValue):
+    """A multivector confined to the spinor subalgebra.
+
+    Its M2(C) half (see cayley._SpinValue) is found once, when it is built;
+    act and product_modulus_sq read it.
+    """
 
     __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value: Multivector):
-        _set_value(self, value)
 
     @classmethod
     def standard(cls) -> "Spinor":
@@ -57,12 +59,15 @@ class Spinor(_Frozen):
         return self.value.isclose(other.value, tol)
 
 
-(_set_value,) = Spinor._setters
-
-
 def from_rotor(t: Rotor) -> Spinor:
-    """Identify the spin transformation itself as the spinor."""
-    return from_multivector(t.value)
+    """Identify the spin transformation itself as the spinor.
+
+    A rotor that carries a half passes it on, without a test; every other
+    rotor's value meets from_multivector.
+    """
+    if t._half is None:
+        return from_multivector(t.value)
+    return _with_half(Spinor, t.value, t._half)
 
 
 def from_multivector(m: Multivector) -> Spinor:
@@ -73,9 +78,10 @@ def from_multivector(m: Multivector) -> Spinor:
     every coefficient outside the span exactly 0, so it is accepted without
     the guard; the guard decides every other value.
     """
-    if _spin_half(m) is None:
+    p = _spin_half(m)
+    if p is None:
         NotInSpinorAlgebra.check(m)
-    return Spinor(m)
+    return _with_half(Spinor, m, p)
 
 
 # -- component views ----------------------------------------------------------
@@ -124,7 +130,7 @@ def even_components(psi: Spinor) -> EvenComponents:
 
 
 def from_even_components(ec: EvenComponents) -> Spinor:
-    return Spinor(_spinor_span(ec.s, *ec.b, ec.p))
+    return _spinor_span(Spinor, ec.s, *ec.b, ec.p)
 
 
 def odd_components(psi: Spinor) -> OddComponents:
@@ -134,7 +140,8 @@ def odd_components(psi: Spinor) -> OddComponents:
 
 
 def from_odd_components(oc: OddComponents) -> Spinor:
-    return Spinor(_spinor_span(oc.v[0], *oc.eta[1:], *oc.v[1:], oc.eta[0]))
+    return _spinor_span(Spinor, oc.v[0], *oc.eta[1:], *oc.v[1:],
+                        oc.eta[0])
 
 
 # -- matrix representation -------------------------------------------------------
@@ -233,13 +240,22 @@ def from_column(c: ColumnSpinor) -> Spinor:
     components on a common binary grid.
     """
     (s, b21, b30, p), (x2, b32, b10, b20) = c.c1.coeffs(), c.c2.coeffs()
-    return Spinor(_spinor_span(s, b32, -x2, b21, b10, b20, b30, p))
+    return _spinor_span(Spinor, s, b32, -x2, b21, b10, b20, b30, p)
 
 
 def act(omega: Multivector, psi: Spinor) -> Spinor:
-    """Left multiplication by a spinor-subalgebra operator."""
-    NotInSpinorAlgebra.check(omega)
-    return Spinor(omega * psi.value)
+    """Left multiplication by a spinor-subalgebra operator.
+
+    An omega with an M2(C) half (cayley._spin_half) lies in the span, so it
+    needs no guard, and on a psi that carries a half the product is one
+    _pauli of the halves (cayley._spin_product).  Every other omega meets
+    NotInSpinorAlgebra's guard, and every other product is the full one.
+    """
+    p = _spin_half(omega)
+    if p is None:
+        NotInSpinorAlgebra.check(omega)
+    out = _spin_product(Spinor, p, psi._half)
+    return Spinor(omega * psi.value) if out is None else out
 
 
 # -- spinor products ------------------------------------------------------------
@@ -264,7 +280,7 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = _SPAN_TOL) -> HyperComple
 def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     """Squared modulus of the spinor product, of the form re + ij*hyper.
 
-    When both values carry an M2(C) half (cayley._spin_half) and |a|^2 |b|^2
+    When both values carry an M2(C) half (cayley._SpinValue) and |a|^2 |b|^2
     is at most 2**1000, the product is cayley._spin_sprod on the two halves,
     one 2x2 computation.  |a|^2 is the sum of the squares of a's eight
     components.  Within that range no part that either this route or
@@ -274,7 +290,7 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     sprod_algebraic, with its guard, so a NaN or infinite result and a
     NonScalarResidual are exactly as it gives them.
     """
-    p, q = _spin_half(a.value), _spin_half(b.value)
+    p, q = a._half, b._half
     if p is not None and q is not None and _norm_sq(p) * _norm_sq(q) <= _RANGE:
         return _spin_sprod(p, q).modulus_sq()
     return sprod_algebraic(a, b).modulus_sq()

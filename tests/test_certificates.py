@@ -177,3 +177,61 @@ def test_half_product_is_the_spinor_product():
     assert same(total[1], (sp.conjugate((B.adjugate() * A)[0, 0]), 0, 0, 0))
     assert same(((A.adjugate() * B)[0, 0],),
                 (A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0],))
+
+
+# -- rotors on the half ------------------------------------------------------------
+
+
+def complex_half(name):
+    """Four complex symbols name0..name3, each from a real and imaginary part."""
+    re, im = sp.symbols(f"{name}r0:4", real=True), sp.symbols(
+        f"{name}i0:4", real=True)
+    return tuple(x + sp.I * y for x, y in zip(re, im))
+
+
+def test_matrix_of_columns_are_permuted_halves():
+    # A s_nu for A = M(P) is P with its parts permuted and turned a quarter,
+    # as cayley._spin_columns forms it, and conj(P) is A^dagger, so column
+    # nu of matrix_of is the p half of the sandwich of e_nu
+    P = complex_half("p")
+    A = pauli_half(P)
+    want = ((P[1], P[0], sp.I * P[3], -sp.I * P[2]),
+            (P[2], -sp.I * P[3], P[0], sp.I * P[1]),
+            (P[3], sp.I * P[2], -sp.I * P[1], P[0]))
+    for s, w in zip(PAULI, want):
+        assert same(pauli_coeffs(A * s), w)
+    assert (pauli_half(tuple(map(sp.conjugate, P))) - A.H).expand() \
+        == sp.zeros(2, 2)
+
+
+def pauli_formula(a, b):
+    """cayley._pauli as written, with its quarter turn i*c as I*c."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    return (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+            a0 * b1 + a1 * b0 + sp.I * c1,
+            a0 * b2 + a2 * b0 + sp.I * c2,
+            a0 * b3 + a3 * b0 + sp.I * c3)
+
+
+def test_composition_on_the_half_is_the_full_product():
+    # _pauli is the product of the halves' matrices, and _pauli(sigma(P),
+    # sigma(Q)) = sigma(_pauli(P, Q)): the m half _sigma(p) that composition
+    # (cayley._spin_product) gives is the full product's m half
+    P, Q = complex_half("p"), complex_half("q")
+    product = pauli_formula(P, Q)
+    assert same(product, pauli_coeffs(pauli_half(P) * pauli_half(Q)))
+    assert same(pauli_formula(sigma(P), sigma(Q)), sigma(product))
+
+
+def test_the_inverse_is_the_adjugate_of_the_half():
+    # bar of (P, sigma(P)) has the p half (P0, -P1, -P2, -P3), the Pauli
+    # coefficients of adj M(P), and the m half sigma of that, so
+    # Rotor.inverse keeps the half without a test
+    P = complex_half("p")
+    p_bar, m_bar = bar((P, sigma(P)))
+    adjugate = (P[0], -P[1], -P[2], -P[3])
+    assert same(p_bar, adjugate)
+    assert same(m_bar, sigma(adjugate))
+    assert same(pauli_coeffs(pauli_half(P).adjugate()), adjugate)

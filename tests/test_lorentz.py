@@ -1,7 +1,9 @@
 """Rotors, boosts, the exponential map, sandwich action, and generators."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import mpmath
@@ -13,6 +15,7 @@ from hypalg import (S1, S2, S3, FourVector, HyperComplex,
                     NotAParavector, Rotor, apply, boost, commutator, embed,
                     exp_general, extract, generators, matrix_of, minkowski_dot,
                     rotation, spin_transform)
+from hypalg import lorentz
 from hypalg.cayley import ONE, _halves, _sigma, _spin_half, scalar
 
 from conftest import rand_multivector, rel_close
@@ -392,3 +395,133 @@ def test_matrix_agrees_with_apply(rng):
     x = FourVector(0.2, -1.0, 0.5, 3.0)
     assert np.allclose(m @ np.array(x.components()),
                        np.array(apply(t, x).components()), atol=1e-12)
+
+
+# -- the half each rotor keeps ---------------------------------------------------
+
+
+def _unsigned(values) -> list[str]:
+    """float.hex of each value with a zero's sign dropped (x + 0.0)."""
+    return [(v + 0.0).hex() for v in values]
+
+
+def _matrix_outcome(t: Rotor):
+    try:
+        return _unsigned(matrix_of(t).ravel().tolist())
+    except NotAParavector as exc:
+        return "raised", repr(exc.residual)  # repr, so that NaN equals NaN
+
+
+def _apply_columns_outcome(t: Rotor):
+    """matrix_of as it was: the four apply columns, in column order."""
+    try:
+        columns = [apply(t, FourVector(*basis)).components()
+                   for basis in np.eye(4).tolist()]
+    except NotAParavector as exc:
+        return "raised", repr(exc.residual)
+    return _unsigned(np.array(columns).T.ravel().tolist())
+
+
+def test_matrix_of_half_route_is_the_apply_columns(rng):
+    # the permuted, quarter-turned halves give apply's columns exactly, up to
+    # the sign of a zero, from small rotors to boosts near the float range
+    rotors = [spin_rotor(rng) for _ in range(300)]
+    rotors += [random_rotor(rng) for _ in range(100)]
+    rotors += [boost((0, 0, xi)) * rotation((0.3, -1.1, 2.0))
+               for xi in (-700.0, 350.0, 700.0)]
+    rotors += [rotation((0.0, 0.0, 0.0)), rotation((0.0, -0.0, 1e-300))]
+    for t in rotors:
+        assert t._half is not None
+        want = _apply_columns_outcome(t)
+        assert want[0] != "raised"
+        assert _matrix_outcome(t) == want, t
+
+
+def test_matrix_of_raises_what_the_apply_columns_raise(rng, monkeypatch):
+    # junk rotors take the full route, and a half that overflows raises
+    # from its first column, both with the NotAParavector apply raises
+    junk = [Rotor(ONE + S1), Rotor(Multivector(HyperComplex(math.inf))),
+            Rotor(Multivector(z2=HyperComplex(math.nan)))]
+    junk += [Rotor(rand_multivector(rng)) for _ in range(50)]
+    for t in junk:
+        assert t._half is None
+        want = _apply_columns_outcome(t)
+        assert want[0] == "raised", t
+        assert _matrix_outcome(t) == want, t
+    overflow = boost((0, 0, 1400))
+    assert overflow._half is not None
+    assert _matrix_outcome(overflow) == _apply_columns_outcome(overflow) \
+        == ("raised", "nan")
+
+    # with the half route out of reach, the full route still answers
+    def refuse(*args, **kwargs):
+        raise AssertionError("half route taken")
+
+    monkeypatch.setattr("hypalg.lorentz._spin_columns", refuse)
+    with pytest.raises(NotAParavector) as got:
+        matrix_of(Rotor(Multivector(HyperComplex(math.inf))))
+    assert math.isnan(got.value.residual)
+    with pytest.raises(AssertionError):
+        matrix_of(rotation((0.3, 0.2, 0.1)))
+
+
+def test_composition_and_inverse_on_the_half(rng):
+    # composition is the full product up to the sign of a zero, and where
+    # the halves' product is not finite, the full product bit for bit;
+    # inverse is bar, bit for bit
+    def bits(t):
+        return [(c.real.hex(), c.imag.hex()) for c in t.value.p + t.value.m]
+
+    def unsigned(t):
+        return _unsigned([x for c in t.value.p + t.value.m
+                          for x in (c.real, c.imag)])
+
+    for _ in range(300):
+        a, b = spin_rotor(rng), spin_rotor(rng)
+        ab = a * b
+        full = Rotor(a.value * b.value)
+        assert ab._half is not None and ab == full
+        assert unsigned(ab) == unsigned(full)
+        assert bits(a.inverse()) == bits(Rotor(a.value.bar()))
+        # each kept half is the value's own p half, as _spin_half finds it
+        for t in (a, ab, a.inverse()):
+            assert t._half is t.value.p and _spin_half(t.value) is not None
+    huge = boost((0, 0, 1400))
+    for a, b in ((huge, huge), (huge, huge.inverse()),
+                 (huge, Rotor(Multivector(HyperComplex(math.inf))))):
+        assert bits(a * b) == bits(Rotor(a.value * b.value))
+    # m == sigma(p) only up to the sign of a zero, and no half at all
+    for t in (Rotor(Multivector()), Rotor(S1 * S2 * S1), Rotor(ONE + S1),
+              Rotor(Multivector(HyperComplex(math.inf))),
+              Rotor(rand_multivector(rng))):
+        assert bits(t.inverse()) == bits(Rotor(t.value.bar()))
+        assert (t.inverse()._half is None) == (t._half is None)
+
+
+def test_rebuilt_rotors_keep_the_half_route(monkeypatch):
+    # a rotor that pickle or copy rebuilds finds its half again: with every
+    # full route and the membership test itself made to raise, apply,
+    # matrix_of, composition and inverse still answer
+    t = spin_transform(LorentzParams(0.4, 1.3, -2.0))
+    x = FourVector(1.0, 0.5, -2.0, 0.25)
+    want = (apply(t, x), matrix_of(t).tolist(), (t * t).value,
+            t.inverse().value)
+    copies = [pickle.loads(pickle.dumps(t, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(t), copy.deepcopy(t)]
+    plain = Rotor(ONE + S1)  # a rotor without a half
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full route taken")
+
+    monkeypatch.setattr(lorentz, "extract", refuse)
+    monkeypatch.setattr(lorentz, "apply", refuse)  # matrix_of's full route
+    monkeypatch.setattr(Multivector, "__mul__", refuse)
+    monkeypatch.setattr("hypalg.cayley._spin_half", refuse)
+    for copied in copies:
+        assert copied._half is not None and copied == t
+        got = (apply(copied, x), matrix_of(copied).tolist(),
+               (copied * copied).value, copied.inverse().value)
+        assert got == want
+    with pytest.raises(AssertionError, match="full route"):
+        plain * plain

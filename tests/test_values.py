@@ -183,3 +183,20 @@ def test_pickle_and_copy_round_trip(case):
     for b in copies:
         assert type(b) is type(a) and b == a and repr(b) == repr(a)
         assert hash(b) == hash(a)
+
+
+def test_the_kept_half_never_shows():
+    # Rotor and Spinor keep their M2(C) half in a slot of their private
+    # base, outside __slots__: a value with it and one without it are one
+    # value to ==, hash, repr and pickle
+    from hypalg.cayley import _with_half
+
+    m = Multivector(H(1.0), z2=H(0.0, 0.5))
+    for cls in (Rotor, Spinor):
+        assert cls.__slots__ == cls.__match_args__ == ("value",)
+        a, b = cls(m), _with_half(cls, m, None)
+        assert a._half == m.p and b._half is None
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == repr(b) and "_half" not in repr(a)
+        assert pickle.dumps(a) == pickle.dumps(b)
+        assert a.__reduce__() == b.__reduce__()

@@ -38,7 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-PAIRS = {"xsec_grid": 10, "lorentz_frames": 3, "cli_cold": 3}
+PAIRS = {"xsec_grid": 10, "lorentz_frames": 10, "cli_cold": 3}
 TRACE_PAIRS = 3
 READING_RULE = ("per end-to-end metric: better when there are at least 10 "
                 "pairs, the change wins at least 9 in 10 of them and the "

@@ -8,11 +8,12 @@ hypalg from its tree and computes a fixed seeded set of results:
 
 - library calls (products, involutions, inverses, the coefficient views,
   a scalar times and divided by a real, a multivector times a real or a
-  scalar on either side, sym, antisym, ``str``, extract, apply, matrix_of,
-  rotor composition, from_rotor, from_multivector, even_components, act,
-  to_column, from_column, sprod_algebraic, product_modulus_sq, exp_general,
-  rotation, boost, spin_transform, from_even_components, from_odd_components,
-  and the HMat2 product and apply) on random values and on
+  scalar on either side, sym, antisym, ``str``, extract, apply (also on a
+  pickled rotor), matrix_of, rotor composition and inverse, from_rotor,
+  from_multivector, even_components, act, to_column, from_column,
+  sprod_algebraic, product_modulus_sq, exp_general, rotation, boost,
+  spin_transform, from_even_components, from_odd_components, and the HMat2
+  product and apply) on random values and on
   special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
   numbers); a raised exception is a result too, recorded as its type, its
   message and its fields (``residual``, ``norm``, ...);
@@ -250,10 +251,15 @@ def lib_cases(H):
         return outcome(H.extract, mv(rng))
 
     def spinor_pair(rng):
-        return H.Spinor(member(rng)), H.Spinor(
-            member(rng) if rng.random() < 0.7
-            else H.spin_transform(H.LorentzParams(
-                finite(rng, 7.0), finite(rng, 4.0), finite(rng, 30.0))).value)
+        """Two spinors, the second sometimes a spin transform, at |xi| up to
+        30 or at xi = +-1400 (where parts near the float range cancel), inf
+        or NaN, taken as a Spinor without from_rotor's guard."""
+        if rng.random() < 0.7:
+            return H.Spinor(member(rng)), H.Spinor(member(rng))
+        xi = rng.choice((finite(rng, 30.0), rng.choice(
+            (1400.0, -1400.0, math.inf, math.nan))))
+        return H.Spinor(member(rng)), H.Spinor(H.spin_transform(
+            H.LorentzParams(finite(rng, 7.0), finite(rng, 4.0), xi)).value)
 
     return (
         ("hyper.mul", lambda rng: outcome(lambda a, b: a * b, hyper(rng),
@@ -273,9 +279,13 @@ def lib_cases(H):
         ("antisym", lambda rng: outcome(cayley.antisym, mv(rng), mv(rng))),
         ("extract", extract_case),
         ("apply", lambda rng: outcome(H.apply, rotor(rng), four(rng))),
+        # a rotor rebuilt by pickle, which finds its M2(C) half again
+        ("apply.pickled", lambda rng: outcome(
+            H.apply, pickle.loads(pickle.dumps(rotor(rng))), four(rng))),
         ("matrix_of", lambda rng: outcome(H.matrix_of, rotor(rng))),
         ("rotor.mul", lambda rng: outcome(lambda a, b: a * b, rotor(rng),
                                           rotor(rng))),
+        ("rotor.inverse", lambda rng: outcome(H.Rotor.inverse, rotor(rng))),
         ("from_rotor", lambda rng: outcome(H.from_rotor, rotor(rng))),
         ("to_column", lambda rng: outcome(
             H.to_column, H.Spinor(member(rng) if rng.random() < 0.8
