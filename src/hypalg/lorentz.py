@@ -10,7 +10,7 @@ import math
 
 from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp_pauli,
                      _halves, _spin_columns, _spin_product, _spin_sandwich,
-                     _spinor_span, _SpinValue, _with_half, embed, extract)
+                     _spinor_span, _SpinValue, embed, extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -46,7 +46,7 @@ class Rotor(_SpinValue):
     """A spin-group element: value * bar(value) == 1.
 
     Its M2(C) half (see cayley._SpinValue) is found once, when it is built;
-    apply, matrix_of, composition, inverse and spinor.from_rotor read it.
+    apply, matrix_of, composition and spinor.from_rotor read it.
     """
 
     __slots__ = __match_args__ = ("value",)
@@ -64,13 +64,7 @@ class Rotor(_SpinValue):
         return Rotor(self.value * other.value) if t is None else t
 
     def inverse(self) -> "Rotor":
-        """Rotor(value.bar()), which keeps the half without a test: on a
-        value with one, bar's p half conj(m) is the adjugate (p0, -p1, -p2,
-        -p3) of the half, and its m half conj(p) is _sigma of that."""
-        value = self.value.bar()
-        if self._half is None:
-            return Rotor(value)
-        return _with_half(Rotor, value, value.p)
+        return Rotor(self.value.bar())
 
     def is_unit(self, tol: float = 1e-12) -> bool:
         return (self.value * self.value.bar()).isclose(ONE, tol)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 from .cayley import (E3, ONE, _SPAN_TOL, Multivector, _ResidualError,
-                     _spin_half, _spin_product, _spin_sprod, _spinor_span,
-                     _SpinValue, _with_half, sym)
+                     _spin_half, _spin_sprod, _spinor_span, _SpinValue,
+                     _with_half, sym)
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
 from .lorentz import LorentzParams, Rotor, spin_transform
 
@@ -46,7 +46,7 @@ class Spinor(_SpinValue):
     """A multivector confined to the spinor subalgebra.
 
     Its M2(C) half (see cayley._SpinValue) is found once, when it is built;
-    act and product_modulus_sq read it.
+    product_modulus_sq reads it.
     """
 
     __slots__ = __match_args__ = ("value",)
@@ -244,18 +244,9 @@ def from_column(c: ColumnSpinor) -> Spinor:
 
 
 def act(omega: Multivector, psi: Spinor) -> Spinor:
-    """Left multiplication by a spinor-subalgebra operator.
-
-    An omega with an M2(C) half (cayley._spin_half) lies in the span, so it
-    needs no guard, and on a psi that carries a half the product is one
-    _pauli of the halves (cayley._spin_product).  Every other omega meets
-    NotInSpinorAlgebra's guard, and every other product is the full one.
-    """
-    p = _spin_half(omega)
-    if p is None:
-        NotInSpinorAlgebra.check(omega)
-    out = _spin_product(Spinor, p, psi._half)
-    return Spinor(omega * psi.value) if out is None else out
+    """Left multiplication by a spinor-subalgebra operator."""
+    NotInSpinorAlgebra.check(omega)
+    return Spinor(omega * psi.value)
 
 
 # -- spinor products ------------------------------------------------------------

@@ -224,14 +224,3 @@ def test_composition_on_the_half_is_the_full_product():
     assert same(product, pauli_coeffs(pauli_half(P) * pauli_half(Q)))
     assert same(pauli_formula(sigma(P), sigma(Q)), sigma(product))
 
-
-def test_the_inverse_is_the_adjugate_of_the_half():
-    # bar of (P, sigma(P)) has the p half (P0, -P1, -P2, -P3), the Pauli
-    # coefficients of adj M(P), and the m half sigma of that, so
-    # Rotor.inverse keeps the half without a test
-    P = complex_half("p")
-    p_bar, m_bar = bar((P, sigma(P)))
-    adjugate = (P[0], -P[1], -P[2], -P[3])
-    assert same(p_bar, adjugate)
-    assert same(m_bar, sigma(adjugate))
-    assert same(pauli_coeffs(pauli_half(P).adjugate()), adjugate)

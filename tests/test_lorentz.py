@@ -465,10 +465,9 @@ def test_matrix_of_raises_what_the_apply_columns_raise(rng, monkeypatch):
         matrix_of(rotation((0.3, 0.2, 0.1)))
 
 
-def test_composition_and_inverse_on_the_half(rng):
+def test_composition_on_the_half(rng):
     # composition is the full product up to the sign of a zero, and where
-    # the halves' product is not finite, the full product bit for bit;
-    # inverse is bar, bit for bit
+    # the halves' product is not finite, the full product bit for bit
     def bits(t):
         return [(c.real.hex(), c.imag.hex()) for c in t.value.p + t.value.m]
 
@@ -482,7 +481,6 @@ def test_composition_and_inverse_on_the_half(rng):
         full = Rotor(a.value * b.value)
         assert ab._half is not None and ab == full
         assert unsigned(ab) == unsigned(full)
-        assert bits(a.inverse()) == bits(Rotor(a.value.bar()))
         # each kept half is the value's own p half, as _spin_half finds it
         for t in (a, ab, a.inverse()):
             assert t._half is t.value.p and _spin_half(t.value) is not None
@@ -490,22 +488,15 @@ def test_composition_and_inverse_on_the_half(rng):
     for a, b in ((huge, huge), (huge, huge.inverse()),
                  (huge, Rotor(Multivector(HyperComplex(math.inf))))):
         assert bits(a * b) == bits(Rotor(a.value * b.value))
-    # m == sigma(p) only up to the sign of a zero, and no half at all
-    for t in (Rotor(Multivector()), Rotor(S1 * S2 * S1), Rotor(ONE + S1),
-              Rotor(Multivector(HyperComplex(math.inf))),
-              Rotor(rand_multivector(rng))):
-        assert bits(t.inverse()) == bits(Rotor(t.value.bar()))
-        assert (t.inverse()._half is None) == (t._half is None)
 
 
 def test_rebuilt_rotors_keep_the_half_route(monkeypatch):
     # a rotor that pickle or copy rebuilds finds its half again: with every
     # full route and the membership test itself made to raise, apply,
-    # matrix_of, composition and inverse still answer
+    # matrix_of and composition still answer
     t = spin_transform(LorentzParams(0.4, 1.3, -2.0))
     x = FourVector(1.0, 0.5, -2.0, 0.25)
-    want = (apply(t, x), matrix_of(t).tolist(), (t * t).value,
-            t.inverse().value)
+    want = (apply(t, x), matrix_of(t).tolist(), (t * t).value)
     copies = [pickle.loads(pickle.dumps(t, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(t), copy.deepcopy(t)]
@@ -521,7 +512,7 @@ def test_rebuilt_rotors_keep_the_half_route(monkeypatch):
     for copied in copies:
         assert copied._half is not None and copied == t
         got = (apply(copied, x), matrix_of(copied).tolist(),
-               (copied * copied).value, copied.inverse().value)
+               (copied * copied).value)
         assert got == want
     with pytest.raises(AssertionError, match="full route"):
         plain * plain

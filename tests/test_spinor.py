@@ -575,74 +575,16 @@ def test_spin_values_are_accepted_without_the_spinor_guard(monkeypatch):
             from_multivector(off_span)
 
 
-def _old_act(omega: Multivector, psi: Spinor) -> Spinor:
-    """act as it was: the guard on omega, then the full product."""
-    NotInSpinorAlgebra.check(omega)
-    return Spinor(omega * psi.value)
-
-
-def _unsigned_bits(psi: Spinor):
-    """The value's parts as float.hex, each zero's sign dropped (x + 0.0)."""
-    return [((c.real + 0.0).hex(), (c.imag + 0.0).hex())
-            for c in psi.value.p + psi.value.m]
-
-
-def test_act_on_the_half_is_the_full_product(rng):
-    # on span operators and spinors with a half, one _pauli of the halves
-    # gives the full product up to the sign of a zero; where that product
-    # is not finite, and for every other operator, act is what it was, bit
-    # for bit, refusals included
-    specials = (0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324, math.inf, math.nan)
-
-    def field():
-        return rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-5, 5)
-
-    def spin():
-        return from_even_components(EvenComponents(*(field() for _ in range(8))))
-
-    halves = 0
-    for _ in range(2000):
-        omega = rng.choice((spin().value, spin().value, rand_multivector(rng),
-                            spin().value + Multivector(H(0.0, 1e-300))))
-        psi = spin()
-        got, want = _outcome(act, omega, psi), _outcome(_old_act, omega, psi)
-        if isinstance(want, Exception):
-            assert (type(got), str(got)) == (type(want), str(want))
-        elif got._half is not None:
-            halves += 1
-            assert _unsigned_bits(got) == _unsigned_bits(want), (omega, psi)
-        else:
-            assert _bits(got.value.p + got.value.m) \
-                == _bits(want.value.p + want.value.m), (omega, psi)
-    assert halves > 500
-
-
-def test_act_on_the_half_skips_the_guard(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("guard called")
-
-    monkeypatch.setattr(NotInSpinorAlgebra, "check", refuse)
-    omega = spin_transform(LorentzParams(0.3, 2.0, 1.1)).value
-    psi = spinor_of(1.0, 0.5, -0.4)
-    got = act(omega, psi)
-    assert got._half is not None and got == _outcome(
-        lambda: Spinor(omega * psi.value))
-    for off_span in (S1, Multivector(H(math.inf))):
-        with pytest.raises(AssertionError):
-            act(off_span, psi)
-
-
 def test_rebuilt_spinors_keep_the_half_route(monkeypatch):
     # a spinor or rotor that pickle or copy rebuilds finds its half again:
     # with the guard, sprod_algebraic, from_multivector and the multivector
-    # product made to raise, from_rotor, product_modulus_sq and act still
-    # answer
+    # product made to raise, from_rotor and product_modulus_sq still answer
     import copy
     import pickle
 
     t = spin_transform(LorentzParams(0.7, 1.1, 0.9))
     psi, std = from_rotor(t), Spinor.standard()
-    want = (product_modulus_sq(psi, std), act(t.value, psi).value)
+    want = product_modulus_sq(psi, std)
 
     def refuse(*args, **kwargs):
         raise AssertionError("full route taken")
@@ -660,8 +602,7 @@ def test_rebuilt_spinors_keep_the_half_route(monkeypatch):
     for a, b in zip(rebuilt(psi), rebuilt(t)):
         assert a._half is not None and a == psi
         assert from_rotor(b)._half is not None and from_rotor(b) == psi
-        got = (product_modulus_sq(a, std), act(b.value, a).value)
-        assert got == want
+        assert product_modulus_sq(a, std) == want
     with pytest.raises(AssertionError):  # a spinor without a half
         product_modulus_sq(Spinor(S1), std)
 

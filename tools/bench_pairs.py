@@ -8,8 +8,9 @@ runs there unchanged, for BENCHMARK.json's ``run_seconds``, one process at
 a time, with the same seed for both sides of a pair.  ``PAIRS`` sets the
 pairs per workload: ten where a gain can be claimed, three elsewhere.
 Pairs are made in rounds, one pair per workload per round, and the side
-that runs first alternates from pair to pair, so slow drift of the host
-falls on both sides alike.  The seeds are the change's revision read as a
+that runs first alternates from pair to pair of each workload (the parent
+in even rounds, the change in odd ones), so slow drift of the host and the
+cost of running first fall on both sides alike.  The seeds are the change's revision read as a
 number plus the round, so each change meets seeds that nobody chose.
 
 The output keeps every run's meta line and result line as perfbench
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
                 if k >= count:
                     continue
                 seed = first_seed + k
-                sides = SIDES if (len(runs) // 2) % 2 == 0 else SIDES[::-1]
+                sides = SIDES if k % 2 == 0 else SIDES[::-1]
                 for side in sides:
                     got = run(trees[side], command(workload, seed, seconds, trace))
                     runs.append({"order": len(runs) + 1, "side": side,
