@@ -1,19 +1,36 @@
-"""Hyperbolic-complex Clifford algebra with paravectors, rotors, and spinors."""
+"""Hyperbolic-complex Clifford algebra with paravectors, rotors, and spinors.
+
+The scalar and multivector names load with the package; the names of
+``lorentz`` and ``spinor`` load with their module on first use (PEP 562), so
+that a command which needs neither does not compile them.  The first access
+to any name of such a module binds all of its names here at once, after
+which each is a plain attribute of the package.
+"""
+
+from importlib import import_module
 
 from .hypernum import I, IJ, J, HyperComplex, ZeroDivisor
 from .cayley import (E0, E1, E2, E3, PSEUDOSCALAR, S1, S2, S3, FourVector,
                      IndexOutOfRange, Multivector, NotAParavector, antisym,
                      embed, extract, minkowski_dot, sym, triparavector)
-from .lorentz import (LorentzParams, NoConvergence, Rotor, apply, boost,
-                      commutator, exp_general, generators, matrix_of,
-                      rotation, spin_transform)
-from .spinor import (ColumnSpinor, EvenComponents, HMat2, NonScalarResidual,
-                     NotInSpinorAlgebra, OddComponents, Spinor, act,
-                     even_components, from_column, from_even_components,
-                     from_matrix, from_multivector, from_odd_components,
-                     from_rotor, mott_factor, nonrel_vector, odd_components,
-                     product_modulus_sq, sprod_algebraic, sprod_column,
-                     to_column, to_matrix)
+
+# The names each module that loads on first use gives the package.
+_ON_FIRST_USE = {
+    "lorentz": (
+        "LorentzParams", "NoConvergence", "Rotor", "apply", "boost",
+        "commutator", "exp_general", "generators", "matrix_of", "rotation",
+        "spin_transform"),
+    "spinor": (
+        "ColumnSpinor", "EvenComponents", "HMat2", "NonScalarResidual",
+        "NotInSpinorAlgebra", "OddComponents", "Spinor", "act",
+        "even_components", "from_column", "from_even_components",
+        "from_matrix", "from_multivector", "from_odd_components",
+        "from_rotor", "mott_factor", "nonrel_vector", "odd_components",
+        "product_modulus_sq", "sprod_algebraic", "sprod_column", "to_column",
+        "to_matrix"),
+}
+_MODULE_OF = {name: module for module, names in _ON_FIRST_USE.items()
+              for name in names}
 
 __all__ = [
     "HyperComplex", "ZeroDivisor", "I", "J", "IJ",
@@ -32,3 +49,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name, name if name in _ON_FIRST_USE else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing binds the module itself here as well
+    owner = vars(import_module(f".{module}", __name__))
+    namespace = globals()
+    namespace.update({key: owner[key] for key in _ON_FIRST_USE[module]})
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_ON_FIRST_USE})

@@ -27,7 +27,9 @@ Every hypalg value class, here and in the other modules, derives from
 ``_Frozen``, defined here as the bottom module: a plain class with
 ``__slots__`` whose fields cannot be assigned or deleted, and which is the
 one home of filling the fields, equality, hashing, repr and pickling for all
-of them.
+of them.  Being the bottom module, it is also the home of what the CLI's
+commands and its expression language share: ``format_real``,
+``NonFiniteResult`` and ``_check_angles``.
 """
 
 from __future__ import annotations
@@ -58,11 +60,37 @@ class ZeroDivisor(ArithmeticError):
         return f"no inverse: {self.value} lies on the null cone"
 
 
+class NonFiniteResult(ArithmeticError):
+    """A result with a NaN or infinite number, refused rather than printed."""
+
+
 def format_real(value: float) -> str:
     """12-significant-digit rendering with negative zero normalized."""
     if value == 0.0:
         value = 0.0
     return f"{value:.12g}"
+
+
+def _check_angles(angles: list[tuple[str, float]],
+                  axis_angle: bool = False) -> None:
+    """Refuse the first infinite angle, before a rotor is built from them.
+
+    angles are (label, value) pairs, each label formatting its value into
+    the message.  math.cos and math.sin refuse an infinite angle with a bare
+    ValueError; here it is a result with no finite value, NonFiniteResult,
+    named even where a NaN angle comes before it.  When the angles are the
+    components of an axis_angle for rotation, whose cos and sin read their
+    norm, finite components whose norm is past the float range (math.hypot
+    gives inf) are refused too, named by the largest of them.  The CLI reads
+    its angles through here, in its options and in its expressions alike.
+    """
+    infinite = [pair for pair in angles if math.isinf(pair[1])]
+    if axis_angle and math.hypot(*[a for _, a in angles]) == math.inf:
+        infinite.append(max(angles, key=lambda pair: abs(pair[1])))
+    if infinite:
+        label, angle = infinite[0]
+        raise NonFiniteResult(
+            "infinite angle: " + label.format(format_real(angle)))
 
 
 _new = object.__new__

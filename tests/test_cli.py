@@ -363,6 +363,45 @@ def test_only_verify_and_spinor_check_load_checks():
     assert proc.stdout.split() == ["False"] * 3 + ["True"] * 2
 
 
+# The hypalg modules each command loads as `python -m hypalg.cli`: the package
+# brings hypernum and cayley, and the rest load only where a command uses
+# them.  hypalg.cli runs as __main__ and is never imported a second time.
+_PACKAGE = ("hypalg", "hypalg.hypernum", "hypalg.cayley")
+MODULES_LOADED_BY = (
+    (["eval", "j*j"], ("hypalg.expr",)),
+    (["eval", "exp(2)*bar(e1)"], ("hypalg.expr",)),
+    (["eval", "boost(0.1,0.2,0.3)"], ("hypalg.expr", "hypalg.lorentz")),
+    (["eval", "exp(e1)"], ("hypalg.expr", "hypalg.lorentz")),
+    (["eval", "sprod(spinor(0.1,0.2,0.3), spinor(0,0,0))"],
+     ("hypalg.expr", "hypalg.lorentz", "hypalg.spinor")),
+    (["transform", "--vector", "1,0,0,0"], ("hypalg.lorentz",)),
+    (["spinor"], ("hypalg.lorentz", "hypalg.spinor")),
+    (["cross-section"], ("hypalg.lorentz", "hypalg.spinor")),
+    (["spinor", "--check"],
+     ("hypalg.lorentz", "hypalg.spinor", "hypalg.checks")),
+    (["verify"], ("hypalg.lorentz", "hypalg.spinor", "hypalg.checks")),
+)
+
+
+@pytest.mark.parametrize("argv, loads", MODULES_LOADED_BY,
+                         ids=[" ".join(argv) for argv, _ in MODULES_LOADED_BY])
+def test_each_command_loads_only_its_modules(argv, loads):
+    # -X importtime logs every module the child imports, once, by name
+    src = str(Path(hypalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hypalg.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert {m for m in imported if m.split(".")[0] == "hypalg"} \
+        == {*_PACKAGE, *loads}
+    assert "hypalg.cli" not in imported
+
+
 def test_cli_eval_json_schema(capsys):
     code, out, _ = run(capsys, "eval", "e1", "--json")
     doc = json.loads(out)

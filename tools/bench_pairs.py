@@ -6,7 +6,8 @@ PARENT and CHANGE are git revisions of this repository.  Each is unpacked
 with ``git archive`` into its own new directory, and ``perfbench/run.py``
 runs there unchanged, for BENCHMARK.json's ``run_seconds``, one process at
 a time, with the same seed for both sides of a pair.  ``PAIRS`` sets the
-pairs per workload: ten where a gain can be claimed, three elsewhere.
+pairs per workload: ten on each, the fewest with which the reading rule can
+call a metric better, so that any workload can carry a claimed gain.
 Pairs are made in rounds, one pair per workload per round, and the side
 that runs first alternates from pair to pair of each workload (the parent
 in even rounds, the change in odd ones), so slow drift of the host and the
@@ -39,7 +40,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-PAIRS = {"xsec_grid": 10, "lorentz_frames": 10, "cli_cold": 3}
+PAIRS = {"xsec_grid": 10, "lorentz_frames": 10, "cli_cold": 10}
 TRACE_PAIRS = 3
 READING_RULE = ("per end-to-end metric: better when there are at least 10 "
                 "pairs, the change wins at least 9 in 10 of them and the "
