@@ -4,7 +4,8 @@ The scalar and multivector names load with the package; the names of
 ``lorentz`` and ``spinor`` load with their module on first use (PEP 562), so
 that a command which needs neither does not compile them.  The first access
 to any name of such a module binds all of its names here at once, after
-which each is a plain attribute of the package.
+which each is a plain attribute of the package; once both are bound, the
+module ``__getattr__`` removes itself.
 """
 
 from importlib import import_module
@@ -59,6 +60,11 @@ def __getattr__(name: str):
     owner = vars(import_module(f".{module}", __name__))
     namespace = globals()
     namespace.update({key: owner[key] for key in _ON_FIRST_USE[module]})
+    if namespace.keys() >= set(__all__):
+        # Nothing is left to load.  CPython does not specialize attribute
+        # reads on a module whose namespace holds __getattr__ (each read of
+        # hypalg.name then costs about 20 ns more), so the hook goes.
+        del namespace["__getattr__"]
     return namespace[name]
 
 

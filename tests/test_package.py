@@ -75,10 +75,20 @@ hypalg.boost
 assert loaded() == ["hypalg.cayley", "hypalg.hypernum", "hypalg.lorentz"]
 assert set(lorentz) <= set(vars(hypalg)), set(lorentz) - set(vars(hypalg))
 assert not set(spinor) & set(vars(hypalg))
+assert "__getattr__" in vars(hypalg)
 from hypalg import Spinor
 assert "hypalg.spinor" in sys.modules
 assert set(spinor) <= set(vars(hypalg)), set(spinor) - set(vars(hypalg))
 assert hypalg.spinor is sys.modules["hypalg.spinor"]
+# with every name bound, the hook is gone and plain module lookup remains
+assert "__getattr__" not in vars(hypalg)
+assert set(dir(hypalg)) >= set(lorentz) | set(spinor)
+try:
+    hypalg.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'hypalg' has no attribute 'nope'", exc
+else:
+    raise AssertionError("hypalg.nope")
 print("ok")
 """
 
