@@ -64,7 +64,7 @@ def __getattr__(name: str):
         # Nothing is left to load.  CPython does not specialize attribute
         # reads on a module whose namespace holds __getattr__ (each read of
         # hypalg.name then costs about 20 ns more), so the hook goes.
-        del namespace["__getattr__"]
+        namespace.pop("__getattr__", None)  # two threads may both get here
     return namespace[name]
 
 

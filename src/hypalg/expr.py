@@ -14,7 +14,8 @@ limited to MAX_DEPTH levels.
 
 Only ``hypalg eval`` loads this module, and it loads ``lorentz`` and
 ``spinor`` only for the functions that need them.  It never imports
-``hypalg.cli``, which runs as ``__main__`` under ``python -m hypalg.cli``.
+``hypalg.cli``: under ``python -m hypalg.cli`` that module runs as
+``__main__``, and importing it would compile it a second time.
 """
 
 from __future__ import annotations
