@@ -6,16 +6,19 @@ compiles only those: ``eval`` loads the expression language
 ``lorentz``, and ``spinor`` and ``cross-section`` load ``spinor`` as well;
 ``verify`` and ``spinor --check`` load ``hypalg.checks``.  The language's
 names (parse, evaluate, render, the AST nodes and its errors) can be read
-here too; the first such read loads ``hypalg.expr``.  Exit codes: 1 verify
-or --check failure, 2 parse/type error, 3 zero divisor, 4 overflow,
-non-convergence or a non-finite result.
+here too; the first such read loads ``hypalg.expr``.  ``main`` reads a
+plain command line itself from the one grammar ``_GRAMMAR``; argparse, built
+from the same grammar, is loaded only for every other command line, and
+prints help, usage and errors.  Exit codes: 1 verify or --check failure, 2
+parse/type error, 3 zero divisor, 4 overflow, non-convergence or a
+non-finite result.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from types import SimpleNamespace
 
 from .cayley import BASIS_LABELS, FourVector, Multivector, _ResidualError
 from .hypernum import (HyperComplex, NonFiniteResult, ZeroDivisor,
@@ -186,67 +189,62 @@ def _cmd_verify(_args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hypalg",
-        description="Hyperbolic-complex Clifford algebra calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    angles = argparse.ArgumentParser(add_help=False)
-    for name in ("--phi", "--theta", "--xi"):
-        angles.add_argument(name, type=float, default=0.0)
+# -- the command line -----------------------------------------------------------
 
-    p_eval = sub.add_parser("eval", help="evaluate an expression")
-    p_eval.add_argument("expr")
-    p_eval.set_defaults(func=_cmd_eval)
+_ANGLES = (("--phi", float, 0.0, None), ("--theta", float, 0.0, None),
+           ("--xi", float, 0.0, None))
+_JSON = ("--json", "flag", False, None)
 
-    p_tr = sub.add_parser("transform",
-                          help="apply a rotation then a boost to a four-vector")
-    p_tr.add_argument("--boost", default="0,0,0", metavar="BX,BY,BZ")
-    p_tr.add_argument("--rotate", default="0,0,0", metavar="AX,AY,AZ")
-    p_tr.add_argument("--vector", required=True, metavar="X0,X1,X2,X3")
-    p_tr.set_defaults(func=_cmd_transform)
-
-    p_sp = sub.add_parser("spinor", parents=[angles],
-                          help="spinor components for given parameters")
-    view = p_sp.add_mutually_exclusive_group()
-    view.add_argument("--even", dest="view", action="store_const", const="even")
-    view.add_argument("--odd", dest="view", action="store_const", const="odd")
-    view.add_argument("--column", dest="view", action="store_const",
-                      const="column")
-    p_sp.set_defaults(view="even")
-    p_sp.add_argument("--check", action="store_true",
-                      help="cross-check against the closed-form components")
-    p_sp.set_defaults(func=_cmd_spinor)
-
-    p_cs = sub.add_parser("cross-section", parents=[angles],
-                          help="spinor-product square and elastic factor")
-    p_cs.set_defaults(func=_cmd_cross_section)
-
-    p_v = sub.add_parser("verify", help="run the built-in identity suites")
-    p_v.set_defaults(func=_cmd_verify)
-    for p in (p_eval, p_tr, p_sp, p_cs):
-        p.add_argument("--json", action="store_true")
-    return parser
+# The one grammar of the command line, which _dash_values, _read_plain and
+# _build_parser read.  Per subcommand: its help, its handler and its
+# arguments in the order that -h lists them, each as (name, kind, default,
+# text).  Kind float or str is an option that takes a value and reads it
+# with kind; a None default makes it required, and text is its metavar.
+# "flag" is a flag (text is its help), "view" one of spinor's exclusive
+# views, stored as view, and "expr" is eval's one positional.
+_GRAMMAR = {
+    "eval": ("evaluate an expression", _cmd_eval,
+             (("expr", "expr", None, None), _JSON)),
+    "transform": ("apply a rotation then a boost to a four-vector",
+                  _cmd_transform,
+                  (("--boost", str, "0,0,0", "BX,BY,BZ"),
+                   ("--rotate", str, "0,0,0", "AX,AY,AZ"),
+                   ("--vector", str, None, "X0,X1,X2,X3"), _JSON)),
+    "spinor": ("spinor components for given parameters", _cmd_spinor,
+               (*_ANGLES, ("--even", "view", "even", None),
+                ("--odd", "view", "even", None),
+                ("--column", "view", "even", None),
+                ("--check", "flag", False,
+                 "cross-check against the closed-form components"), _JSON)),
+    "cross-section": ("spinor-product square and elastic factor",
+                      _cmd_cross_section, (*_ANGLES, _JSON)),
+    "verify": ("run the built-in identity suites", _cmd_verify, ()),
+}
 
 
-# The options that take a value; it may begin with '-' (-1e-3, -inf, -1,0,0).
-_VALUE_OPTIONS = ("--boost", "--rotate", "--vector", "--phi", "--theta", "--xi")
+def _dest(name: str, kind) -> str:
+    """The namespace attribute that an argument of _GRAMMAR sets."""
+    return "view" if kind == "view" else name.lstrip("-")
 
 
 def _dash_values(argv: list[str]) -> list[str]:
     """argv with each value that begins with '-' made plain to argparse.
 
     argparse takes such a token for an option unless it is a plain decimal
-    such as -2.  A value option, or a prefix of exactly one (argparse
-    accepts such an abbreviation), followed by one is joined to it as
-    --opt=value, and an eval expression that begins with '-' moves behind
-    '--'.  Long options, -h and everything from '--' on are left as they are.
+    such as -2.  An option of _GRAMMAR that takes a value (-1e-3, -inf,
+    -1,0,0), or a prefix of exactly one (argparse accepts such an
+    abbreviation), followed by one is joined to it as --opt=value, and an
+    eval expression that begins with '-' moves behind '--'.  Long options,
+    -h and everything from '--' on are left as they are.
     """
+    value_options = {name for _, _, arguments in _GRAMMAR.values()
+                     for name, kind, _, _ in arguments if kind in (float, str)}
+
     def dashed(token: str) -> bool:
         return token[:1] == "-" and token[:2] != "--" and token != "-h"
 
     def value_option(token: str) -> bool:
-        return sum(option.startswith(token) for option in _VALUE_OPTIONS) == 1
+        return sum(option.startswith(token) for option in value_options) == 1
 
     out, expr = [], []
     i = 0
@@ -266,6 +264,79 @@ def _dash_values(argv: list[str]) -> list[str]:
     return out + expr
 
 
+def _build_parser():
+    """argparse's parser for _GRAMMAR: the one source of help, usage and errors."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="hypalg",
+        description="Hyperbolic-complex Clifford algebra calculator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_, func, arguments) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_)
+        views = None
+        for name, kind, default, text in arguments:
+            if kind == "expr":
+                p.add_argument(name)
+            elif kind == "view":
+                views = views or p.add_mutually_exclusive_group()
+                views.add_argument(name, dest="view", action="store_const",
+                                   const=name[2:], default=default)
+            elif kind == "flag":
+                p.add_argument(name, action="store_true", help=text)
+            else:
+                p.add_argument(name, type=kind, default=default,
+                               required=default is None, metavar=text)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _read_plain(argv: list[str]):
+    """The namespace argparse gives for a plain command line, else None.
+
+    Plain is a subcommand, then each of its arguments at most once: an
+    option by its full name, as --opt=value or followed by a value that
+    does not begin with '-', a flag, and eval's one expression; a float
+    option's value is one that float() reads, and every required argument
+    is there.  argparse reads every other command line (help, '--',
+    abbreviated or unknown options, errors) and prints its messages.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, func, arguments = _GRAMMAR[argv[0]]
+    kinds = {name: kind for name, kind, _, _ in arguments}
+    args = {_dest(name, kind): default for name, kind, default, _ in arguments}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] == "-":
+            name, eq, text = token.partition("=")
+        else:
+            name, eq, text = "expr", "", token
+        kind = kinds.get(name)
+        dest = _dest(name, kind)
+        if kind is None or dest in given:
+            return None
+        given.add(dest)
+        if kind in (float, str):
+            if not eq:
+                text = next(tokens, "-")  # a missing value reads as '-'
+                if text[:1] == "-":
+                    return None
+            try:
+                args[dest] = kind(text)
+            except ValueError:
+                return None
+        elif eq:
+            return None
+        elif kind == "view":
+            args[dest] = name[2:]
+        else:
+            args[dest] = text if kind == "expr" else True
+    if None in args.values():
+        return None
+    return SimpleNamespace(command=argv[0], **args, func=func)
+
+
 def _fail(code: int, exc: Exception) -> int:
     """Print exc to stderr as an error line, and return the exit status code.
 
@@ -278,8 +349,8 @@ def _fail(code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_dash_values(argv))
+    argv = _dash_values(sys.argv[1:] if argv is None else list(argv))
+    args = _read_plain(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _ResidualError as exc:

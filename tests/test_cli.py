@@ -320,15 +320,16 @@ def test_cli_spinor_check_failure_message(capsys, monkeypatch):
 def test_import_does_not_load_numpy():
     # the import budget of every hypalg command: numpy loads only for
     # matrix_of, json only for --json, cmath only for exp, hypalg.checks only
-    # for verify and spinor --check, and no value class needs dataclasses
+    # for verify and spinor --check, argparse (which brings gettext and
+    # locale) only for help and errors, and no value class needs dataclasses
     # (which brings inspect)
     src = str(Path(hypalg.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, hypalg.cli; assert 'numpy' not in sys.modules; "
-         "print(*sorted({'cmath', 'dataclasses', 'hypalg.checks', 'inspect',"
-         " 'json'} & set(sys.modules)))"],
+         "print(*sorted({'argparse', 'cmath', 'dataclasses', 'gettext',"
+         " 'hypalg.checks', 'inspect', 'json', 'locale'} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -383,23 +384,58 @@ MODULES_LOADED_BY = (
 )
 
 
-@pytest.mark.parametrize("argv, loads", MODULES_LOADED_BY,
-                         ids=[" ".join(argv) for argv, _ in MODULES_LOADED_BY])
-def test_each_command_loads_only_its_modules(argv, loads):
-    # -X importtime logs every module the child imports, once, by name
+# What argparse brings: a plain command line is read without it.
+_ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def _run_importtime(argv):
+    """(exit code, stdout, stderr without its import lines, modules imported)
+    of `python -X importtime -m hypalg.cli argv`; -X importtime logs every
+    module the child imports, once, by name."""
     src = str(Path(hypalg.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "hypalg.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
+        env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"},
+        capture_output=True, text=True, timeout=60)
+    lines = proc.stderr.splitlines(keepends=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines
                 if line.startswith("import time:") and "|" in line}
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, proc.stdout, err, imported
+
+
+@pytest.mark.parametrize("argv, loads", MODULES_LOADED_BY,
+                         ids=[" ".join(argv) for argv, _ in MODULES_LOADED_BY])
+def test_each_command_loads_only_its_modules(argv, loads):
+    code, _, err, imported = _run_importtime(argv)
+    assert code == 0, err
     assert {m for m in imported if m.split(".")[0] == "hypalg"} \
         == {*_PACKAGE, *loads}
     assert "hypalg.cli" not in imported
+    assert not imported & _ARGPARSE
+
+
+TRANSFORM_USAGE = (
+    "usage: hypalg transform [-h] [--boost BX,BY,BZ] [--rotate AX,AY,AZ] "
+    "--vector\n                        X0,X1,X2,X3 [--json]\n")
+ARGPARSE_READS = (
+    (["eval", "-h"], 0,
+     "usage: hypalg eval [-h] [--json] expr\n\npositional arguments:\n"
+     "  expr\n\noptions:\n  -h, --help  show this help message and exit\n"
+     "  --json\n", ""),
+    (["transform", "--bogus"], 2, "",
+     TRANSFORM_USAGE + "hypalg transform: error: the following arguments "
+     "are required: --vector\n"),
+)
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGPARSE_READS,
+                         ids=[" ".join(argv) for argv, *_ in ARGPARSE_READS])
+def test_help_and_errors_load_argparse(argv, code, out, err):
+    *got, imported = _run_importtime(argv)
+    assert got == [code, out, err]
+    assert _ARGPARSE <= imported
 
 
 def test_cli_eval_json_schema(capsys):
@@ -599,3 +635,63 @@ def test_cli_transcript(monkeypatch):
     assert not differ, (f"{len(differ)} commands differ; transcript written "
                         f"with {header[2:]}, run with "
                         f"{same_results.transcript_header()[2:]}", differ[:10])
+
+
+def _namespace(args) -> dict:
+    """vars(args) with each float as its repr, so that NaN equals NaN."""
+    return {key: repr(value) if isinstance(value, float) else value
+            for key, value in vars(args).items()}
+
+
+def test_plain_reader_reads_as_argparse_does():
+    # every transcript command and 3,200 seeded ones: _read_plain declines a
+    # command line or gives exactly argparse's namespace for it
+    from hypalg.cli import _build_parser, _dash_values, _read_plain
+    same_results = _same_results()
+    parser = _build_parser()
+    accepted = 0
+    for argv in (same_results.cli_commands(same_results.N_TRANSCRIPT)
+                 + same_results.cli_commands(3200)):
+        argv = _dash_values(argv)
+        args = _read_plain(argv)
+        if args is not None:
+            accepted += 1
+            assert _namespace(args) == _namespace(parser.parse_args(argv)), \
+                argv
+    assert accepted == 3754
+
+
+def test_plain_reader_declines_what_argparse_owns():
+    from hypalg.cli import _build_parser, _dash_values, _read_plain
+    for argv in (["-h"], ["--help"], ["eval", "-h"], ["spinor", "--help"],
+                 ["eval", "--", "j"], ["eval", "-(e3)"],
+                 ["spinor", "--ph", "1"], ["transform", "--vec=1,0,0,0"],
+                 ["spinor", "--bogus"], ["spinor", "--json=1"],
+                 ["spinor", "--even", "--odd"], ["spinor", "--phi", "x"],
+                 ["transform"], ["eval"], ["eval", "j", "i"], ["verify", "x"],
+                 ["verify", "--json"], ["spinor", "--phi"], [], ["bogus"]):
+        assert _read_plain(_dash_values(argv)) is None, argv
+    # every form that cli_cold's commands take, and the same with
+    # `--opt value` and values that begin with '-'
+    parser = _build_parser()
+    for argv in (
+            ["eval", "12*j*j - 7"], ["eval", "boost(0.1,-0.2,0.3)", "--json"],
+            ["eval", "--json", "inv(3*(1+j))"], ["eval", "4 +"],
+            ["transform", "--rotate=0.1,-0.2,0.3", "--boost=-1,0,0",
+             "--vector=1,0,0,0"],
+            ["transform", "--rotate=0,0,0", "--boost=0.5,0,0",
+             "--vector=-1,0,0,0", "--json"],
+            ["transform", "--vector", "-1,0,0,0", "--boost", "0,0,1.2"],
+            ["spinor", "--phi=0.7", "--theta=1.1", "--xi=-0.9", "--even",
+             "--check"],
+            ["spinor", "--phi=0.7", "--theta=1.1", "--xi=0.9", "--odd",
+             "--check", "--json"],
+            ["spinor", "--phi", "0.7", "--theta", "1.1", "--xi", "-0.9",
+             "--column", "--check"],
+            ["cross-section", "--phi=1.3", "--theta=0.6", "--xi=2.0"],
+            ["cross-section", "--phi", "-1.3", "--theta", "nan", "--json"],
+            ["verify"]):
+        argv = _dash_values(argv)
+        args = _read_plain(argv)
+        assert args is not None, argv
+        assert _namespace(args) == _namespace(parser.parse_args(argv)), argv
