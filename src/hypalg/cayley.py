@@ -20,8 +20,7 @@ from .hypernum import _coerce as _coerce_scalar
 from .hypernum import (_REAL, ZERO, HyperComplex, _coeffs, _Frozen, _max_or_nan,
                        _new, _pair, _part_abs, _scaled, render_terms)
 
-# the membership guards' default tolerance, extract's and check's; apply's
-# half route (_spin_sandwich) decides by it too
+# the membership guards' default tolerance, extract's and check's
 _SPAN_TOL = 1e-12
 
 
@@ -63,16 +62,11 @@ class _ResidualError(Exception):
         residual = _max_or_nan(list(map(abs, cls._outside(coeffs))))
         if residual < math.inf and sum([c - c for c in inside]) != 0:
             residual = math.nan  # c - c is 0 for a finite c, NaN otherwise
-        cls._decide(residual, a.max_abs, tol)
-        return inside
-
-    @classmethod
-    def _decide(cls, residual: float, max_abs, tol: float) -> None:
-        """check's rule on a residual already read; max_abs() gives the scale."""
         # max(1, ...) is at least 1, so a residual within tol needs no max_abs
-        within = residual <= tol or residual <= tol * max(1.0, max_abs())
+        within = residual <= tol or residual <= tol * max(1.0, a.max_abs())
         if not (within and residual < math.inf):
             raise cls(residual)
+        return inside
 
     @classmethod
     def components(cls, a: Multivector) -> tuple[float, ...]:
@@ -268,9 +262,10 @@ def _pauli(a: tuple, b: tuple) -> tuple:
 #
 # An element of the spinor span {1, i*s_k, j*s_k, ij} has the m half
 # _sigma(p) of its p half p, so it is one element A of M2(C), and a
-# paravector's p half is the Hermitian matrix X = x0 + x.s.  Rotors and their
-# sandwiches then act on the p half alone, as A X A^dagger (R. Penrose and
-# W. Rindler, *Spinors and Space-Time*, vol. 1, 1984).
+# paravector's p half is the Hermitian X = x0 + x.s: rotors act as A X
+# A^dagger (R. Penrose and W. Rindler, *Spinors and Space-Time*, vol. 1,
+# 1984).  Spin values keep A's entries, which the closed forms write: A11 =
+# p0 - p3 is a difference of terms of size cosh(xi/2) for a boost.
 
 def _sigma(p: tuple) -> tuple:
     """The m half that the spinor span pairs with the p half p."""
@@ -284,155 +279,130 @@ def _zero_if_finite(q: tuple) -> complex:
     return (q0 - q0) + (q1 - q1) + (q2 - q2) + (q3 - q3)  # inf - inf is NaN
 
 
-def _spin_half(a: Multivector) -> tuple | None:
-    """a.p when a.m == _sigma(a.p) and every part is finite, else None.
+def _entries(p: tuple) -> tuple:
+    """(A00, A01, A10, A11) of A = p0 + p.s; i*p2 is an exact quarter turn."""
+    p0, p1, p2, p3 = p
+    ip2 = complex(-p2.imag, p2.real)
+    return (p0 + p3, p1 - ip2, p1 + ip2, p0 - p3)
 
-    An infinite part can pass the first test, yet the full products read
-    inf - inf where the half does not, so it takes the full products.
-    """
-    p = a.p
-    if a.m == _sigma(p) and _zero_if_finite(p) == 0:
-        return p
-    return None
+
+def _spin_half(a: Multivector) -> tuple | None:
+    """_entries(a.p) when a.m == _sigma(a.p) and they are finite, else None."""
+    h = _entries(a.p) if a.m == _sigma(a.p) else None
+    return h if h is not None and _zero_if_finite(h) == 0 else None
 
 
 class _SpinValue(_Frozen):
-    """Base of lorentz.Rotor and spinor.Spinor: a value and its M2(C) half.
+    """Base of lorentz.Rotor and spinor.Spinor: a value and its M2(C) entries.
 
-    The half is _spin_half(value), found once, when the value is built and
-    when pickle or copy rebuilds it (both fill the fields through _fill),
-    and kept in the slot _half.  That slot is not in a subclass's
-    __slots__, so equality, hashing, repr and pickling do not see it.  The
-    operations read it instead of testing again, and take the half route
-    where it is not None.
+    The slot _half keeps the entries: _spin_half(value) (also in _fill), a
+    closed form's, or a composition's product.  Outside a subclass's
+    __slots__, equality, hashing and repr do not see it; pickling carries it.
     """
 
     __slots__ = ("_half",)
 
     def __init__(self, value: Multivector):
-        self._fill(value)
-
-    def _fill(self, value: Multivector) -> None:
         self._setters[0](self, value)
         _set_half(self, _spin_half(value))
+
+    _fill = __init__
+
+    def __reduce__(self):
+        return _with_half, (type(self), self.value, self._half)
 
 
 (_set_half,) = _SpinValue._setters
 
 
 def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
-    """The cls with the value value and the half half, found by the caller."""
+    """The cls with the value value and the entries half, found by the caller."""
     obj = _new(cls)
     cls._setters[0](obj, value)
     _set_half(obj, half)
     return obj
 
 
-def _spin_value(cls: type, half: tuple) -> _SpinValue:
-    """The cls with the pair form (half, _sigma(half)) as its value.
-
-    Its m half is _sigma(half) by construction, so only finiteness is
-    tested: the half is kept when every part is finite and None otherwise,
-    as _spin_half would find it.
-    """
-    return _with_half(cls, _halves(half, _sigma(half)),
-                      half if _zero_if_finite(half) == 0 else None)
-
-
-def _spin_product(cls: type, p: tuple | None,
-                  q: tuple | None) -> _SpinValue | None:
-    """The cls of the product of the spin values with the halves p and q.
-
-    Its p half is _pauli(p, q) and its m half _sigma of that, which is the
-    full product's m half _pauli(_sigma(p), _sigma(q)) up to the sign of a
-    zero.  None where p or q is None or a part of the product is not
-    finite: the caller then takes the full product, so its NaN results stay
-    as they are.
-    """
-    if p is None or q is None:
-        return None
-    out = _spin_value(cls, _pauli(p, q))
-    return None if out._half is None else out
-
-
 def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
-                 b10: float, b20: float, b30: float, p: float) -> _SpinValue:
+                 b10: float, b20: float, b30: float, p: float,
+                 entries: tuple | None = None) -> _SpinValue:
     """The cls with the spinor-span value of the even components s, ..., p.
 
-    That is s + b32 i s1 + b13 i s2 + b21 i s3 + b10 j s1 + b20 j s2
-    + b30 j s3 + p ij, the expansion that names the components (see
-    hypalg.spinor).  Its p half is v + i*eta in the odd picture, v = (s,
-    b10, b20, b30) and eta = (p, b32, b13, b21), and its m half is _sigma of
-    that (see _spin_value).  The one builder of that layout:
-    lorentz.rotation, boost, IDENTITY and spin_transform, and
-    spinor.from_even_components, from_odd_components and from_column all
-    build through it.
+    That is s + b32 i s1 + ... + p ij (see hypalg.spinor): the p half
+    v + i*eta, v = (s, b10, b20, b30) and eta = (p, b32, b13, b21), and the
+    m half _sigma of it.  Its entries, a closed form's or _entries of the p
+    half, are kept when finite.  Every spin-span builder builds through here.
     """
-    return _spin_value(cls, (complex(s, p), complex(b10, b32),
-                             complex(b20, b13), complex(b30, b21)))
+    half = (complex(s, p), complex(b10, b32), complex(b20, b13),
+            complex(b30, b21))
+    if entries is None:
+        entries = _entries(half)
+    return _with_half(cls, _halves(half, _sigma(half)),
+                      entries if _zero_if_finite(entries) == 0 else None)
 
 
-def _spin_extract(y: tuple) -> tuple[float, float, float, float]:
-    """extract(_halves(y, _sigma(y))): x0..x3 of the pair form of the half y.
+def _spin_product(cls: type, a: Multivector, h: tuple | None, b: Multivector,
+                  k: tuple | None) -> _SpinValue | None:
+    """The cls of the product of the spin values a and b, with entries h and k.
 
-    Its coefficients are x0..x3 = Re y in the span and Im y outside it,
-    besides zeros r/2 - r/2 that are NaN where a part of y is not finite.
-    NotAParavector is raised by its own rule on that residual, with
-    extract's tolerance _SPAN_TOL.
+    The value is the pair form of _pauli(a.p, b.p), the full product's up to
+    the sign of a zero; None where h or k is None or a part is not finite.
     """
-    y0, y1, y2, y3 = y
-    residual = (max(abs(y0.imag), abs(y1.imag), abs(y2.imag), abs(y3.imag))
-                if _zero_if_finite(y) == 0 else math.nan)
-    NotAParavector._decide(residual, lambda: _max_or_nan(
-        [abs(c) for z in y for c in (z.real, z.imag)]), _SPAN_TOL)
-    return (y0.real, y1.real, y2.real, y3.real)
+    if h is None or k is None:
+        return None
+    p = _pauli(a.p, b.p)
+    h00, h01, h10, h11 = h
+    k00, k01, k10, k11 = k
+    entries = (h00 * k00 + h01 * k10, h00 * k01 + h01 * k11,
+               h10 * k00 + h11 * k10, h10 * k01 + h11 * k11)
+    if _zero_if_finite(p) != 0 or _zero_if_finite(entries) != 0:
+        return None
+    return _with_half(cls, _halves(p, _sigma(p)), entries)
 
 
-def _spin_sandwich(p: tuple, x: FourVector) -> FourVector:
-    """extract(a * embed(x) * a.dagger()) for the a with _spin_half(a) == p.
+def _sandwich_terms(h: tuple) -> tuple:
+    """The coefficients of x -> A X A^dagger for the entries h of A.
 
-    The p half of the sandwich is Y = A X A^dagger, and its m half
-    _sigma(Y), so _spin_extract decides it.
+    With X = [[x0+x3, conj(c)], [c, x0-x3]], c = x1 + i x2, the image's x0
+    and x3 are half the traces of X A^dagger A and X A^dagger s3 A, and its
+    x1 + i x2 is (A X A^dagger)10; (A^dagger A)10 and (A A^dagger)10 cancel
+    exactly for a unitary A.
     """
-    return FourVector(*_spin_extract(_pauli(
-        _pauli(p, (complex(x.x0), complex(x.x1), complex(x.x2),
-                   complex(x.x3))), tuple(map(_conj, p)))))
+    a00, a01, a10, a11 = h
+    b00, b01, b10 = a00.conjugate(), a01.conjugate(), a10.conjugate()
+    n00, n01, n10, n11 = ((a00 * b00).real, (a01 * b01).real,
+                          (a10 * b10).real, (a11 * a11.conjugate()).real)
+    u, v, p, q = a01 * b00, a11 * b10, a10 * b00, a11 * b01
+    return (n00 + n10, n01 + n11, n00 - n10, n01 - n11, 2.0 * (u + v),
+            2.0 * (u - v), p + q, p - q, a11 * b00, a10 * b01)
 
 
-def _spin_columns(p: tuple) -> list[tuple[float, float, float, float]]:
-    """_spin_sandwich(p, e_nu) for nu = 0..3, the columns of lorentz.matrix_of.
+def _spin_sandwich(terms: tuple, x0: float, x1: float, x2: float,
+                   x3: float) -> tuple[float, float, float, float] | None:
+    """x0..x3 of A X A^dagger from _sandwich_terms, or None.
 
-    X is s_nu there, so A X is the half p with its parts permuted and
-    turned a quarter: p, (p1, p0, i p3, -i p2), (p2, -i p3, p0, i p1) and
-    (p3, i p2, -i p1, p0), exact where _pauli(p, e_nu) would multiply by 0
-    and 1 (it differs at most in the sign of a zero).  The columns are
-    decided in order, so the first one that leaves the span raises.
+    X's diagonal is d + e, d the rounded x0 +- x3 and e its error (TwoSum),
+    and x0 and x3 are each half of one math.fsum: exact for A = 1.  The
+    image is Hermitian by construction.  None where a part is not finite or
+    a sum, or |a|^2 max|x_k| (|a|^2 = sum |A_ij|^2 / 2), passes the range.
     """
-    p0, p1, p2, p3 = p
-    ip1, ip2, ip3 = [complex(-c.imag, c.real) for c in (p1, p2, p3)]
-    dagger = tuple(map(_conj, p))
-    return [_spin_extract(_pauli(q, dagger)) for q in (
-        p, (p1, p0, ip3, -ip2), (p2, -ip3, p0, ip1), (p3, ip2, -ip1, p0))]
-
-
-def _spin_sprod(p: tuple, q: tuple) -> HyperComplex:
-    """The spinor product of the spin values with the halves p and q.
-
-    With A = M(p) and B = M(q), the entries A00 = p0 + p3, A01 = p1 - i p2,
-    A10 = p1 + i p2 and A11 = p0 - p3, the product is the pair
-    ((adj A B)00, conj((adj B A)00)): its p part A11 B00 - A01 B10 is the
-    antisymmetric form of Penrose and Rindler between B's first column and
-    A's second.  It is spinor.sprod_algebraic's value, the scalar slot of
-    sym(a, b) + sym(a, b e3) J, for the a and b with _spin_half(a) == p and
-    _spin_half(b) == q, in one 2x2 computation.  The quarter turns are
-    exact, as in _pauli.
-    """
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    ip2, iq2 = complex(-p2.imag, p2.real), complex(-q2.imag, q2.real)
-    a00, a01, a10, a11 = p0 + p3, p1 - ip2, p1 + ip2, p0 - p3
-    b00, b01, b10, b11 = q0 + q3, q1 - iq2, q1 + iq2, q0 - q3
-    return _pair(a11 * b00 - a01 * b10, (b11 * a00 - b01 * a10).conjugate())
+    g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = terms
+    d0, d1 = x0 + x3, x0 - x3
+    z0, z1 = d0 - x0, d1 - x0
+    e0, e1 = (x0 - (d0 - z0)) + (x3 - z0), (x0 - (d1 - z1)) - (x3 + z1)
+    c = complex(x1, x2)
+    try:
+        y0 = 0.5 * math.fsum((g0 * d0, g0 * e0, g1 * d1, g1 * e1,
+                              (c * gc).real))
+        y3 = 0.5 * math.fsum((k0 * d0, k0 * e0, k1 * d1, k1 * e1,
+                              (c * kc).real))
+    except (OverflowError, ValueError):  # a partial past the range, inf - inf
+        return None
+    y = x0 * w0 + x3 * w3 + c * w1 + c.conjugate() * w2
+    if (y0 - y0) + (y3 - y3) + (y - y) != 0 or not (
+            (g0 + g1) * 0.5 * max(abs(x0), abs(x1), abs(x2), abs(x3)) < math.inf):
+        return None
+    return (y0, y.real, y.imag, y3)
 
 
 _LN2 = math.log(2.0)

@@ -295,10 +295,11 @@ def _read_plain(argv: list[str]):
 
     Plain is a subcommand, then each of its arguments at most once: an
     option by its full name, as --opt=value or followed by a value that
-    does not begin with '-', a flag, and eval's one expression; a float
-    option's value is one that float() reads, and every required argument
-    is there.  argparse reads every other command line (help, '--',
-    abbreviated or unknown options, errors) and prints its messages.
+    does not begin with '-', a flag, and eval's one expression, also after
+    one '--' as the last two tokens; a float option's value is one that
+    float() reads, and every required argument is there.  argparse reads
+    every other command line (help, any other '--', abbreviated or unknown
+    options, errors) and prints its messages.
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
@@ -308,7 +309,10 @@ def _read_plain(argv: list[str]):
     given = set()
     tokens = iter(argv[1:])
     for token in tokens:
-        if token[:1] == "-":
+        if token == "--" and "expr" in kinds:  # one expression, or None
+            rest = list(tokens)
+            name, eq, text = "expr", "", rest[0] if len(rest) == 1 else None
+        elif token[:1] == "-":
             name, eq, text = token.partition("=")
         else:
             name, eq, text = "expr", "", token

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 
 from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp_pauli,
-                     _halves, _spin_columns, _spin_product, _spin_sandwich,
-                     _spinor_span, _SpinValue, embed, extract)
+                     _halves, _sandwich_terms, _spin_product, _spin_sandwich,
+                     _spinor_span, _SpinValue, _with_half, embed, extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -45,8 +45,8 @@ class LorentzParams(_Frozen):
 class Rotor(_SpinValue):
     """A spin-group element: value * bar(value) == 1.
 
-    Its M2(C) half (see cayley._SpinValue) is found once, when it is built;
-    apply, matrix_of, composition and spinor.from_rotor read it.
+    apply, matrix_of, composition, inverse and spinor.from_rotor read its
+    M2(C) entries (see cayley._SpinValue), found once, when it is built.
     """
 
     __slots__ = __match_args__ = ("value",)
@@ -54,17 +54,20 @@ class Rotor(_SpinValue):
     def __mul__(self, other: "Rotor") -> "Rotor":
         """Composition; (t2 * t1) acts as t2 after t1.
 
-        On two rotors that carry a half, one _pauli of the halves (see
-        cayley._spin_product); otherwise, or where that is not finite, the
-        geometric product.
+        On two rotors with entries, cayley._spin_product; otherwise, or
+        where that is not finite, the geometric product.
         """
         if not isinstance(other, Rotor):
             return NotImplemented
-        t = _spin_product(Rotor, self._half, other._half)
+        t = _spin_product(Rotor, self.value, self._half, other.value,
+                          other._half)
         return Rotor(self.value * other.value) if t is None else t
 
     def inverse(self) -> "Rotor":
-        return Rotor(self.value.bar())
+        """Rotor(value.bar()), with the entries adj A: A^-1 where det A = 1."""
+        h = self._half
+        return Rotor(self.value.bar()) if h is None else _with_half(
+            Rotor, self.value.bar(), (h[3], -h[1], -h[2], h[0]))
 
     def is_unit(self, tol: float = 1e-12) -> bool:
         return (self.value * self.value.bar()).isclose(ONE, tol)
@@ -98,6 +101,10 @@ def boost(rapidity) -> Rotor:
     for a finite |x| past about 1420, and here for an |x| that is NaN or
     inf, where math.sinh and math.cosh return NaN or inf.  Squares that
     overflow need no math.hypot, as rotation's do: their |x| is over 1e154.
+
+    The entries take no difference: the diagonal one on n3's side (n = x/|x|)
+    is cosh + sinh |n3|, the other e^{-|x|/2} + sinh (1 - |n3|), formed as
+    e^{-|x|/2} + sinh (x1^2 + x2^2) / (|x| (|x| + |x3|)).
     """
     bx, by, bz = rapidity
     t = math.sqrt(bx * bx + by * by + bz * bz)
@@ -106,8 +113,13 @@ def boost(rapidity) -> Rotor:
     if t == 0.0:
         return IDENTITY
     s = math.sinh(t / 2.0) / t
-    return _spinor_span(Rotor, math.cosh(t / 2.0), 0.0, 0.0, 0.0, s * bx,
-                        s * by, s * bz, 0.0)
+    ch, w = math.cosh(t / 2.0), abs(bz)
+    near = complex(ch + s * w)
+    far = complex(math.exp(-t / 2.0) + s * ((bx * bx + by * by) / (t + w)))
+    a01 = complex(s * bx, -s * by)
+    a00, a11 = (near, far) if bz >= 0.0 else (far, near)
+    return _spinor_span(Rotor, ch, 0.0, 0.0, 0.0, s * bx, s * by, s * bz, 0.0,
+                        (a00, a01, a01.conjugate(), a11))
 
 
 def exp_general(a: Multivector) -> Multivector:
@@ -131,15 +143,16 @@ def exp_general(a: Multivector) -> Multivector:
 def apply(t: Rotor, x: FourVector) -> FourVector:
     """Sandwich t x dagger(t) on the embedded paravector.
 
-    When t carries a half (t.value has m == sigma(p) and every part finite,
-    see cayley._spin_half), the sandwich is A X A^dagger on the p half
-    alone; otherwise it is the full product.  NotAParavector propagates when
-    the sandwich leaves the paravector span, which signals that t is not
-    actually a rotor; both routes raise it by the same rule and tolerance.
+    On t's entries, A X A^dagger (cayley._spin_sandwich).  Otherwise, and
+    where that has no image, the full product: NotAParavector propagates
+    when it leaves the paravector span (t is not actually a rotor) or a
+    part of it is not finite.
     """
-    if t._half is None:
-        return extract(t.value * embed(x) * t.value.dagger())
-    return _spin_sandwich(t._half, x)
+    if t._half is not None:
+        y = _spin_sandwich(_sandwich_terms(t._half), x.x0, x.x1, x.x2, x.x3)
+        if y is not None:
+            return FourVector(*y)
+    return extract(t.value * embed(x) * t.value.dagger())
 
 
 def generators() -> tuple[tuple[Multivector, ...], tuple[Multivector, ...]]:
@@ -162,33 +175,41 @@ def spin_transform(p: LorentzParams) -> Rotor:
     ch, sh = cosh, sinh(xi/2), the even components (see hypalg.spinor) are
     s = cp ct ch, b32 = sp st ch, b13 = -cp st ch, b21 = -sp ct ch,
     b10 = cp st sh, b20 = sp st sh, b30 = cp ct sh and p = -sp ct sh, each
-    correct to a few eps times cosh(xi/2).  The product of the three
-    exponentials, rotation((0, 0, phi)) * rotation((0, theta, 0))
-    * boost((0, 0, xi)), is the independent route.  Its home is
-    hypalg.checks: ``hypalg spinor --check`` compares against it there.
+    correct to a few eps times cosh(xi/2); ``hypalg spinor --check``
+    compares them with the product of the three exponentials
+    (hypalg.checks).  The entries [[a ct E, -a st / E], [conj(a) st E,
+    conj(a) ct / E]], a = e^{-i phi/2} and E = e^{xi/2}, take no difference.
+    OverflowError is raised from |xi| = 2 ln(max float) = 1419.565425786768.
     """
     cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
     ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
     ch, sh = math.cosh(p.xi / 2.0), math.sinh(p.xi / 2.0)
-    return _spinor_span(Rotor, cp * ct * ch, sp * st * ch, -cp * st * ch,
-                        -sp * ct * ch, cp * st * sh, sp * st * sh,
-                        cp * ct * sh, -sp * ct * sh)
+    up, down = math.exp(p.xi / 2.0), math.exp(-p.xi / 2.0)
+    cpct, spst, cpst, spct = cp * ct, sp * st, cp * st, sp * ct
+    return _spinor_span(Rotor, cpct * ch, spst * ch, -cpst * ch, -spct * ch,
+                        cpst * sh, spst * sh, cpct * sh, -spct * sh,
+                        (complex(cpct * up, -spct * up),
+                         complex(-cpst * down, spst * down),
+                         complex(cpst * up, spst * up),
+                         complex(cpct * down, spct * down)))
 
 
 def matrix_of(t: Rotor):
     """The 4x4 real numpy array M with M x = apply(t, x), built column by column.
 
-    Column nu is apply's image of the basis vector e_nu, by apply's route:
-    on t's half, cayley._spin_columns, which forms each A s_nu by a
-    permutation and quarter turns; else apply's full sandwich.  The first
-    column that leaves the span raises.  numpy is imported on the first
-    call, so importing hypalg does not load it.
+    Column nu is apply's image of the basis vector e_nu, by apply's route.
+    The first column that leaves the span raises.  numpy is imported on the
+    first call, so importing hypalg does not load it.
     """
     import numpy as np
 
     if t._half is None:
-        columns = [apply(t, FourVector(*[float(k == nu) for k in range(4)]))
-                   .components() for nu in range(4)]
+        columns = [apply(t, FourVector(*e)).components() for e in _BASIS]
     else:
-        columns = _spin_columns(t._half)
-    return np.array(list(zip(*columns)))
+        terms = _sandwich_terms(t._half)
+        columns = [_spin_sandwich(terms, *e)
+                   or apply(t, FourVector(*e)).components() for e in _BASIS]
+    return np.array(columns).T
+
+
+_BASIS = tuple(tuple(float(k == nu) for k in range(4)) for nu in range(4))

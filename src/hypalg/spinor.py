@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 
 from .cayley import (E3, ONE, _SPAN_TOL, Multivector, _ResidualError,
-                     _spin_half, _spin_sprod, _spinor_span, _SpinValue,
+                     _spin_half, _spin_product, _spinor_span, _SpinValue,
                      _with_half, sym)
-from .hypernum import HyperComplex, J, _Frozen, _mul_i, _rebuild
+from .hypernum import HyperComplex, J, _Frozen, _mul_i, _pair, _rebuild
 from .lorentz import LorentzParams, Rotor, spin_transform
 
 
@@ -45,8 +45,7 @@ class NonScalarResidual(_ResidualError, ArithmeticError):
 class Spinor(_SpinValue):
     """A multivector confined to the spinor subalgebra.
 
-    Its M2(C) half (see cayley._SpinValue) is found once, when it is built;
-    product_modulus_sq reads it.
+    product_modulus_sq and act read its M2(C) entries (cayley._SpinValue).
     """
 
     __slots__ = __match_args__ = ("value",)
@@ -62,8 +61,8 @@ class Spinor(_SpinValue):
 def from_rotor(t: Rotor) -> Spinor:
     """Identify the spin transformation itself as the spinor.
 
-    A rotor that carries a half passes it on, without a test; every other
-    rotor's value meets from_multivector.
+    A rotor that carries entries passes them on, without a test; every
+    other rotor's value meets from_multivector.
     """
     if t._half is None:
         return from_multivector(t.value)
@@ -73,7 +72,7 @@ def from_rotor(t: Rotor) -> Spinor:
 def from_multivector(m: Multivector) -> Spinor:
     """m as a Spinor; NotInSpinorAlgebra unless m lies in the spinor span.
 
-    A value whose m half is _sigma of its p half, with every part finite
+    A value whose m half is _sigma of its p half, with finite entries
     (cayley._spin_half), as every rotor and spinor the library builds, has
     every coefficient outside the span exactly 0, so it is accepted without
     the guard; the guard decides every other value.
@@ -244,9 +243,15 @@ def from_column(c: ColumnSpinor) -> Spinor:
 
 
 def act(omega: Multivector, psi: Spinor) -> Spinor:
-    """Left multiplication by a spinor-subalgebra operator."""
-    NotInSpinorAlgebra.check(omega)
-    return Spinor(omega * psi.value)
+    """Left multiplication by a spinor-subalgebra operator.
+
+    cayley._spin_product on entries; else omega meets the guard.
+    """
+    out = _spin_product(Spinor, omega, _spin_half(omega), psi.value, psi._half)
+    if out is None:
+        NotInSpinorAlgebra.check(omega)
+        out = Spinor(omega * psi.value)
+    return out
 
 
 # -- spinor products ------------------------------------------------------------
@@ -271,30 +276,34 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = _SPAN_TOL) -> HyperComple
 def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     """Squared modulus of the spinor product, of the form re + ij*hyper.
 
-    When both values carry an M2(C) half (cayley._SpinValue) and |a|^2 |b|^2
-    is at most 2**1000, the product is cayley._spin_sprod on the two halves,
-    one 2x2 computation.  |a|^2 is the sum of the squares of a's eight
-    components.  Within that range no part that either this route or
-    sprod_algebraic forms exceeds about 2**1011 (sprod_algebraic's parts
-    stay within 24 |a| |b| before it squares), so both give a finite
-    result, and sprod_algebraic's guard passes.  Every other pair takes
-    sprod_algebraic, with its guard, so a NaN or infinite result and a
-    NonScalarResidual are exactly as it gives them.
+    On the entries A and B of a and b, the product (sprod_algebraic's) is
+    ((adj A B)00, conj((adj B A)00)), A11 B00 - A01 B10 being Penrose and
+    Rindler's antisymmetric form.  Where |a|^2 |b|^2 <= 2**1000 (|a|^2 =
+    sum |A_ij|^2 / 2) no part either route forms exceeds about 2**1011, so
+    both are finite.  Beyond it, and without entries, sprod_algebraic runs
+    too: its NaN, inf or NonScalarResidual stands, else the entries' value.
     """
-    p, q = a._half, b._half
-    if p is not None and q is not None and _norm_sq(p) * _norm_sq(q) <= _RANGE:
-        return _spin_sprod(p, q).modulus_sq()
-    return sprod_algebraic(a, b).modulus_sq()
+    h, k = a._half, b._half
+    if h is None or k is None:
+        return sprod_algebraic(a, b).modulus_sq()
+    a00, a01, a10, a11 = h
+    b00, b01, b10, b11 = k
+    m2 = _pair(a11 * b00 - a01 * b10,
+               (b11 * a00 - b01 * a10).conjugate()).modulus_sq()
+    if _norm_sq(h) * _norm_sq(k) <= _RANGE:
+        return m2
+    want = sprod_algebraic(a, b).modulus_sq()
+    return m2 if m2.p - m2.p == 0 and want.p - want.p == 0 else want
 
 
-_RANGE = 2.0 ** 1000  # the largest |a|^2 |b|^2 taken on the halves
+_RANGE = 2.0 ** 1000  # the largest |a|^2 |b|^2 taken on the entries alone
 
 
-def _norm_sq(p: tuple) -> float:
-    """|a|^2 for the spin value a with the half p: the sum of |p_k|^2."""
-    p0, p1, p2, p3 = p
-    return (p0 * p0.conjugate() + p1 * p1.conjugate() + p2 * p2.conjugate()
-            + p3 * p3.conjugate()).real
+def _norm_sq(h: tuple) -> float:
+    """|a|^2 for the spin value a with the entries h: half the sum of |h_ij|^2."""
+    h00, h01, h10, h11 = h
+    return (h00 * h00.conjugate() + h01 * h01.conjugate()
+            + h10 * h10.conjugate() + h11 * h11.conjugate()).real * 0.5
 
 
 def mott_factor(theta: float) -> float:

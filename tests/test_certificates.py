@@ -156,8 +156,8 @@ def sym(a, b):
 def test_half_product_is_the_spinor_product():
     # for a = (P, sigma(P)) and b = (Q, sigma(Q)), with A = M(P) and
     # B = M(Q), sym(a, b) + sym(a, b e3) J has the scalar slot
-    # ((adj A B)00, conj((adj B A)00)) and nothing else; cayley._spin_sprod
-    # reads A's entries as A00 = P0 + P3, A01 = P1 - i P2, A10 = P1 + i P2
+    # ((adj A B)00, conj((adj B A)00)) and nothing else; cayley._entries
+    # forms A's entries as A00 = P0 + P3, A01 = P1 - i P2, A10 = P1 + i P2
     # and A11 = P0 - P3
     def half(name):
         re, im = sp.symbols(f"{name}r0:4", real=True), sp.symbols(
@@ -189,19 +189,93 @@ def complex_half(name):
     return tuple(x + sp.I * y for x, y in zip(re, im))
 
 
-def test_matrix_of_columns_are_permuted_halves():
-    # A s_nu for A = M(P) is P with its parts permuted and turned a quarter,
-    # as cayley._spin_columns forms it, and conj(P) is A^dagger, so column
-    # nu of matrix_of is the p half of the sandwich of e_nu
+def test_sandwich_terms_give_the_sandwich():
+    # cayley._sandwich_terms and _sandwich: for any entries A and real x,
+    # with X = [[x0+x3, x1-i x2], [x1+i x2, x0-x3]], Y = A X A^dagger has
+    # x0 = (g0 d0 + g1 d1 + Re(c gc)) / 2, x3 = (k0 d0 + k1 d1 + Re(c kc)) / 2
+    # and Y10 = x0 w0 + x3 w3 + c w1 + conj(c) w2, where d0, d1 = x0 +- x3
+    # and c = x1 + i x2
+    a00, a01, a10, a11 = complex_half("a")
+    x0, x1, x2, x3 = sp.symbols("x0:4", real=True)
+    A = sp.Matrix([[a00, a01], [a10, a11]])
+    c, d0, d1 = x1 + sp.I * x2, x0 + x3, x0 - x3
+    Y = A * sp.Matrix([[d0, sp.conjugate(c)], [c, d1]]) * A.H
+    conj = sp.conjugate
+    n00, n01, n10, n11 = (z * conj(z) for z in (a00, a01, a10, a11))
+    u, v, p, q = a01 * conj(a00), a11 * conj(a10), a10 * conj(a00), \
+        a11 * conj(a01)
+    g0, g1, k0, k1 = n00 + n10, n01 + n11, n00 - n10, n01 - n11
+    gc, kc, w0, w3, w1, w2 = 2 * (u + v), 2 * (u - v), p + q, p - q, \
+        a11 * conj(a00), a10 * conj(a01)
+    assert sp.expand((Y[0, 0] + Y[1, 1]) / 2
+                     - (g0 * d0 + g1 * d1 + sp.re(sp.expand(c * gc))) / 2) == 0
+    assert sp.expand((Y[0, 0] - Y[1, 1]) / 2
+                     - (k0 * d0 + k1 * d1 + sp.re(sp.expand(c * kc))) / 2) == 0
+    assert sp.expand(Y[1, 0] - (x0 * w0 + x3 * w3 + c * w1 + conj(c) * w2)) == 0
+
+
+def test_adjugate_is_the_half_of_bar_and_the_inverse():
+    # value.bar() has the p half conj(sigma(P)) = (P0, -P1, -P2, -P3), whose
+    # matrix is adj A = (A11, -A01, -A10, A00), for every A; where
+    # det A = 1, adj A is A's inverse (Rotor.inverse)
     P = complex_half("p")
     A = pauli_half(P)
-    want = ((P[1], P[0], sp.I * P[3], -sp.I * P[2]),
-            (P[2], -sp.I * P[3], P[0], sp.I * P[1]),
-            (P[3], sp.I * P[2], -sp.I * P[1], P[0]))
-    for s, w in zip(PAULI, want):
-        assert same(pauli_coeffs(A * s), w)
-    assert (pauli_half(tuple(map(sp.conjugate, P))) - A.H).expand() \
+    bar_half = tuple(sp.conjugate(c) for c in sigma(P))
+    assert (pauli_half(bar_half) - A.adjugate()).expand() == sp.zeros(2, 2)
+    assert (A.adjugate() - sp.Matrix([[A[1, 1], -A[0, 1]],
+                                      [-A[1, 0], A[0, 0]]])) == sp.zeros(2, 2)
+    assert (A.adjugate() * A - A.det() * sp.eye(2)).expand() == sp.zeros(2, 2)
+
+
+def _vanishes(expr) -> bool:
+    return sp.simplify(sp.expand(expr.rewrite(sp.exp))) == 0
+
+
+def test_spin_transform_entries_are_the_matrix_of_its_components():
+    # lorentz.spin_transform: the matrix of the even-component closed form
+    # is [[a ct E, -a st / E], [conj(a) st E, conj(a) ct / E]] with
+    # a = cp - i sp = e^{-i phi/2} and E = e^{xi/2}
+    phi, theta, xi = sp.symbols("phi theta xi", real=True)
+    cp, sp_, ct, st = (sp.cos(phi / 2), sp.sin(phi / 2), sp.cos(theta / 2),
+                       sp.sin(theta / 2))
+    ch, sh = sp.cosh(xi / 2), sp.sinh(xi / 2)
+    s, b32, b13, b21 = cp * ct * ch, sp_ * st * ch, -cp * st * ch, -sp_ * ct * ch
+    b10, b20, b30, p = cp * st * sh, sp_ * st * sh, cp * ct * sh, -sp_ * ct * sh
+    M = pauli_half((s + sp.I * p, b10 + sp.I * b32, b20 + sp.I * b13,
+                    b30 + sp.I * b21))
+    # as written there, on the products cp ct, sp st, cp st and sp ct that
+    # the components use
+    up, down = sp.exp(xi / 2), sp.exp(-xi / 2)
+    cpct, spst, cpst, spct = cp * ct, sp_ * st, cp * st, sp_ * ct
+    want = sp.Matrix([[cpct * up - sp.I * spct * up,
+                       -cpst * down + sp.I * spst * down],
+                      [cpst * up + sp.I * spst * up,
+                       cpct * down + sp.I * spct * down]])
+    assert all(_vanishes(e) for e in M - want)
+    a = cp - sp.I * sp_
+    assert _vanishes(sp.exp(sp.I * phi / 2) * a - 1)
+    assert all(_vanishes(e) for e in want - sp.Matrix(
+        [[a * ct * up, -a * st * down],
+         [sp.conjugate(a) * st * up, sp.conjugate(a) * ct * down]]))
+
+
+def test_boost_entries_are_the_matrix_of_its_components():
+    # lorentz.boost: for x = (bx, by, bz), t = |x| and s = sinh(t/2)/t, the
+    # matrix of cosh(t/2) + j s (x.s) is [[ch + s bz, s (bx - i by)],
+    # [s (bx + i by), ch - s bz]]; the entry on the side of bz's sign is
+    # ch + s |bz| and the other e^{-t/2} + s (bx^2 + by^2) / (t + |bz|),
+    # with bx^2 + by^2 = t^2 - bz^2
+    t = sp.symbols("t", positive=True)
+    bx, by, bz = sp.symbols("bx by bz", real=True)
+    ch, s = sp.cosh(t / 2), sp.sinh(t / 2) / t
+    M = pauli_half((ch, s * bx, s * by, s * bz))
+    assert (M - sp.Matrix([[ch + s * bz, s * (bx - sp.I * by)],
+                           [s * (bx + sp.I * by), ch - s * bz]])).expand() \
         == sp.zeros(2, 2)
+    for sign in (1, -1):  # bz = sign |bz|
+        w = sign * bz
+        far = sp.exp(-t / 2) + s * (t ** 2 - bz ** 2) / (t + w)
+        assert _vanishes(far - (ch - s * w))
 
 
 def pauli_formula(a, b):

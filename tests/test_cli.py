@@ -595,6 +595,38 @@ def test_cli_extreme_magnitudes(capsys):
     assert (code, err) == (0, "") and out.startswith("s ")
 
 
+def test_cli_cross_section_on_the_entries(capsys):
+    # cos^2(0.55) = 0.726798060713 at xi = 40, where the value on the Pauli
+    # coefficients printed re 0; the null boost's image is e^{-20}
+    assert run(capsys, "cross-section", "--phi", "0.7", "--theta", "1.1",
+               "--xi", "40") == (0, "re 0.726798060713\nij 0\n"
+                                    "mott 0.726798060713\n", "")
+    assert run(capsys, "transform", "--boost", "0,0,20", "--vector",
+               "1,0,0,-1") == (0, "2.06115362244e-09 0 0 -2.06115362244e-09\n",
+                               "")
+
+
+def test_cli_cross_section_at_the_overflow_edge(capsys):
+    # e^{|xi|/2} leaves the float range from |xi| = 1419.565425786768 on:
+    # up to there cross-section prints cos^2(theta/2), with an ij part
+    # within K eps of 0, beyond it exit 4, never a NaN or a 0 with exit 0
+    edge = 1419.565425786768
+    for k in range(401):
+        for xi in (1418.0 + 0.01 * k, -1418.0 - 0.01 * k, edge, -edge,
+                   math.nextafter(edge, math.inf)):
+            got = run(capsys, "cross-section", "--phi", "0.7", "--theta",
+                      "1.1", "--xi", repr(xi))
+            if abs(xi) <= edge:
+                code, out, err = got
+                re, ij, mott = out.splitlines()
+                assert (code, re, mott, err) == (0, "re 0.726798060713",
+                                                 "mott 0.726798060713", ""), xi
+                assert abs(float(ij.split()[1])) <= 16 * 2.0 ** -52, xi
+            else:
+                assert got == (4, "", "error: no finite result: math range "
+                                      "error\n"), xi
+
+
 GOLDEN_CROSS_SECTION = "re 0.500000013397\nij 0\nmott 0.500000013397\n"
 GOLDEN_SPINOR_EVEN = ("s 1\nb32 0\nb13 0\nb21 0\nb10 0\nb20 0\nb30 0\np 0\n")
 
@@ -644,28 +676,34 @@ def _namespace(args) -> dict:
 
 
 def test_plain_reader_reads_as_argparse_does():
-    # every transcript command and 3,200 seeded ones: _read_plain declines a
-    # command line or gives exactly argparse's namespace for it
+    # every transcript command, 3,200 seeded ones and eval's expression
+    # after one '--': _read_plain declines a command line or gives exactly
+    # argparse's namespace for it
     from hypalg.cli import _build_parser, _dash_values, _read_plain
     same_results = _same_results()
     parser = _build_parser()
     accepted = 0
+    dashed = [["eval", "--", "-j*j"], ["eval", "-j*j"], ["eval", "-(e3)"],
+              ["eval", "--json", "--", "-j"], ["eval", "-j", "--json"],
+              ["eval", "--", "j"], ["eval", "--", "--json"], ["eval", "--", "-h"],
+              ["eval", "--", "--"], ["eval", "--", ""]]
     for argv in (same_results.cli_commands(same_results.N_TRANSCRIPT)
-                 + same_results.cli_commands(3200)):
+                 + same_results.cli_commands(3200) + dashed):
         argv = _dash_values(argv)
         args = _read_plain(argv)
         if args is not None:
             accepted += 1
             assert _namespace(args) == _namespace(parser.parse_args(argv)), \
                 argv
-    assert accepted == 3754
+    assert accepted == 4047
 
 
 def test_plain_reader_declines_what_argparse_owns():
     from hypalg.cli import _build_parser, _dash_values, _read_plain
     for argv in (["-h"], ["--help"], ["eval", "-h"], ["spinor", "--help"],
-                 ["eval", "--", "j"], ["eval", "-(e3)"],
-                 ["spinor", "--ph", "1"], ["transform", "--vec=1,0,0,0"],
+                 ["eval", "--"], ["eval", "--", "x", "y"],
+                 ["eval", "x", "--", "y"], ["eval", "x", "--"],
+                 ["spinor", "--", "1"], ["spinor", "--ph", "1"], ["transform", "--vec=1,0,0,0"],
                  ["spinor", "--bogus"], ["spinor", "--json=1"],
                  ["spinor", "--even", "--odd"], ["spinor", "--phi", "x"],
                  ["transform"], ["eval"], ["eval", "j", "i"], ["verify", "x"],

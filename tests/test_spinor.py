@@ -607,6 +607,60 @@ def test_rebuilt_spinors_keep_the_half_route(monkeypatch):
         product_modulus_sq(Spinor(S1), std)
 
 
+def test_product_modulus_matches_mpmath_up_to_xi_1400(rng):
+    # the paper's quantity: spin_transform against the standard spinor is
+    # cos^2(theta/2) with no ij part at every rapidity; on the entries it is
+    # within K eps of it, relatively, up to |xi| = 1400 (the value on the
+    # Pauli coefficients cancelled to 0 from about |xi| = 40 on)
+    import mpmath
+
+    std = Spinor.standard()
+    xis = [0.0, 20.0, 40.0, -40.0, 700.0, 1400.0, -1400.0]
+    xis += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, math.log10(1400))
+            for _ in range(300)]
+    for xi in xis:
+        phi, theta = rng.uniform(-7.0, 7.0), rng.uniform(-3.0, 3.0)
+        m2 = product_modulus_sq(spinor_of(phi, theta, xi), std)
+        with mpmath.workprec(113):
+            want = mpmath.cos(mpmath.mpf(theta) / 2) ** 2
+            assert abs(mpmath.mpf(m2.x) - want) <= K * EPS * want, (phi, theta, xi)
+            assert abs(m2.w) <= K * EPS * want, (phi, theta, xi)
+        assert m2.y == m2.v == 0.0
+
+
+def test_pickle_and_copy_keep_the_entries_bit_for_bit():
+    # closed-form entries differ from the entries of the stored value's p
+    # half, and a rebuilt rotor or spinor keeps the former: the same bits,
+    # and the same results from every operation that reads them
+    import copy
+    import pickle
+
+    from hypalg import FourVector, apply, matrix_of
+
+    def bits(h):
+        return [(z.real.hex(), z.imag.hex()) for z in h]
+
+    std = Spinor.standard()
+    x = FourVector(1.0, 0.5, -2.0, 0.25)
+    for t in (spin_transform(LorentzParams(0.7, 1.1, 40.0)),
+              spin_transform(LorentzParams(-2.0, 0.3, -700.0)),
+              boost((0.3, -0.2, 25.0)) * rotation((0.1, 0.2, -0.3))):
+        psi = from_rotor(t)
+        results = (apply(t, x), matrix_of(t).tolist(), bits(t.inverse()._half),
+                   product_modulus_sq(psi, std), bits(act(t.value, psi)._half))
+        for copied in ([pickle.loads(pickle.dumps(t, protocol))
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+                       + [copy.copy(t), copy.deepcopy(t)]):
+            assert type(copied) is Rotor and copied == t
+            assert bits(copied._half) == bits(t._half)
+            spinor = pickle.loads(pickle.dumps(from_rotor(copied)))
+            assert bits(copy.deepcopy(spinor)._half) == bits(t._half)
+            assert (apply(copied, x), matrix_of(copied).tolist(),
+                    bits(copied.inverse()._half),
+                    product_modulus_sq(spinor, std),
+                    bits(act(copied.value, spinor)._half)) == results
+
+
 def test_mott_factor():
     assert mott_factor(0.0) == 1.0
     assert abs(mott_factor(math.pi)) < 1e-30

@@ -186,17 +186,19 @@ def test_pickle_and_copy_round_trip(case):
 
 
 def test_the_kept_half_never_shows():
-    # Rotor and Spinor keep their M2(C) half in a slot of their private
-    # base, outside __slots__: a value with it and one without it are one
-    # value to ==, hash, repr and pickle
-    from hypalg.cayley import _with_half
+    # Rotor and Spinor keep their M2(C) entries in a slot of their private
+    # base, outside __slots__: a value with them and one without them are
+    # one value to ==, hash and repr; pickling carries each one's entries
+    from hypalg.cayley import _entries, _with_half
 
     m = Multivector(H(1.0), z2=H(0.0, 0.5))
     for cls in (Rotor, Spinor):
         assert cls.__slots__ == cls.__match_args__ == ("value",)
         a, b = cls(m), _with_half(cls, m, None)
-        assert a._half == m.p and b._half is None
+        assert a._half == _entries(m.p) and b._half is None
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert repr(a) == repr(b) and "_half" not in repr(a)
-        assert pickle.dumps(a) == pickle.dumps(b)
-        assert a.__reduce__() == b.__reduce__()
+        assert a.__reduce__()[1] == (cls, m, a._half)
+        assert b.__reduce__()[1] == (cls, m, None)
+        assert pickle.loads(pickle.dumps(a))._half == a._half
+        assert pickle.loads(pickle.dumps(b))._half is None

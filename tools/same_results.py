@@ -9,11 +9,13 @@ hypalg from its tree and computes a fixed seeded set of results:
 - library calls (products, involutions, inverses, the coefficient views,
   a scalar times and divided by a real, a multivector times a real or a
   scalar on either side, sym, antisym, ``str``, extract, apply (also on a
-  pickled rotor), matrix_of, rotor composition and inverse, from_rotor,
-  from_multivector, even_components, act, to_column, from_column,
-  sprod_algebraic, product_modulus_sq, exp_general, rotation, boost,
-  spin_transform, from_even_components, from_odd_components, and the HMat2
-  product and apply) on random values and on
+  pickled rotor), matrix_of, rotor composition and inverse (also on a
+  pickled rotor), from_rotor, from_multivector, even_components, act (also
+  on a pickled rotor's spinor), to_column, from_column, sprod_algebraic,
+  product_modulus_sq (also of spin transforms at |xi| from 20 to 1400),
+  exp_general, rotation, boost, spin_transform, from_even_components,
+  from_odd_components, and the HMat2 product and apply) on random values
+  and on
   special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
   numbers); a raised exception is a result too, recorded as its type, its
   message and its fields (``residual``, ``norm``, ...);
@@ -22,7 +24,8 @@ hypalg from its tree and computes a fixed seeded set of results:
   pickle and copy round trips;
 - CLI commands run in process through ``hypalg.cli.main``, each recorded as
   its stdout, its stderr and its exit code, ``--help``, ``verify`` and
-  commands with both a NaN and an infinite angle included.
+  commands with both a NaN and an infinite angle included, and
+  ``cross-section`` at |xi| from 20 to 1400.
 
 Values are encoded exactly: floats as ``float.hex``, value classes as their
 stored fields.  Each result is digested twice: once over its encoding, and
@@ -51,6 +54,7 @@ from contextlib import redirect_stderr, redirect_stdout
 SEED = 20061
 N_LIB = 8000   # draws per library op
 N_CLI = 3200   # random CLI commands, besides the fixed ones below
+N_LARGE_XI = 400  # cross-section commands at |xi| from 20 to 1400
 N_SHOWN = 3    # differing results printed per op
 N_TRANSCRIPT = 1000  # random CLI commands in the golden transcript
 
@@ -250,6 +254,40 @@ def lib_cases(H):
             return outcome(H.extract, a)
         return outcome(H.extract, mv(rng))
 
+    def large_xi(rng):
+        """A rapidity of size 20 to 1400, log-uniform, either sign."""
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+            math.log10(20.0), math.log10(1400.0))
+
+    def spin_large_xi(rng):
+        """spin_transform at a large |xi| as a spinor, against the standard
+        spinor or another one."""
+        psi = H.from_rotor(H.spin_transform(H.LorentzParams(
+            finite(rng, 7.0), finite(rng, 4.0), large_xi(rng))))
+        if rng.random() < 0.7:
+            return psi, H.Spinor.standard()
+        return psi, H.from_rotor(H.spin_transform(H.LorentzParams(
+            finite(rng, 7.0), finite(rng, 4.0), finite(rng, 30.0))))
+
+    def pickled(a):
+        return pickle.loads(pickle.dumps(a))
+
+    def inverse_pickled(rng):
+        """A pickled rotor's inverse, and that inverse applied."""
+        t = pickled(rotor(rng)).inverse()
+        return t, outcome(H.apply, t, four(rng))
+
+    def act_pickled(rng):
+        """act on the spinor of a pickled rotor, and the result's product
+        with the standard spinor."""
+        t = pickled(rotor(rng))
+        omega = member(rng) if rng.random() < 0.5 else t.value
+
+        def chain():
+            psi = H.act(omega, H.from_rotor(t))
+            return psi, H.product_modulus_sq(psi, H.Spinor.standard())
+        return outcome(chain)
+
     def spinor_pair(rng):
         """Two spinors, the second sometimes a spin transform, at |xi| up to
         30 or at xi = +-1400 (where parts near the float range cancel), inf
@@ -286,6 +324,7 @@ def lib_cases(H):
         ("rotor.mul", lambda rng: outcome(lambda a, b: a * b, rotor(rng),
                                           rotor(rng))),
         ("rotor.inverse", lambda rng: outcome(H.Rotor.inverse, rotor(rng))),
+        ("rotor.inverse.pickled", inverse_pickled),
         ("from_rotor", lambda rng: outcome(H.from_rotor, rotor(rng))),
         ("to_column", lambda rng: outcome(
             H.to_column, H.Spinor(member(rng) if rng.random() < 0.8
@@ -296,6 +335,8 @@ def lib_cases(H):
                                                 *spinor_pair(rng))),
         ("product_modulus_sq", lambda rng: outcome(H.product_modulus_sq,
                                                    *spinor_pair(rng))),
+        ("product_modulus_sq.large_xi", lambda rng: outcome(
+            lambda: H.product_modulus_sq(*spin_large_xi(rng)))),
         ("exp_general", lambda rng: outcome(
             H.exp_general, mv(rng, finite) if rng.random() < 0.9
             else mv(rng))),
@@ -307,6 +348,7 @@ def lib_cases(H):
         ("act", lambda rng: outcome(
             H.act, member(rng) if rng.random() < 0.7 else mv(rng),
             H.Spinor(member(rng)))),
+        ("act.pickled", act_pickled),
         ("hmat.mul", lambda rng: outcome(lambda a, b: a * b, matrix(rng),
                                          matrix(rng))),
         ("hmat.apply", lambda rng: outcome(
@@ -419,6 +461,15 @@ def cli_commands(n: int) -> list[list[str]]:
     return list(FIXED_COMMANDS) + [command(rng) for _ in range(n)]
 
 
+def large_xi_commands(n: int) -> list[list[str]]:
+    """n seeded cross-section commands at |xi| from 20 to 1400."""
+    rng = random.Random(f"{SEED}:large-xi")
+    return [["cross-section", "--phi", repr(round(rng.uniform(-7.0, 7.0), 6)),
+             "--theta", repr(round(rng.uniform(-4.0, 4.0), 6)), "--xi",
+             repr(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+                 math.log10(20.0), math.log10(1400.0)))] for _ in range(n)]
+
+
 def run_cli(main, argv: list[str]) -> tuple[str, str, object]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -486,7 +537,7 @@ def worker(src: str) -> None:
         rng = random.Random(f"{SEED}:{op}")
         for _ in range(N_LIB):
             emit(op, encode(case(rng)))
-    for argv in cli_commands(N_CLI):
+    for argv in cli_commands(N_CLI) + large_xi_commands(N_LARGE_XI):
         kind = argv[0] if argv and not argv[0].startswith("-") else "top"
         for stream, result in zip(("stdout", "stderr", "exit"),
                                   run_cli(cli.main, argv)):
