@@ -555,7 +555,7 @@ def test_composition_on_the_half(rng):
 
 
 def test_rebuilt_rotors_keep_the_half_route(monkeypatch):
-    # a rotor that pickle or copy rebuilds finds its half again: with every
+    # a rotor that pickle or copy rebuilds carries its entries: with every
     # full route and the membership test itself made to raise, apply,
     # matrix_of and composition still answer
     t = spin_transform(LorentzParams(0.4, 1.3, -2.0))

@@ -576,7 +576,7 @@ def test_spin_values_are_accepted_without_the_spinor_guard(monkeypatch):
 
 
 def test_rebuilt_spinors_keep_the_half_route(monkeypatch):
-    # a spinor or rotor that pickle or copy rebuilds finds its half again:
+    # a spinor or rotor that pickle or copy rebuilds carries its entries:
     # with the guard, sprod_algebraic, from_multivector and the multivector
     # product made to raise, from_rotor and product_modulus_sq still answer
     import copy

@@ -317,7 +317,7 @@ def lib_cases(H):
         ("antisym", lambda rng: outcome(cayley.antisym, mv(rng), mv(rng))),
         ("extract", extract_case),
         ("apply", lambda rng: outcome(H.apply, rotor(rng), four(rng))),
-        # a rotor rebuilt by pickle, which finds its M2(C) half again
+        # a rotor rebuilt by pickle, which carries its M2(C) entries
         ("apply.pickled", lambda rng: outcome(
             H.apply, pickle.loads(pickle.dumps(rotor(rng))), four(rng))),
         ("matrix_of", lambda rng: outcome(H.matrix_of, rotor(rng))),
