@@ -296,11 +296,13 @@ class _SpinValue(_Frozen):
     """Base of lorentz.Rotor and spinor.Spinor: a value and its M2(C) entries.
 
     The slot _half keeps the entries: _spin_half(value) (also in _fill), a
-    closed form's, or a composition's product.  Outside a subclass's
-    __slots__, equality, hashing and repr do not see it; pickling carries it.
+    closed form's, or a composition's product.  The slot _terms keeps
+    _sandwich_terms of them, formed by the first _kept_terms call and unset
+    until then.  Outside a subclass's __slots__, equality, hashing and repr
+    see neither; pickling carries the entries, not the terms.
     """
 
-    __slots__ = ("_half",)
+    __slots__ = ("_half", "_terms")
 
     def __init__(self, value: Multivector):
         self._setters[0](self, value)
@@ -312,7 +314,20 @@ class _SpinValue(_Frozen):
         return _with_half, (type(self), self.value, self._half)
 
 
-(_set_half,) = _SpinValue._setters
+_set_half, _set_terms = _SpinValue._setters
+
+
+def _kept_terms(t: _SpinValue) -> tuple:
+    """_sandwich_terms(t._half), formed on the first call and kept in t.
+
+    Two threads that both form them write the same terms.
+    """
+    try:
+        return t._terms
+    except AttributeError:
+        terms = _sandwich_terms(t._half)
+        _set_terms(t, terms)
+        return terms
 
 
 def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
@@ -384,7 +399,8 @@ def _spin_sandwich(terms: tuple, x0: float, x1: float, x2: float,
     X's diagonal is d + e, d the rounded x0 +- x3 and e its error (TwoSum),
     and x0 and x3 are each half of one math.fsum: exact for A = 1.  The
     image is Hermitian by construction.  None where a part is not finite or
-    a sum, or |a|^2 max|x_k| (|a|^2 = sum |A_ij|^2 / 2), passes the range.
+    a sum, or |a|^2 max|x_k| (|a|^2 = sum |A_ij|^2 / 2), passes the range,
+    and where |a|^2 < _TINY, whose rounded squares |A_ij|^2 lose bits.
     """
     g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = terms
     d0, d1 = x0 + x3, x0 - x3
@@ -399,10 +415,16 @@ def _spin_sandwich(terms: tuple, x0: float, x1: float, x2: float,
     except (OverflowError, ValueError):  # a partial past the range, inf - inf
         return None
     y = x0 * w0 + x3 * w3 + c * w1 + c.conjugate() * w2
-    if (y0 - y0) + (y3 - y3) + (y - y) != 0 or not (
-            (g0 + g1) * 0.5 * max(abs(x0), abs(x1), abs(x2), abs(x3)) < math.inf):
+    a2 = (g0 + g1) * 0.5
+    if (y0 - y0) + (y3 - y3) + (y - y) != 0 or not _TINY <= a2 or not (
+            a2 * max(abs(x0), abs(x1), abs(x2), abs(x3)) < math.inf):
         return None
     return (y0, y.real, y.imag, y3)
+
+
+# the least |a|^2 taken on the trace terms: a subnormal |A_ij|^2 is off by
+# at most 2^-1075, under 2^-23 eps |a|^2 (cf. spinor._RANGE)
+_TINY = 2.0 ** -1000
 
 
 _LN2 = math.log(2.0)

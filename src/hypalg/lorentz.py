@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 
-from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _exp_pauli,
-                     _halves, _sandwich_terms, _spin_product, _spin_sandwich,
-                     _spinor_span, _SpinValue, _with_half, embed, extract)
+from .cayley import (_TINY, ONE, S1, S2, S3, FourVector, Multivector,
+                     _exp_pauli, _halves, _kept_terms, _spin_product,
+                     _spin_sandwich, _spinor_span, _SpinValue, _with_half,
+                     embed, extract)
 from .hypernum import HyperComplex, _Frozen
 
 
@@ -46,7 +47,8 @@ class Rotor(_SpinValue):
     """A spin-group element: value * bar(value) == 1.
 
     apply, matrix_of, composition, inverse and spinor.from_rotor read its
-    M2(C) entries (see cayley._SpinValue), found once, when it is built.
+    M2(C) entries (see cayley._SpinValue), found once, when it is built;
+    apply and matrix_of read their trace terms, formed on the first of them.
     """
 
     __slots__ = __match_args__ = ("value",)
@@ -143,13 +145,13 @@ def exp_general(a: Multivector) -> Multivector:
 def apply(t: Rotor, x: FourVector) -> FourVector:
     """Sandwich t x dagger(t) on the embedded paravector.
 
-    On t's entries, A X A^dagger (cayley._spin_sandwich).  Otherwise, and
-    where that has no image, the full product: NotAParavector propagates
-    when it leaves the paravector span (t is not actually a rotor) or a
-    part of it is not finite.
+    On t's entries, A X A^dagger from the trace terms t keeps
+    (cayley._spin_sandwich).  Otherwise, and where that has no image, the
+    full product: NotAParavector propagates when it leaves the paravector
+    span (t is not actually a rotor) or a part of it is not finite.
     """
     if t._half is not None:
-        y = _spin_sandwich(_sandwich_terms(t._half), x.x0, x.x1, x.x2, x.x3)
+        y = _spin_sandwich(_kept_terms(t), x.x0, x.x1, x.x2, x.x3)
         if y is not None:
             return FourVector(*y)
     return extract(t.value * embed(x) * t.value.dagger())
@@ -195,21 +197,44 @@ def spin_transform(p: LorentzParams) -> Rotor:
 
 
 def matrix_of(t: Rotor):
-    """The 4x4 real numpy array M with M x = apply(t, x), built column by column.
+    """The 4x4 real numpy array M with M x = apply(t, x), column by column.
 
-    Column nu is apply's image of the basis vector e_nu, by apply's route.
-    The first column that leaves the span raises.  numpy is imported on the
-    first call, so importing hypalg does not load it.
+    Column nu is apply's image of the basis vector e_nu: on t's trace terms
+    the closed form _matrix_columns, otherwise, and where it has none,
+    apply's, and the first column that leaves the span raises.  numpy is
+    imported on the first call, so importing hypalg does not load it.
     """
     import numpy as np
 
-    if t._half is None:
+    columns = None if t._half is None else _matrix_columns(_kept_terms(t))
+    if columns is None:
         columns = [apply(t, FourVector(*e)).components() for e in _BASIS]
-    else:
-        terms = _sandwich_terms(t._half)
-        columns = [_spin_sandwich(terms, *e)
-                   or apply(t, FourVector(*e)).components() for e in _BASIS]
     return np.array(columns).T
 
 
 _BASIS = tuple(tuple(float(k == nu) for k in range(4)) for nu in range(4))
+
+
+def _matrix_columns(terms: tuple) -> list | None:
+    """cayley._spin_sandwich of the trace terms and e0..e3, in closed form.
+
+    Column e0 is (g0 + g1, 2 w0, k0 + k1) / 2, w0 split into its real and
+    imaginary parts, e3 the same with g0 - g1, w3 and k0 - k1, and e1 and
+    e2 are read from gc, kc and w1 +- w2: each entry is the one sum or read
+    that _spin_sandwich makes of e_nu, bit for bit.  A column with a zero
+    image part x1 or x2 is _spin_sandwich's own, whose zero's sign the
+    closed form does not follow.  None where |a|^2 = (g0 + g1) / 2 is
+    outside [_TINY, 2^1000), which keeps every term finite.
+    """
+    g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = terms
+    if not _TINY <= (g0 + g1) * 0.5 < 2.0 ** 1000:
+        return None
+    s, d = w1 + w2, w1 - w2
+    # math.fsum gives +0.0 for a zero sum, as adding 0.0 does
+    columns = [(0.5 * (g0 + g1), w0.real, w0.imag, 0.5 * (k0 + k1)),
+               (0.5 * (gc.real + 0.0), s.real, s.imag, 0.5 * (kc.real + 0.0)),
+               (0.5 * (0.0 - gc.imag), -d.imag, d.real,
+                0.5 * (0.0 - kc.imag)),
+               (0.5 * (g0 - g1), w3.real, w3.imag, 0.5 * (k0 - k1))]
+    return [c if c[1] and c[2] else _spin_sandwich(terms, *e)
+            for c, e in zip(columns, _BASIS)]

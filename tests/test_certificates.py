@@ -189,6 +189,16 @@ def complex_half(name):
     return tuple(x + sp.I * y for x, y in zip(re, im))
 
 
+def sandwich_terms(a00, a01, a10, a11):
+    """cayley._sandwich_terms of the entries A, in exact arithmetic."""
+    conj = sp.conjugate
+    n00, n01, n10, n11 = (z * conj(z) for z in (a00, a01, a10, a11))
+    u, v, p, q = a01 * conj(a00), a11 * conj(a10), a10 * conj(a00), \
+        a11 * conj(a01)
+    return (n00 + n10, n01 + n11, n00 - n10, n01 - n11, 2 * (u + v),
+            2 * (u - v), p + q, p - q, a11 * conj(a00), a10 * conj(a01))
+
+
 def test_sandwich_terms_give_the_sandwich():
     # cayley._sandwich_terms and _sandwich: for any entries A and real x,
     # with X = [[x0+x3, x1-i x2], [x1+i x2, x0-x3]], Y = A X A^dagger has
@@ -201,17 +211,32 @@ def test_sandwich_terms_give_the_sandwich():
     c, d0, d1 = x1 + sp.I * x2, x0 + x3, x0 - x3
     Y = A * sp.Matrix([[d0, sp.conjugate(c)], [c, d1]]) * A.H
     conj = sp.conjugate
-    n00, n01, n10, n11 = (z * conj(z) for z in (a00, a01, a10, a11))
-    u, v, p, q = a01 * conj(a00), a11 * conj(a10), a10 * conj(a00), \
-        a11 * conj(a01)
-    g0, g1, k0, k1 = n00 + n10, n01 + n11, n00 - n10, n01 - n11
-    gc, kc, w0, w3, w1, w2 = 2 * (u + v), 2 * (u - v), p + q, p - q, \
-        a11 * conj(a00), a10 * conj(a01)
+    g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = sandwich_terms(a00, a01, a10,
+                                                            a11)
     assert sp.expand((Y[0, 0] + Y[1, 1]) / 2
                      - (g0 * d0 + g1 * d1 + sp.re(sp.expand(c * gc))) / 2) == 0
     assert sp.expand((Y[0, 0] - Y[1, 1]) / 2
                      - (k0 * d0 + k1 * d1 + sp.re(sp.expand(c * kc))) / 2) == 0
     assert sp.expand(Y[1, 0] - (x0 * w0 + x3 * w3 + c * w1 + conj(c) * w2)) == 0
+
+
+def test_matrix_columns_give_the_lorentz_matrix():
+    # lorentz._matrix_columns: its entry (mu, nu), written in the ten trace
+    # terms, is Lambda^mu_nu = tr(s_mu A s_nu A^dagger) / 2 with s_0 = 1
+    # (Penrose and Rindler), the mu-th component of A's image of e_nu
+    A = sp.Matrix(2, 2, complex_half("a"))
+    g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = sandwich_terms(*A)
+    re, im = (lambda z: sp.re(sp.expand(z))), (lambda z: sp.im(sp.expand(z)))
+    half = sp.Rational(1, 2)
+    columns = (((g0 + g1) * half, re(w0), im(w0), (k0 + k1) * half),
+               (re(gc) * half, re(w1 + w2), im(w1 + w2), re(kc) * half),
+               (-im(gc) * half, -im(w1 - w2), re(w1 - w2), -im(kc) * half),
+               ((g0 - g1) * half, re(w3), im(w3), (k0 - k1) * half))
+    basis = (sp.eye(2),) + PAULI
+    for nu, column in enumerate(columns):
+        for mu, entry in enumerate(column):
+            lam = (basis[mu] * A * basis[nu] * A.H).trace() * half
+            assert sp.expand(entry - lam) == 0, (mu, nu)
 
 
 def test_adjugate_is_the_half_of_bar_and_the_inverse():

@@ -16,7 +16,8 @@ from hypalg import (S1, S2, S3, FourVector, HyperComplex,
                     exp_general, extract, generators, matrix_of, minkowski_dot,
                     rotation, spin_transform)
 from hypalg import lorentz
-from hypalg.cayley import ONE, _entries, _halves, _sigma, _spin_half, scalar
+from hypalg.cayley import (ONE, _entries, _halves, _kept_terms, _sigma,
+                           _spin_half, _spin_sandwich, _spinor_span, scalar)
 
 from conftest import rand_multivector, rel_close
 
@@ -317,6 +318,29 @@ def test_spin_half_guard_is_the_full_guard():
     assert got == ("raised", "nan")
 
 
+def test_tiny_rotors_take_the_full_product():
+    # below |a|^2 = 2^-1000 the rounded squares |A_ij|^2 of the trace terms
+    # lose bits, so apply and matrix_of give the full sandwich bit for bit
+    x = FourVector(-1.1, -3e154, 3e154, -1e308)
+    for a, x3 in ((1e-160, -1e-12), (1e-310, -1.000000000003e-312),
+                  (1e-155, None), (2.0 ** -500.25, None)):
+        t = Rotor(Multivector(HyperComplex(a)))
+        assert t._half is not None
+        full = extract(t.value * embed(x) * t.value.dagger())
+        got = apply(t, x)
+        assert [c.hex() for c in got.components()] \
+            == [c.hex() for c in full.components()]
+        assert x3 is None or got.x3 == x3
+        columns = [extract(t.value * embed(FourVector(*e)) * t.value.dagger())
+                   .components() for e in np.eye(4).tolist()]
+        assert [v.hex() for v in matrix_of(t).ravel().tolist()] \
+            == [v.hex() for row in zip(*columns) for v in row]
+    # from |a|^2 = 2^-1000 on, the terms answer, within K eps |a|^2 max|x_k|
+    t = Rotor(Multivector(HyperComplex(2.0 ** -500)))
+    assert _spin_sandwich(_kept_terms(t), *x.components()) is not None
+    assert _sandwich_error(t, x, apply(t, x)) <= K
+
+
 def test_spin_half_refuses_an_infinite_part():
     # m == sigma(p) holds, but the full sandwich reads inf - inf: NaN
     t = Rotor(Multivector(HyperComplex(math.inf)))
@@ -459,29 +483,39 @@ def _unsigned(values) -> list[str]:
 
 def _matrix_outcome(t: Rotor):
     try:
-        return _unsigned(matrix_of(t).ravel().tolist())
+        return [v.hex() for v in matrix_of(t).ravel().tolist()]
     except NotAParavector as exc:
         return "raised", repr(exc.residual)  # repr, so that NaN equals NaN
 
 
 def _apply_columns_outcome(t: Rotor):
-    """matrix_of as it was: the four apply columns, in column order."""
+    """The four apply images of e0..e3 as columns, as float.hex in row order."""
     try:
         columns = [apply(t, FourVector(*basis)).components()
                    for basis in np.eye(4).tolist()]
     except NotAParavector as exc:
         return "raised", repr(exc.residual)
-    return _unsigned(np.array(columns).T.ravel().tolist())
+    return [v.hex() for row in zip(*columns) for v in row]
 
 
 def test_matrix_of_half_route_is_the_apply_columns(rng):
-    # the permuted, quarter-turned halves give apply's columns exactly, up to
-    # the sign of a zero, from small rotors to boosts near the float range
+    # matrix_of's closed form gives apply's images of e0..e3 bit for bit,
+    # zero signs included, on unit rotors from small ones to boosts near
+    # the float range, on non-unit spin values, on rotors with zero image
+    # parts (pure rotations, sparse spin values) and on tiny ones
     rotors = [spin_rotor(rng) for _ in range(300)]
     rotors += [random_rotor(rng) for _ in range(100)]
     rotors += [boost((0, 0, xi)) * rotation((0.3, -1.1, 2.0))
                for xi in (-700.0, 350.0, 700.0)]
-    rotors += [rotation((0.0, 0.0, 0.0)), rotation((0.0, -0.0, 1e-300))]
+    rotors += [rotation((0.0, 0.0, 0.0)), rotation((0.0, -0.0, 1e-300)),
+               rotation((0.0, 0.0, math.pi)), boost((0.0, -0.0, 2.0))]
+    rotors += [Rotor(spin_rotor(rng).value * rng.uniform(0.1, 10.0))
+               for _ in range(100)]
+    rotors += [_spinor_span(Rotor, *(rng.uniform(-3, 3) for _ in range(8)))
+               for _ in range(100)]
+    rotors += [_spinor_span(Rotor, *(rng.choice((0.0, -0.0, 1.0, -2.5))
+                                     for _ in range(8))) for _ in range(200)]
+    rotors += [Rotor(Multivector(HyperComplex(a))) for a in (1e-160, 1e-310)]
     for t in rotors:
         assert t._half is not None
         want = _apply_columns_outcome(t)
@@ -509,7 +543,7 @@ def test_matrix_of_raises_what_the_apply_columns_raise(rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("half route taken")
 
-    monkeypatch.setattr("hypalg.lorentz._spin_sandwich", refuse)
+    monkeypatch.setattr("hypalg.lorentz._matrix_columns", refuse)
     with pytest.raises(NotAParavector) as got:
         matrix_of(Rotor(Multivector(HyperComplex(math.inf))))
     assert math.isnan(got.value.residual)

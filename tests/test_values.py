@@ -186,10 +186,14 @@ def test_pickle_and_copy_round_trip(case):
 
 
 def test_the_kept_half_never_shows():
-    # Rotor and Spinor keep their M2(C) entries in a slot of their private
-    # base, outside __slots__: a value with them and one without them are
-    # one value to ==, hash and repr; pickling carries each one's entries
-    from hypalg.cayley import _entries, _with_half
+    # Rotor and Spinor keep their M2(C) entries, and a rotor its trace
+    # terms, in slots of their private base, outside __slots__: a value with
+    # them and one without them are one value to ==, hash and repr;
+    # pickling carries each one's entries
+    from hypalg import (apply, boost, from_rotor, matrix_of, rotation,
+                        spin_transform)
+    from hypalg.cayley import (_entries, _sandwich_terms, _spinor_span,
+                               _with_half)
 
     m = Multivector(H(1.0), z2=H(0.0, 0.5))
     for cls in (Rotor, Spinor):
@@ -202,3 +206,34 @@ def test_the_kept_half_never_shows():
         assert b.__reduce__()[1] == (cls, m, None)
         assert pickle.loads(pickle.dumps(a))._half == a._half
         assert pickle.loads(pickle.dumps(b))._half is None
+    # a rotor forms its trace terms on its first apply or matrix_of and
+    # keeps them in a slot that ==, hash, repr, __reduce__, pickle and copy
+    # do not read; no builder forms them, and a copy forms its own
+    def bits(values):
+        return [(c.real.hex(), c.imag.hex()) for c in values]
+
+    def shown(a):
+        return (a, hash(a), repr(a), a.__reduce__(), pickle.dumps(a),
+                copy.copy(a), copy.deepcopy(a))
+
+    t = boost((0.3, -0.2, 0.1)) * rotation((0.4, 1.3, -2.0))
+    built = (t, t.inverse(), rotation((0.1, 0.2, 0.3)), boost((1, 2, 3)),
+             spin_transform(LorentzParams(0.4, 1.3, -2.0)), from_rotor(t),
+             _spinor_span(Rotor, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+             _with_half(Rotor, t.value, t._half), Rotor(t.value),
+             Spinor(t.value))
+    assert not any(hasattr(a, "_terms") for a in built)
+    x = FourVector(1.0, 0.5, -2.0, 0.25)
+    before = shown(t)
+    image = apply(t, x)
+    assert bits(t._terms) == bits(_sandwich_terms(t._half))
+    after = shown(t)
+    assert before == after
+    for copied in after[5:] + (pickle.loads(after[4]),):
+        assert not hasattr(copied, "_terms") and copied == t
+        assert [c.hex() for c in apply(copied, x).components()] \
+            == [c.hex() for c in image.components()]
+        assert bits(copied._terms) == bits(t._terms)
+    fresh = _with_half(Rotor, t.value, t._half)
+    matrix_of(fresh)
+    assert bits(fresh._terms) == bits(t._terms)
