@@ -197,44 +197,47 @@ def spin_transform(p: LorentzParams) -> Rotor:
 
 
 def matrix_of(t: Rotor):
-    """The 4x4 real numpy array M with M x = apply(t, x), column by column.
+    """The 4x4 real numpy array M with M x = apply(t, x).
 
-    Column nu is apply's image of the basis vector e_nu: on t's trace terms
-    the closed form _matrix_columns, otherwise, and where it has none,
-    apply's, and the first column that leaves the span raises.  numpy is
+    On t's trace terms, the closed form _matrix_entries.  Otherwise, and
+    where that has none, column nu is apply's image of the basis vector
+    e_nu, and the first column that leaves the span raises.  numpy is
     imported on the first call, so importing hypalg does not load it.
     """
     import numpy as np
 
-    columns = None if t._half is None else _matrix_columns(_kept_terms(t))
-    if columns is None:
-        columns = [apply(t, FourVector(*e)).components() for e in _BASIS]
-    return np.array(columns).T
+    if t._half is not None:
+        entries = _matrix_entries(_kept_terms(t))
+        if entries is not None:
+            return np.array(entries).reshape(4, 4)
+    return np.array([apply(t, FourVector(*e)).components()
+                     for e in _BASIS]).T
 
 
 _BASIS = tuple(tuple(float(k == nu) for k in range(4)) for nu in range(4))
 
 
-def _matrix_columns(terms: tuple) -> list | None:
-    """cayley._spin_sandwich of the trace terms and e0..e3, in closed form.
+def _matrix_entries(terms: tuple) -> tuple | None:
+    """M's 16 entries in row order from the trace terms, or None.
 
     Column e0 is (g0 + g1, 2 w0, k0 + k1) / 2, w0 split into its real and
     imaginary parts, e3 the same with g0 - g1, w3 and k0 - k1, and e1 and
     e2 are read from gc, kc and w1 +- w2: each entry is the one sum or read
-    that _spin_sandwich makes of e_nu, bit for bit.  A column with a zero
-    image part x1 or x2 is _spin_sandwich's own, whose zero's sign the
-    closed form does not follow.  None where |a|^2 = (g0 + g1) / 2 is
-    outside [_TINY, 2^1000), which keeps every term finite.
+    that cayley._spin_sandwich makes of e_nu, bit for bit.  None where
+    |a|^2 = (g0 + g1) / 2 is outside [_TINY, 2^1000), which keeps every
+    term finite, and where an image's x1 or x2 is 0, whose sign this form
+    does not follow; apply's columns answer there.
     """
     g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = terms
-    if not _TINY <= (g0 + g1) * 0.5 < 2.0 ** 1000:
-        return None
     s, d = w1 + w2, w1 - w2
+    if not (_TINY <= (g0 + g1) * 0.5 < 2.0 ** 1000 and w0.real and w0.imag
+            and s.real and s.imag and d.real and d.imag and w3.real
+            and w3.imag):
+        return None
     # math.fsum gives +0.0 for a zero sum, as adding 0.0 does
-    columns = [(0.5 * (g0 + g1), w0.real, w0.imag, 0.5 * (k0 + k1)),
-               (0.5 * (gc.real + 0.0), s.real, s.imag, 0.5 * (kc.real + 0.0)),
-               (0.5 * (0.0 - gc.imag), -d.imag, d.real,
-                0.5 * (0.0 - kc.imag)),
-               (0.5 * (g0 - g1), w3.real, w3.imag, 0.5 * (k0 - k1))]
-    return [c if c[1] and c[2] else _spin_sandwich(terms, *e)
-            for c, e in zip(columns, _BASIS)]
+    return (0.5 * (g0 + g1), 0.5 * (gc.real + 0.0), 0.5 * (0.0 - gc.imag),
+            0.5 * (g0 - g1),
+            w0.real, s.real, -d.imag, w3.real,
+            w0.imag, s.imag, d.real, w3.imag,
+            0.5 * (k0 + k1), 0.5 * (kc.real + 0.0), 0.5 * (0.0 - kc.imag),
+            0.5 * (k0 - k1))

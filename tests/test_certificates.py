@@ -220,8 +220,8 @@ def test_sandwich_terms_give_the_sandwich():
     assert sp.expand(Y[1, 0] - (x0 * w0 + x3 * w3 + c * w1 + conj(c) * w2)) == 0
 
 
-def test_matrix_columns_give_the_lorentz_matrix():
-    # lorentz._matrix_columns: its entry (mu, nu), written in the ten trace
+def test_matrix_entries_give_the_lorentz_matrix():
+    # lorentz._matrix_entries: its entry (mu, nu), written in the ten trace
     # terms, is Lambda^mu_nu = tr(s_mu A s_nu A^dagger) / 2 with s_0 = 1
     # (Penrose and Rindler), the mu-th component of A's image of e_nu
     A = sp.Matrix(2, 2, complex_half("a"))

@@ -321,20 +321,22 @@ def test_spin_half_guard_is_the_full_guard():
 def test_tiny_rotors_take_the_full_product():
     # below |a|^2 = 2^-1000 the rounded squares |A_ij|^2 of the trace terms
     # lose bits, so apply and matrix_of give the full sandwich bit for bit
+    def full(t, x):
+        return [c.hex() for c in
+                extract(t.value * embed(x) * t.value.dagger()).components()]
+
     x = FourVector(-1.1, -3e154, 3e154, -1e308)
-    for a, x3 in ((1e-160, -1e-12), (1e-310, -1.000000000003e-312),
-                  (1e-155, None), (2.0 ** -500.25, None)):
-        t = Rotor(Multivector(HyperComplex(a)))
-        assert t._half is not None
-        full = extract(t.value * embed(x) * t.value.dagger())
-        got = apply(t, x)
-        assert [c.hex() for c in got.components()] \
-            == [c.hex() for c in full.components()]
-        assert x3 is None or got.x3 == x3
-        columns = [extract(t.value * embed(FourVector(*e)) * t.value.dagger())
-                   .components() for e in np.eye(4).tolist()]
-        assert [v.hex() for v in matrix_of(t).ravel().tolist()] \
-            == [v.hex() for row in zip(*columns) for v in row]
+    frame = (boost((0.3, -0.2, 0.5)) * rotation((0.4, 1.3, -2.0))).value
+    for a in (1e-160, 1e-310, 1e-155, 2.0 ** -500.25):
+        for t in (Rotor(Multivector(HyperComplex(a))), Rotor(frame * a)):
+            assert t._half is not None
+            assert [c.hex() for c in apply(t, x).components()] == full(t, x)
+            columns = [full(t, FourVector(*e)) for e in np.eye(4).tolist()]
+            assert [v.hex() for v in matrix_of(t).ravel().tolist()] \
+                == [v for row in zip(*columns) for v in row]
+    assert apply(Rotor(Multivector(HyperComplex(1e-160))), x).x3 == -1e-12
+    assert apply(Rotor(Multivector(HyperComplex(1e-310))), x).x3 \
+        == -1.000000000003e-312
     # from |a|^2 = 2^-1000 on, the terms answer, within K eps |a|^2 max|x_k|
     t = Rotor(Multivector(HyperComplex(2.0 ** -500)))
     assert _spin_sandwich(_kept_terms(t), *x.components()) is not None
@@ -515,6 +517,12 @@ def test_matrix_of_half_route_is_the_apply_columns(rng):
                for _ in range(100)]
     rotors += [_spinor_span(Rotor, *(rng.choice((0.0, -0.0, 1.0, -2.5))
                                      for _ in range(8))) for _ in range(200)]
+    # nonzero images whose x0 or x3 reads a -0.0 part of gc or kc
+    rotors += [_spinor_span(Rotor, *c) for c in (
+        (-0.5, -1.0, 0.0, -0.5, -0.0, -1.0, -1.0, -0.5),
+        (-1.0, 1.0, -0.0, 2.5, 0.0, 1.0, -1.0, 0.0),
+        (1.0, -1.0, -0.5, 0.0, -0.5, 2.5, -1.0, -0.0),
+        (-1.0, 2.5, -1.0, 0.0, 2.5, 2.5, -1.0, 0.0))]
     rotors += [Rotor(Multivector(HyperComplex(a))) for a in (1e-160, 1e-310)]
     for t in rotors:
         assert t._half is not None
@@ -543,7 +551,7 @@ def test_matrix_of_raises_what_the_apply_columns_raise(rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("half route taken")
 
-    monkeypatch.setattr("hypalg.lorentz._matrix_columns", refuse)
+    monkeypatch.setattr("hypalg.lorentz._matrix_entries", refuse)
     with pytest.raises(NotAParavector) as got:
         matrix_of(Rotor(Multivector(HyperComplex(math.inf))))
     assert math.isnan(got.value.residual)
