@@ -201,17 +201,22 @@ def matrix_of(t: Rotor):
 
     On t's trace terms, the closed form _matrix_entries.  Otherwise, and
     where that has none, column nu is apply's image of the basis vector
-    e_nu, and the first column that leaves the span raises.  numpy is
-    imported on the first call, so importing hypalg does not load it.
+    e_nu, by apply's route, and the first column that leaves the span
+    raises.  numpy is imported on the first call, so importing hypalg does
+    not load it.
     """
     import numpy as np
 
-    if t._half is not None:
-        entries = _matrix_entries(_kept_terms(t))
+    if t._half is None:
+        columns = [apply(t, FourVector(*e)).components() for e in _BASIS]
+    else:
+        terms = _kept_terms(t)
+        entries = _matrix_entries(terms)
         if entries is not None:
             return np.array(entries).reshape(4, 4)
-    return np.array([apply(t, FourVector(*e)).components()
-                     for e in _BASIS]).T
+        columns = [_spin_sandwich(terms, *e)
+                   or apply(t, FourVector(*e)).components() for e in _BASIS]
+    return np.array(columns).T
 
 
 _BASIS = tuple(tuple(float(k == nu) for k in range(4)) for nu in range(4))
@@ -226,7 +231,7 @@ def _matrix_entries(terms: tuple) -> tuple | None:
     that cayley._spin_sandwich makes of e_nu, bit for bit.  None where
     |a|^2 = (g0 + g1) / 2 is outside [_TINY, 2^1000), which keeps every
     term finite, and where an image's x1 or x2 is 0, whose sign this form
-    does not follow; apply's columns answer there.
+    does not follow (a pure rotation's e0 image, for one).
     """
     g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = terms
     s, d = w1 + w2, w1 - w2

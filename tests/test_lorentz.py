@@ -603,6 +603,8 @@ def test_rebuilt_rotors_keep_the_half_route(monkeypatch):
     t = spin_transform(LorentzParams(0.4, 1.3, -2.0))
     x = FourVector(1.0, 0.5, -2.0, 0.25)
     want = (apply(t, x), matrix_of(t).tolist(), (t * t).value)
+    turn = rotation((0.3, 0.2, 0.1))  # its e0 image has x1 = x2 = 0
+    want_turn = matrix_of(turn).tolist()
     copies = [pickle.loads(pickle.dumps(t, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(t), copy.deepcopy(t)]
@@ -620,5 +622,6 @@ def test_rebuilt_rotors_keep_the_half_route(monkeypatch):
         got = (apply(copied, x), matrix_of(copied).tolist(),
                (copied * copied).value)
         assert got == want
+    assert matrix_of(pickle.loads(pickle.dumps(turn))).tolist() == want_turn
     with pytest.raises(AssertionError, match="full route"):
         plain * plain
