@@ -258,220 +258,6 @@ def _pauli(a: tuple, b: tuple) -> tuple:
             a0 * b3 + a3 * b0 + complex(-c3.imag, c3.real))
 
 
-# -- the spin half ---------------------------------------------------------------
-#
-# An element of the spinor span {1, i*s_k, j*s_k, ij} has the m half
-# _sigma(p) of its p half p, so it is one element A of M2(C), and a
-# paravector's p half is the Hermitian X = x0 + x.s: rotors act as A X
-# A^dagger (R. Penrose and W. Rindler, *Spinors and Space-Time*, vol. 1,
-# 1984).  Spin values keep A's entries, which the closed forms write: A11 =
-# p0 - p3 is a difference of terms of size cosh(xi/2) for a boost.
-
-def _sigma(p: tuple) -> tuple:
-    """The m half that the spinor span pairs with the p half p."""
-    p0, p1, p2, p3 = p
-    return (p0.conjugate(), -p1.conjugate(), -p2.conjugate(), -p3.conjugate())
-
-
-def _zero_if_finite(q: tuple) -> complex:
-    """0 when the four complex parts q are finite; NaN in a part otherwise."""
-    q0, q1, q2, q3 = q
-    return (q0 - q0) + (q1 - q1) + (q2 - q2) + (q3 - q3)  # inf - inf is NaN
-
-
-def _entries(p: tuple) -> tuple:
-    """(A00, A01, A10, A11) of A = p0 + p.s; i*p2 is an exact quarter turn."""
-    p0, p1, p2, p3 = p
-    ip2 = complex(-p2.imag, p2.real)
-    return (p0 + p3, p1 - ip2, p1 + ip2, p0 - p3)
-
-
-def _spin_half(a: Multivector) -> tuple | None:
-    """_entries(a.p) when a.m == _sigma(a.p) and they are finite, else None."""
-    h = _entries(a.p) if a.m == _sigma(a.p) else None
-    return h if h is not None and _zero_if_finite(h) == 0 else None
-
-
-class _SpinValue(_Frozen):
-    """Base of lorentz.Rotor and spinor.Spinor: a value and its M2(C) entries.
-
-    The slot _half keeps the entries: _spin_half(value) (also in _fill), a
-    closed form's, or a composition's product.  The slot _terms keeps
-    _sandwich_terms of them, formed by the first _kept_terms call and unset
-    until then.  Outside a subclass's __slots__, equality, hashing and repr
-    see neither; pickling carries the entries, not the terms.
-    """
-
-    __slots__ = ("_half", "_terms")
-
-    def __init__(self, value: Multivector):
-        self._setters[0](self, value)
-        _set_half(self, _spin_half(value))
-
-    _fill = __init__
-
-    def __reduce__(self):
-        return _with_half, (type(self), self.value, self._half)
-
-
-_set_half, _set_terms = _SpinValue._setters
-
-
-def _kept_terms(t: _SpinValue) -> tuple:
-    """_sandwich_terms(t._half), formed on the first call and kept in t.
-
-    Two threads that both form them write the same terms.
-    """
-    try:
-        return t._terms
-    except AttributeError:
-        terms = _sandwich_terms(t._half)
-        _set_terms(t, terms)
-        return terms
-
-
-def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
-    """The cls with the value value and the entries half, found by the caller."""
-    obj = _new(cls)
-    cls._setters[0](obj, value)
-    _set_half(obj, half)
-    return obj
-
-
-def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
-                 b10: float, b20: float, b30: float, p: float,
-                 entries: tuple | None = None) -> _SpinValue:
-    """The cls with the spinor-span value of the even components s, ..., p.
-
-    That is s + b32 i s1 + ... + p ij (see hypalg.spinor): the p half
-    v + i*eta, v = (s, b10, b20, b30) and eta = (p, b32, b13, b21), and the
-    m half _sigma of it.  Its entries, a closed form's or _entries of the p
-    half, are kept when finite.  Every spin-span builder builds through here.
-    """
-    half = (complex(s, p), complex(b10, b32), complex(b20, b13),
-            complex(b30, b21))
-    if entries is None:
-        entries = _entries(half)
-    return _with_half(cls, _halves(half, _sigma(half)),
-                      entries if _zero_if_finite(entries) == 0 else None)
-
-
-def _spin_product(cls: type, a: Multivector, h: tuple | None, b: Multivector,
-                  k: tuple | None) -> _SpinValue | None:
-    """The cls of the product of the spin values a and b, with entries h and k.
-
-    The value is the pair form of _pauli(a.p, b.p), the full product's up to
-    the sign of a zero; None where h or k is None or a part is not finite.
-    """
-    if h is None or k is None:
-        return None
-    p = _pauli(a.p, b.p)
-    h00, h01, h10, h11 = h
-    k00, k01, k10, k11 = k
-    entries = (h00 * k00 + h01 * k10, h00 * k01 + h01 * k11,
-               h10 * k00 + h11 * k10, h10 * k01 + h11 * k11)
-    if _zero_if_finite(p) != 0 or _zero_if_finite(entries) != 0:
-        return None
-    return _with_half(cls, _halves(p, _sigma(p)), entries)
-
-
-def _sandwich_terms(h: tuple) -> tuple:
-    """The coefficients of x -> A X A^dagger for the entries h of A.
-
-    With X = [[x0+x3, conj(c)], [c, x0-x3]], c = x1 + i x2, the image's x0
-    and x3 are half the traces of X A^dagger A and X A^dagger s3 A, and its
-    x1 + i x2 is (A X A^dagger)10; (A^dagger A)10 and (A A^dagger)10 cancel
-    exactly for a unitary A.
-    """
-    a00, a01, a10, a11 = h
-    b00, b01, b10 = a00.conjugate(), a01.conjugate(), a10.conjugate()
-    n00, n01, n10, n11 = ((a00 * b00).real, (a01 * b01).real,
-                          (a10 * b10).real, (a11 * a11.conjugate()).real)
-    u, v, p, q = a01 * b00, a11 * b10, a10 * b00, a11 * b01
-    return (n00 + n10, n01 + n11, n00 - n10, n01 - n11, 2.0 * (u + v),
-            2.0 * (u - v), p + q, p - q, a11 * b00, a10 * b01)
-
-
-def _spin_sandwich(terms: tuple, x0: float, x1: float, x2: float,
-                   x3: float) -> tuple[float, float, float, float] | None:
-    """x0..x3 of A X A^dagger from _sandwich_terms, or None.
-
-    X's diagonal is d + e, d the rounded x0 +- x3 and e its error (TwoSum),
-    and x0 and x3 are each half of one math.fsum: exact for A = 1.  The
-    image is Hermitian by construction.  None where a part is not finite or
-    a sum, or |a|^2 max|x_k| (|a|^2 = sum |A_ij|^2 / 2), passes the range,
-    and where |a|^2 < _TINY, whose rounded squares |A_ij|^2 lose bits.
-    """
-    g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = terms
-    d0, d1 = x0 + x3, x0 - x3
-    z0, z1 = d0 - x0, d1 - x0
-    e0, e1 = (x0 - (d0 - z0)) + (x3 - z0), (x0 - (d1 - z1)) - (x3 + z1)
-    c = complex(x1, x2)
-    try:
-        y0 = 0.5 * math.fsum((g0 * d0, g0 * e0, g1 * d1, g1 * e1,
-                              (c * gc).real))
-        y3 = 0.5 * math.fsum((k0 * d0, k0 * e0, k1 * d1, k1 * e1,
-                              (c * kc).real))
-    except (OverflowError, ValueError):  # a partial past the range, inf - inf
-        return None
-    y = x0 * w0 + x3 * w3 + c * w1 + c.conjugate() * w2
-    a2 = (g0 + g1) * 0.5
-    if (y0 - y0) + (y3 - y3) + (y - y) != 0 or not _TINY <= a2 or not (
-            a2 * max(abs(x0), abs(x1), abs(x2), abs(x3)) < math.inf):
-        return None
-    return (y0, y.real, y.imag, y3)
-
-
-# the least |a|^2 taken on the trace terms: a subnormal |A_ij|^2 is off by
-# at most 2^-1075, under 2^-23 eps |a|^2 (cf. spinor._RANGE)
-_TINY = 2.0 ** -1000
-
-
-_LN2 = math.log(2.0)
-
-
-def _exp_pauli(a: tuple) -> tuple:
-    """One idempotent half of the exponential, in closed form.
-
-    a holds the four complex parts of one half, a0 + a.s in M2(C).  Since
-    (a.s)^2 = s^2 with s^2 = a1^2 + a2^2 + a3^2, the exponential is
-    c + k a.s with c = exp(a0) cosh s and k = exp(a0) sinh(s) / s (k =
-    exp(a0) at s = 0, the nilpotent case).  From |s| = 1 on, c and k are
-    taken from the eigenvalue exponentials e+- = exp(a0 +- s) as
-    (e+ + e-) / 2 and (e+ - e-) / (2 s), since cosh s alone can overflow
-    where c does not (a0 = -1000, s = 1000 gives c = 1/2).  Each exponential
-    is of its argument less ln 2, the 2 restored last, so none overflows
-    where c and k a are in range (exp(709.9) does, cosh(709.9) does not).
-    Where s^2 overflows, s is taken from a1..a3 scaled by a power of two and
-    scaled back.  OverflowError is raised when cmath.exp or its argument
-    overflows and when s does.  cmath is imported on the first call, so
-    importing hypalg does not load it.
-    """
-    import cmath
-
-    a0, a1, a2, a3 = a
-    s = cmath.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    if not cmath.isfinite(s):  # as lorentz.rotation falls back to math.hypot
-        n = math.frexp(max([abs(c) for z in (a1, a2, a3)
-                            for c in (z.real, z.imag)]))[1]
-        b1, b2, b3 = a1 * 2.0 ** -n, a2 * 2.0 ** -n, a3 * 2.0 ** -n
-        s = cmath.sqrt(b1 * b1 + b2 * b2 + b3 * b3) * 2.0 ** (n - 1) * 2.0
-    # abs(s) raises past the float range, math.hypot gives inf
-    if not math.hypot(s.real, s.imag) < math.inf:
-        raise OverflowError("a1^2 + a2^2 + a3^2 is beyond the float range")
-    if abs(s) < 1.0:
-        half = cmath.exp(a0 - _LN2)
-        c = half * cmath.cosh(s) * 2.0
-        k = (half * (cmath.sinh(s) / s) if s else half) * 2.0
-    else:
-        plus, minus = cmath.exp(a0 + s - _LN2), cmath.exp(a0 - s - _LN2)
-        # an infinite argument (a0 + s past the float range) does not raise
-        if not (cmath.isfinite(plus) and cmath.isfinite(minus)):
-            raise OverflowError("math range error")
-        c, k = plus + minus, (plus - minus) / s
-    return (c, k * a1, k * a2, k * a3)
-
-
 def _coerce(value) -> Multivector | None:
     if isinstance(value, Multivector):
         return value

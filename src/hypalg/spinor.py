@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 
-from .cayley import (E3, ONE, _SPAN_TOL, Multivector, _ResidualError,
-                     _spin_half, _spin_product, _spinor_span, _SpinValue,
-                     _with_half, sym)
+from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _pair, _rebuild
-from .lorentz import LorentzParams, Rotor, spin_transform
+from .lorentz import (LorentzParams, Rotor, _spin_half, _spin_product,
+                      _spinor_span, _SpinValue, _with_half, spin_transform)
 
 
 class NotInSpinorAlgebra(_ResidualError, ValueError):
@@ -45,7 +44,7 @@ class NonScalarResidual(_ResidualError, ArithmeticError):
 class Spinor(_SpinValue):
     """A multivector confined to the spinor subalgebra.
 
-    product_modulus_sq and act read its M2(C) entries (cayley._SpinValue).
+    product_modulus_sq and act read its M2(C) entries (lorentz._SpinValue).
     """
 
     __slots__ = __match_args__ = ("value",)
@@ -73,7 +72,7 @@ def from_multivector(m: Multivector) -> Spinor:
     """m as a Spinor; NotInSpinorAlgebra unless m lies in the spinor span.
 
     A value whose m half is _sigma of its p half, with finite entries
-    (cayley._spin_half), as every rotor and spinor the library builds, has
+    (lorentz._spin_half), as every rotor and spinor the library builds, has
     every coefficient outside the span exactly 0, so it is accepted without
     the guard; the guard decides every other value.
     """
@@ -245,7 +244,7 @@ def from_column(c: ColumnSpinor) -> Spinor:
 def act(omega: Multivector, psi: Spinor) -> Spinor:
     """Left multiplication by a spinor-subalgebra operator.
 
-    cayley._spin_product on entries; else omega meets the guard.
+    lorentz._spin_product on entries; else omega meets the guard.
     """
     out = _spin_product(Spinor, omega, _spin_half(omega), psi.value, psi._half)
     if out is None:

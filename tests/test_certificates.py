@@ -156,7 +156,7 @@ def sym(a, b):
 def test_half_product_is_the_spinor_product():
     # for a = (P, sigma(P)) and b = (Q, sigma(Q)), with A = M(P) and
     # B = M(Q), sym(a, b) + sym(a, b e3) J has the scalar slot
-    # ((adj A B)00, conj((adj B A)00)) and nothing else; cayley._entries
+    # ((adj A B)00, conj((adj B A)00)) and nothing else; lorentz._entries
     # forms A's entries as A00 = P0 + P3, A01 = P1 - i P2, A10 = P1 + i P2
     # and A11 = P0 - P3
     def half(name):
@@ -190,7 +190,7 @@ def complex_half(name):
 
 
 def sandwich_terms(a00, a01, a10, a11):
-    """cayley._sandwich_terms of the entries A, in exact arithmetic."""
+    """lorentz._sandwich_terms of the entries A, in exact arithmetic."""
     conj = sp.conjugate
     n00, n01, n10, n11 = (z * conj(z) for z in (a00, a01, a10, a11))
     u, v, p, q = a01 * conj(a00), a11 * conj(a10), a10 * conj(a00), \
@@ -200,7 +200,7 @@ def sandwich_terms(a00, a01, a10, a11):
 
 
 def test_sandwich_terms_give_the_sandwich():
-    # cayley._sandwich_terms and _sandwich: for any entries A and real x,
+    # lorentz._sandwich_terms and _spin_sandwich: for any entries A and real x,
     # with X = [[x0+x3, x1-i x2], [x1+i x2, x0-x3]], Y = A X A^dagger has
     # x0 = (g0 d0 + g1 d1 + Re(c gc)) / 2, x3 = (k0 d0 + k1 d1 + Re(c kc)) / 2
     # and Y10 = x0 w0 + x3 w3 + c w1 + conj(c) w2, where d0, d1 = x0 +- x3
@@ -223,18 +223,22 @@ def test_sandwich_terms_give_the_sandwich():
 def test_matrix_entries_give_the_lorentz_matrix():
     # lorentz._matrix_entries: its entry (mu, nu), written in the ten trace
     # terms, is Lambda^mu_nu = tr(s_mu A s_nu A^dagger) / 2 with s_0 = 1
-    # (Penrose and Rindler), the mu-th component of A's image of e_nu
+    # (Penrose and Rindler), the mu-th component of A's image of e_nu; its
+    # x1 and x2 rows are Y10 = x0 w0 + x3 w3 + c w1 + conj(c) w2 at x = e_nu
     A = sp.Matrix(2, 2, complex_half("a"))
     g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = sandwich_terms(*A)
     re, im = (lambda z: sp.re(sp.expand(z))), (lambda z: sp.im(sp.expand(z)))
     half = sp.Rational(1, 2)
-    columns = (((g0 + g1) * half, re(w0), im(w0), (k0 + k1) * half),
-               (re(gc) * half, re(w1 + w2), im(w1 + w2), re(kc) * half),
-               (-im(gc) * half, -im(w1 - w2), re(w1 - w2), -im(kc) * half),
-               ((g0 - g1) * half, re(w3), im(w3), (k0 - k1) * half))
+    rows03 = (((g0 + g1) * half, (k0 + k1) * half),
+              (re(gc) * half, re(kc) * half),
+              (-im(gc) * half, -im(kc) * half),
+              ((g0 - g1) * half, (k0 - k1) * half))
     basis = (sp.eye(2),) + PAULI
-    for nu, column in enumerate(columns):
-        for mu, entry in enumerate(column):
+    for nu, (row0, row3) in enumerate(rows03):
+        x0, x1, x2, x3 = (int(k == nu) for k in range(4))
+        c = x1 + sp.I * x2
+        y10 = x0 * w0 + x3 * w3 + c * w1 + sp.conjugate(c) * w2
+        for mu, entry in enumerate((row0, re(y10), im(y10), row3)):
             lam = (basis[mu] * A * basis[nu] * A.H).trace() * half
             assert sp.expand(entry - lam) == 0, (mu, nu)
 
@@ -256,6 +260,19 @@ def _vanishes(expr) -> bool:
     return sp.simplify(sp.expand(expr.rewrite(sp.exp))) == 0
 
 
+def spin_transform_entries(phi, theta, xi):
+    """lorentz.spin_transform's entries as written there, on the products
+    cp ct, sp st, cp st and sp ct that the components use."""
+    cp, sp_, ct, st = (sp.cos(phi / 2), sp.sin(phi / 2), sp.cos(theta / 2),
+                       sp.sin(theta / 2))
+    up, down = sp.exp(xi / 2), sp.exp(-xi / 2)
+    cpct, spst, cpst, spct = cp * ct, sp_ * st, cp * st, sp_ * ct
+    return sp.Matrix([[cpct * up - sp.I * spct * up,
+                       -cpst * down + sp.I * spst * down],
+                      [cpst * up + sp.I * spst * up,
+                       cpct * down + sp.I * spct * down]])
+
+
 def test_spin_transform_entries_are_the_matrix_of_its_components():
     # lorentz.spin_transform: the matrix of the even-component closed form
     # is [[a ct E, -a st / E], [conj(a) st E, conj(a) ct / E]] with
@@ -268,20 +285,34 @@ def test_spin_transform_entries_are_the_matrix_of_its_components():
     b10, b20, b30, p = cp * st * sh, sp_ * st * sh, cp * ct * sh, -sp_ * ct * sh
     M = pauli_half((s + sp.I * p, b10 + sp.I * b32, b20 + sp.I * b13,
                     b30 + sp.I * b21))
-    # as written there, on the products cp ct, sp st, cp st and sp ct that
-    # the components use
+    want = spin_transform_entries(phi, theta, xi)
     up, down = sp.exp(xi / 2), sp.exp(-xi / 2)
-    cpct, spst, cpst, spct = cp * ct, sp_ * st, cp * st, sp_ * ct
-    want = sp.Matrix([[cpct * up - sp.I * spct * up,
-                       -cpst * down + sp.I * spst * down],
-                      [cpst * up + sp.I * spst * up,
-                       cpct * down + sp.I * spct * down]])
     assert all(_vanishes(e) for e in M - want)
     a = cp - sp.I * sp_
     assert _vanishes(sp.exp(sp.I * phi / 2) * a - 1)
     assert all(_vanishes(e) for e in want - sp.Matrix(
         [[a * ct * up, -a * st * down],
          [sp.conjugate(a) * st * up, sp.conjugate(a) * ct * down]]))
+
+
+def test_cross_section_is_cos_sq_with_no_ij_part():
+    # cross-section's value is product_modulus_sq of spin_transform's spinor
+    # and the standard one: on their entries A and B = 1, the product is the
+    # pair ((adj A B)00, conj((adj B A)00)), and modulus_sq of a pair (P, M)
+    # is the pair (c, conj(c)) with c = P conj(M).  That is cos^2(theta/2)
+    # with an ij part of exactly 0, so c10's target cos^2(theta/2) (1 +
+    # ij sinh xi sin phi) misses it by its ij part, the reason c10 is red
+    phi, theta, xi = sp.symbols("phi theta xi", real=True)
+    A, B = spin_transform_entries(phi, theta, xi), sp.eye(2)
+    P, M = (A.adjugate() * B)[0, 0], sp.conjugate((B.adjugate() * A)[0, 0])
+    c = sp.expand(P * sp.conjugate(M))
+    xy, vw = (c + sp.conjugate(c)) / 2, (c - sp.conjugate(c)) / 2
+    x, y, v, w = sp.re(xy), sp.im(xy), sp.re(vw), sp.im(vw)
+    assert _vanishes(x - sp.cos(theta / 2) ** 2)
+    assert all(_vanishes(e) for e in (y, v, w))
+    target_ij = sp.cos(theta / 2) ** 2 * sp.sinh(xi) * sp.sin(phi)
+    miss = (w - target_ij).subs({phi: sp.pi / 2, theta: 0, xi: -3})
+    assert sp.simplify(miss - sp.sinh(3)) == 0
 
 
 def test_boost_entries_are_the_matrix_of_its_components():
@@ -317,7 +348,7 @@ def pauli_formula(a, b):
 def test_composition_on_the_half_is_the_full_product():
     # _pauli is the product of the halves' matrices, and _pauli(sigma(P),
     # sigma(Q)) = sigma(_pauli(P, Q)): the m half _sigma(p) that composition
-    # (cayley._spin_product) gives is the full product's m half
+    # (lorentz._spin_product) gives is the full product's m half
     P, Q = complex_half("p"), complex_half("q")
     product = pauli_formula(P, Q)
     assert same(product, pauli_coeffs(pauli_half(P) * pauli_half(Q)))

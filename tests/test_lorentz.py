@@ -16,8 +16,9 @@ from hypalg import (S1, S2, S3, FourVector, HyperComplex,
                     exp_general, extract, generators, matrix_of, minkowski_dot,
                     rotation, spin_transform)
 from hypalg import lorentz
-from hypalg.cayley import (ONE, _entries, _halves, _kept_terms, _sigma,
-                           _spin_half, _spin_sandwich, _spinor_span, scalar)
+from hypalg.cayley import ONE, _halves, scalar
+from hypalg.lorentz import (_TINY, _entries, _kept_terms, _sigma,
+                            _spin_half, _spin_sandwich, _spinor_span)
 
 from conftest import rand_multivector, rel_close
 
@@ -515,20 +516,47 @@ def test_matrix_of_half_route_is_the_apply_columns(rng):
                for _ in range(100)]
     rotors += [_spinor_span(Rotor, *(rng.uniform(-3, 3) for _ in range(8)))
                for _ in range(100)]
-    rotors += [_spinor_span(Rotor, *(rng.choice((0.0, -0.0, 1.0, -2.5))
-                                     for _ in range(8))) for _ in range(200)]
-    # nonzero images whose x0 or x3 reads a -0.0 part of gc or kc
-    rotors += [_spinor_span(Rotor, *c) for c in (
-        (-0.5, -1.0, 0.0, -0.5, -0.0, -1.0, -1.0, -0.5),
-        (-1.0, 1.0, -0.0, 2.5, 0.0, 1.0, -1.0, 0.0),
-        (1.0, -1.0, -0.5, 0.0, -0.5, 2.5, -1.0, -0.0),
-        (-1.0, 2.5, -1.0, 0.0, 2.5, 2.5, -1.0, 0.0))]
+    rotors += _sparse_rotors(rng)
     rotors += [Rotor(Multivector(HyperComplex(a))) for a in (1e-160, 1e-310)]
     for t in rotors:
         assert t._half is not None
         want = _apply_columns_outcome(t)
         assert want[0] != "raised"
         assert _matrix_outcome(t) == want, t
+
+
+def _sparse_rotors(rng) -> list[Rotor]:
+    """Spin-span values of components from {0, -0.0, 1, -2.5}, whose images
+    have zero parts: 200 drawn, then four whose nonzero images' x0 or x3
+    reads a -0.0 part of gc or kc."""
+    rotors = [_spinor_span(Rotor, *(rng.choice((0.0, -0.0, 1.0, -2.5))
+                                    for _ in range(8))) for _ in range(200)]
+    return rotors + [_spinor_span(Rotor, *c) for c in (
+        (-0.5, -1.0, 0.0, -0.5, -0.0, -1.0, -1.0, -0.5),
+        (-1.0, 1.0, -0.0, 2.5, 0.0, 1.0, -1.0, 0.0),
+        (1.0, -1.0, -0.5, 0.0, -0.5, 2.5, -1.0, -0.0),
+        (-1.0, 2.5, -1.0, 0.0, 2.5, 2.5, -1.0, 0.0))]
+
+
+def test_matrix_of_is_one_closed_form(rng, monkeypatch):
+    # pure rotations, a pure boost and sparse spin values, whose images
+    # have zero parts, take the closed form: with apply and _spin_sandwich
+    # made to raise, matrix_of answers with the same bits, zero signs
+    # included, for every rotor with |a|^2 in [_TINY, 2^1000)
+    rotors = [rotation((0.3, 0.2, 0.1)), rotation((0.0, 0.0, math.pi)),
+              boost((0.0, -0.0, 2.0))]
+    rotors += [t for t in _sparse_rotors(rng)
+               if _TINY <= sum(_kept_terms(t)[:2]) * 0.5]
+    assert len(rotors) > 150
+    want = [_matrix_outcome(t) for t in rotors]
+    assert all(w[0] != "raised" for w in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a column route taken")
+
+    monkeypatch.setattr(lorentz, "apply", refuse)
+    monkeypatch.setattr(lorentz, "_spin_sandwich", refuse)
+    assert [_matrix_outcome(t) for t in rotors] == want
 
 
 def test_matrix_of_raises_what_the_apply_columns_raise(rng, monkeypatch):
@@ -616,7 +644,7 @@ def test_rebuilt_rotors_keep_the_half_route(monkeypatch):
     monkeypatch.setattr(lorentz, "extract", refuse)
     monkeypatch.setattr(lorentz, "apply", refuse)  # matrix_of's full route
     monkeypatch.setattr(Multivector, "__mul__", refuse)
-    monkeypatch.setattr("hypalg.cayley._spin_half", refuse)
+    monkeypatch.setattr("hypalg.lorentz._spin_half", refuse)
     for copied in copies:
         assert copied._half is not None and copied == t
         got = (apply(copied, x), matrix_of(copied).tolist(),

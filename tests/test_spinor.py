@@ -14,8 +14,8 @@ from hypalg import (E1, S1, S2, S3, ColumnSpinor, EvenComponents, HMat2,
                     mott_factor, nonrel_vector, odd_components,
                     product_modulus_sq, rotation, spin_transform,
                     sprod_algebraic, sprod_column, to_column, to_matrix)
-from hypalg.cayley import ONE, PSEUDOSCALAR, _sigma
-from hypalg.lorentz import IDENTITY
+from hypalg.cayley import ONE, PSEUDOSCALAR
+from hypalg.lorentz import IDENTITY, _sigma
 from hypalg.hypernum import I, J
 
 from conftest import (UNIT_TABLE, assert_hyper_close, rand_hyper,

@@ -192,8 +192,8 @@ def test_the_kept_half_never_shows():
     # pickling carries each one's entries
     from hypalg import (apply, boost, from_rotor, matrix_of, rotation,
                         spin_transform)
-    from hypalg.cayley import (_entries, _sandwich_terms, _spinor_span,
-                               _with_half)
+    from hypalg.lorentz import (_entries, _sandwich_terms, _spinor_span,
+                                _with_half)
 
     m = Multivector(H(1.0), z2=H(0.0, 0.5))
     for cls in (Rotor, Spinor):

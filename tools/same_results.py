@@ -18,7 +18,10 @@ hypalg from its tree and computes a fixed seeded set of results:
   and on
   special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
   numbers); a raised exception is a result too, recorded as its type, its
-  message and its fields (``residual``, ``norm``, ...);
+  message and its fields (``residual``, ``norm``, ...); the rotors are
+  boost-rotation products, pure rotations and boosts, spin transforms,
+  sparse spin-span values and random multivectors, so that some images
+  have zero parts;
 - values built from random fields (HMat2 from its entries, EvenComponents,
   OddComponents, ColumnSpinor, LorentzParams, parsed ASTs), with their
   pickle and copy round trips;
@@ -163,10 +166,24 @@ def lib_cases(H):
         return H.FourVector(*(draw(rng) for _ in range(4)))
 
     def rotor(rng):
+        """A boost times a rotation, a pure rotation or boost (some
+        components 0 or -0.0), a spin transform, a sparse spin-span value
+        (components from {0, -0.0, 1, -2.5}) or a random multivector; the
+        pure and sparse ones have images with zero parts."""
+        def component(size):
+            return (rng.choice((0.0, -0.0)) if rng.random() < 0.3
+                    else finite(rng, size))
         r = rng.random()
-        if r < 0.6:
+        if r < 0.45:
             return (H.boost([finite(rng) for _ in range(3)])
                     * H.rotation([finite(rng, 7.0) for _ in range(3)]))
+        if r < 0.55:
+            return H.rotation([component(7.0) for _ in range(3)])
+        if r < 0.6:
+            return H.boost([component(3.0) for _ in range(3)])
+        if r < 0.7:
+            return H.Rotor(H.from_even_components(H.EvenComponents(
+                *(rng.choice((0.0, -0.0, 1.0, -2.5)) for _ in range(8)))).value)
         if r < 0.8:
             xi = rng.choice((finite(rng, 30.0), rng.choice(
                 (1400.0, -1400.0, math.inf, math.nan))))  # cosh(710) overflows
