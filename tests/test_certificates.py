@@ -273,6 +273,37 @@ def spin_transform_entries(phi, theta, xi):
                        cpct * down + sp.I * spct * down]])
 
 
+def spin_transform_half(phi, theta, xi):
+    """The p half v + i eta of lorentz.spin_transform's even-component
+    closed form, as its docstring writes the eight components."""
+    cp, sp_, ct, st = (sp.cos(phi / 2), sp.sin(phi / 2), sp.cos(theta / 2),
+                       sp.sin(theta / 2))
+    ch, sh = sp.cosh(xi / 2), sp.sinh(xi / 2)
+    s, b32, b13, b21 = cp * ct * ch, sp_ * st * ch, -cp * st * ch, -sp_ * ct * ch
+    b10, b20, b30, p = cp * st * sh, sp_ * st * sh, cp * ct * sh, -sp_ * ct * sh
+    return (s + sp.I * p, b10 + sp.I * b32, b20 + sp.I * b13, b30 + sp.I * b21)
+
+
+def test_spin_transform_components_are_the_product_of_exponentials():
+    # lorentz.spin_transform: exp(-i phi s3/2) exp(-i theta s2/2)
+    # exp(j xi s3/2), formed by sympy's matrix exponential on each
+    # idempotent half (i is I on both, j is 1 on the p half and -1 on the
+    # m half), has the p half of the even-component closed form, the m half
+    # sigma of it, and on its p half the closed-form entries
+    phi, theta, xi = sp.symbols("phi theta xi", real=True)
+
+    def product(j):
+        return ((-sp.I * phi / 2 * PAULI[2]).exp()
+                * (-sp.I * theta / 2 * PAULI[1]).exp()
+                * (j * xi / 2 * PAULI[2]).exp())
+
+    half = spin_transform_half(phi, theta, xi)
+    for got, want in ((product(1), pauli_half(half)),
+                      (product(-1), pauli_half(sigma(half))),
+                      (product(1), spin_transform_entries(phi, theta, xi))):
+        assert all(_vanishes(e) for e in got - want)
+
+
 def test_spin_transform_entries_are_the_matrix_of_its_components():
     # lorentz.spin_transform: the matrix of the even-component closed form
     # is [[a ct E, -a st / E], [conj(a) st E, conj(a) ct / E]] with
@@ -280,11 +311,7 @@ def test_spin_transform_entries_are_the_matrix_of_its_components():
     phi, theta, xi = sp.symbols("phi theta xi", real=True)
     cp, sp_, ct, st = (sp.cos(phi / 2), sp.sin(phi / 2), sp.cos(theta / 2),
                        sp.sin(theta / 2))
-    ch, sh = sp.cosh(xi / 2), sp.sinh(xi / 2)
-    s, b32, b13, b21 = cp * ct * ch, sp_ * st * ch, -cp * st * ch, -sp_ * ct * ch
-    b10, b20, b30, p = cp * st * sh, sp_ * st * sh, cp * ct * sh, -sp_ * ct * sh
-    M = pauli_half((s + sp.I * p, b10 + sp.I * b32, b20 + sp.I * b13,
-                    b30 + sp.I * b21))
+    M = pauli_half(spin_transform_half(phi, theta, xi))
     want = spin_transform_entries(phi, theta, xi)
     up, down = sp.exp(xi / 2), sp.exp(-xi / 2)
     assert all(_vanishes(e) for e in M - want)

@@ -433,6 +433,52 @@ def test_spin_transform_closed_form_matches_product():
                 assert worst <= 16 * eps * math.cosh(xi / 2), (phi, theta, xi)
 
 
+def _spin_transform_span(phi, theta, xi) -> Rotor:
+    """_spinor_span of spin_transform's eight closed-form components and its
+    closed-form entries, each formed as the docstring writes it."""
+    cp, sp = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    ch, sh = math.cosh(xi / 2.0), math.sinh(xi / 2.0)
+    up, down = math.exp(xi / 2.0), math.exp(-xi / 2.0)
+    cpct, spst, cpst, spct = cp * ct, sp * st, cp * st, sp * ct
+    return _spinor_span(Rotor, cpct * ch, spst * ch, -cpst * ch, -spct * ch,
+                        cpst * sh, spst * sh, cpct * sh, -spct * sh,
+                        (complex(cpct * up, -spct * up),
+                         complex(-cpst * down, spst * down),
+                         complex(cpst * up, spst * up),
+                         complex(cpct * down, spct * down)))
+
+
+def _spin_bits(t):
+    """The bits of a spin value's halves and of its kept entries, or None."""
+    def bits(q):
+        return None if q is None else [(c.real.hex(), c.imag.hex()) for c in q]
+    return bits(t.value.p), bits(t.value.m), bits(t._half)
+
+
+def test_spin_transform_is_its_spinor_span_bit_for_bit(rng):
+    # spin_transform builds its value and entries in one step and decides
+    # their finiteness from its factors; _spinor_span of the same components
+    # and entries, which tests the entries, gives the same bits, zero signs
+    # and kept entries (or None) included, at signed zeros, NaN, the ends of
+    # the rapidity range and infinite rapidities, and on random draws
+    angles = (0.0, -0.0, math.pi, 2 * math.pi, math.nan)
+    xis = (0.0, -0.0, 1419.5, -1419.5, math.inf, -math.inf, math.nan)
+    params = [(phi, theta, xi) for phi in angles for theta in angles
+              for xi in xis]
+    params += [(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                rng.choice((rng.uniform(-30, 30), rng.uniform(-1419, 1419))))
+               for _ in range(2000)]
+    kept = 0
+    for phi, theta, xi in params:
+        got = spin_transform(LorentzParams(phi, theta, xi))
+        want = _spin_transform_span(phi, theta, xi)
+        assert type(got) is Rotor
+        assert _spin_bits(got) == _spin_bits(want), (phi, theta, xi)
+        kept += got._half is not None
+    assert 2000 < kept < len(params)  # NaN and infinite parameters keep None
+
+
 def test_composition_order(rng):
     t1, t2 = random_rotor(rng), random_rotor(rng)
     x = FourVector(*(rng.uniform(-2, 2) for _ in range(4)))

@@ -541,6 +541,47 @@ def test_product_modulus_keeps_every_refused_and_non_finite_outcome(rng):
     assert kept > 1000
 
 
+def test_product_modulus_forms_the_pair_modulus_in_place(rng):
+    # product_modulus_sq forms c = P Q and the pair (c, conj(c)), where P and
+    # Q are (adj A B)00 and (adj B A)00: bit for bit modulus_sq of the pair
+    # (P, conj(Q)), since conj(conj(Q)) is exact; beyond _RANGE it is that
+    # value where both it and sprod_algebraic's are finite, else the latter
+    from hypalg.hypernum import _pair
+    from hypalg.spinor import _RANGE
+    from hypalg.spinor import _norm_sq as norm_sq
+
+    def value():
+        r = rng.random()
+        if r < 0.4:  # |xi| past about 693: |a|^2 |b|^2 passes _RANGE
+            return spinor_of(rng.uniform(-7, 7), rng.uniform(-4, 4), rng.choice(
+                (rng.uniform(-30, 30), rng.uniform(-1400, 1400))))
+        scale = rng.choice((1.0, 1e-160, 1e75, 1e150, 3e154))
+        return from_even_components(EvenComponents(*(
+            rng.choice((0.0, -0.0, rng.uniform(-10, 10) * scale))
+            for _ in range(8))))
+
+    inside = beyond = 0  # beyond: on the entries past _RANGE
+    for _ in range(3000):
+        a, b = value(), value()
+        (a00, a01, a10, a11), (b00, b01, b10, b11) = a._half, b._half
+        want = _pair(a11 * b00 - a01 * b10,
+                     (b11 * a00 - b01 * a10).conjugate()).modulus_sq()
+        if norm_sq(a._half) * norm_sq(b._half) <= _RANGE:
+            inside += 1
+        else:
+            algebraic = _outcome(_algebraic_modulus_sq, a, b)
+            if _finite(want) and _finite(algebraic):
+                beyond += 1
+            else:
+                want = algebraic
+        got = _outcome(product_modulus_sq, a, b)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want)), (a, b)
+        else:
+            assert _bits((got.p, got.m)) == _bits((want.p, want.m)), (a, b)
+    assert inside > 1000 and beyond > 500, (inside, beyond)
+
+
 def test_product_modulus_takes_the_half_route(monkeypatch):
     # with the algebraic route out of reach, spin transforms against the
     # standard spinor still give cos^2(theta/2), to K eps (1 + cosh xi)

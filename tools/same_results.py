@@ -31,7 +31,8 @@ hypalg from its tree and computes a fixed seeded set of results:
   ``cross-section`` at |xi| from 20 to 1400.
 
 Values are encoded exactly: floats as ``float.hex``, value classes as their
-stored fields.  Each result is digested twice: once over its encoding, and
+stored fields, and a Rotor or Spinor also by the M2(C) entries it keeps
+(``_half``, or None).  Each result is digested twice: once over its encoding, and
 once with every negative zero read as a positive one.  The report gives, per
 op, the number of results compared, the number that differ and how many of
 those differ only in the sign of a zero (equal in the second digest), with
@@ -87,8 +88,10 @@ def encode(value):
     if hasattr(value, "tolist"):  # a numpy array
         return encode(value.tolist())
     cls = type(value)
-    return [cls.__name__] + [encode(getattr(value, name))
-                             for name in cls.__slots__]
+    fields = [encode(getattr(value, name)) for name in cls.__slots__]
+    if hasattr(cls, "_half"):  # a Rotor or Spinor: its kept entries too
+        fields.append(encode(value._half))
+    return [cls.__name__] + fields
 
 
 def outcome(fn, *args):
