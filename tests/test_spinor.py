@@ -553,8 +553,8 @@ def test_product_modulus_forms_the_pair_modulus_in_place(rng):
     def value():
         r = rng.random()
         if r < 0.4:  # |xi| past about 693: |a|^2 |b|^2 passes _RANGE
-            return spinor_of(rng.uniform(-7, 7), rng.uniform(-4, 4), rng.choice(
-                (rng.uniform(-30, 30), rng.uniform(-1400, 1400))))
+            xi = rng.choice((rng.uniform(-30, 30), rng.uniform(-1400, 1400)))
+            return spinor_of(rng.uniform(-7, 7), rng.uniform(-4, 4), xi)
         scale = rng.choice((1.0, 1e-160, 1e75, 1e150, 3e154))
         return from_even_components(EvenComponents(*(
             rng.choice((0.0, -0.0, rng.uniform(-10, 10) * scale))

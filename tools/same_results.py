@@ -32,12 +32,12 @@ hypalg from its tree and computes a fixed seeded set of results:
 
 Values are encoded exactly: floats as ``float.hex``, value classes as their
 stored fields, and a Rotor or Spinor also by the M2(C) entries it keeps
-(``_half``, or None).  Each result is digested twice: once over its encoding, and
-once with every negative zero read as a positive one.  The report gives, per
-op, the number of results compared, the number that differ and how many of
-those differ only in the sign of a zero (equal in the second digest), with
-up to three differing results of each op.  The exit status is 0 when nothing
-differs and 1 otherwise.
+(``_half``, or None).  Each result is digested twice: once over its
+encoding, and once with every negative zero read as a positive one.  The
+report gives, per op, the number of results compared, the number that
+differ and how many of those differ only in the sign of a zero (equal in the
+second digest), with up to three differing results of each op.  The exit
+status is 0 when nothing differs and 1 otherwise.
 """
 
 from __future__ import annotations
