@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .cayley import (ONE, S1, S2, S3, FourVector, Multivector, _halves,
-                     _pauli, _set_m, _set_p, embed, extract)
+                     _pauli, embed, extract)
 from .hypernum import HyperComplex, _Frozen, _new
 
 
@@ -74,8 +74,10 @@ _set_half, _set_terms = _SpinValue._setters
 
 
 def _kept_terms(t: _SpinValue) -> tuple:
-    """_sandwich_terms(t._half), formed on the first call and kept in t;
-    two threads that both form them write the same terms."""
+    """_sandwich_terms(t._half), formed on the first call and kept in t.
+
+    Two threads that both form them write the same terms.
+    """
     try:
         return t._terms
     except AttributeError:
@@ -93,24 +95,21 @@ def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
 
 
 def _spin_value(cls: type, half: tuple, entries: tuple | None) -> _SpinValue:
-    """The cls with the p half half, the m half _sigma(half) and entries,
-    finite or None, kept as given: the one builder from a p half."""
-    value = _new(Multivector)
-    _set_p(value, half)
-    _set_m(value, _sigma(half))
-    obj = _new(cls)
-    cls._setters[0](obj, value)
-    _set_half(obj, entries)
-    return obj
+    """The cls with the p half half and entries (finite or None) as given."""
+    return _with_half(cls, _halves(half, _sigma(half)), entries)
 
 
 def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
                  b10: float, b20: float, b30: float, p: float,
                  entries: tuple | None = None) -> _SpinValue:
-    """The cls with the value s + b32 i s1 + ... + p ij (see hypalg.spinor):
-    _spin_value of its p half v + i*eta, v = (s, b10, b20, b30) and eta =
-    (p, b32, b13, b21), and of the entries, a closed form's or _entries of
-    that half, or None where they are not finite."""
+    """The cls with the spinor-span value of the even components s, ..., p.
+
+    That is s + b32 i s1 + ... + p ij (see hypalg.spinor): the p half
+    v + i*eta, v = (s, b10, b20, b30) and eta = (p, b32, b13, b21), and the
+    m half _sigma of it.  Its entries, a closed form's or _entries of the p
+    half, are kept when finite.  spin_transform writes the same p half and
+    calls _spin_value itself; every other spin-span builder comes here.
+    """
     half = (complex(s, p), complex(b10, b32), complex(b20, b13),
             complex(b30, b21))
     if entries is None:
@@ -121,9 +120,11 @@ def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
 
 def _spin_product(cls: type, a: Multivector, h: tuple | None, b: Multivector,
                   k: tuple | None) -> _SpinValue | None:
-    """The cls of the product of the spin values a and b, with entries h and
-    k: the pair form of _pauli(a.p, b.p), the full product's up to the sign
-    of a zero; None where h or k is None or a part is not finite."""
+    """The cls of the product of the spin values a and b, with entries h and k.
+
+    The value is the pair form of _pauli(a.p, b.p), the full product's up to
+    the sign of a zero; None where h or k is None or a part is not finite.
+    """
     if h is None or k is None:
         return None
     p = _pauli(a.p, b.p)
@@ -186,6 +187,7 @@ def _spin_sandwich(terms: tuple, x0: float, x1: float, x2: float,
 # the least |a|^2 taken on the trace terms: a subnormal |A_ij|^2 is off by
 # at most 2^-1075, under 2^-23 eps |a|^2 (cf. spinor._RANGE)
 _TINY = 2.0 ** -1000
+
 
 _LN2 = math.log(2.0)
 
@@ -261,14 +263,21 @@ class LorentzParams(_Frozen):
 
 
 class Rotor(_SpinValue):
-    """A spin-group element, value * bar(value) == 1, whose kept entries (see
-    _SpinValue) apply, matrix_of, composition, inverse and from_rotor read."""
+    """A spin-group element: value * bar(value) == 1.
+
+    apply, matrix_of, composition, inverse and spinor.from_rotor read its
+    M2(C) entries (see _SpinValue), found once, when it is built;
+    apply and matrix_of read their trace terms, formed on the first of them.
+    """
 
     __slots__ = __match_args__ = ("value",)
 
     def __mul__(self, other: "Rotor") -> "Rotor":
-        """Composition, (t2 * t1) acting as t2 after t1: _spin_product on two
-        rotors with entries, else, or where it is None, the geometric one."""
+        """Composition; (t2 * t1) acts as t2 after t1.
+
+        On two rotors with entries, _spin_product; otherwise, or
+        where that is not finite, the geometric product.
+        """
         if not isinstance(other, Rotor):
             return NotImplemented
         t = _spin_product(Rotor, self.value, self._half, other.value,
@@ -439,24 +448,17 @@ def _matrix_entries(terms: tuple) -> tuple | None:
     Column e0's x0 and x3 are (g0 + g1) / 2 and (k0 + k1) / 2, e3's the same
     with g0 - g1 and k0 - k1, and e1's and e2's are read from gc and kc.
     Rows x1 and x2 are the real and imaginary parts of _spin_sandwich's
-    x0 w0 + x3 w3 + c w1 + conj(c) w2 at e_nu's constants: w0, w1 + w2,
-    i (w1 - w2) and w3 where both parts are nonzero (each is then that sum
-    plus zeros), else that sum itself.  So each entry is what _spin_sandwich
-    makes of e_nu, bit for bit, zero signs included.  None where |a|^2 =
+    x0 w0 + x3 w3 + c w1 + conj(c) w2 at e_nu's constants, each product of
+    a zero formed once.  So each entry is what _spin_sandwich makes of
+    e_nu, bit for bit, zero signs included.  None where |a|^2 =
     (g0 + g1) / 2 is outside [_TINY, 2^1000), which keeps every term finite.
     """
     g0, g1, k0, k1, gc, kc, w0, w3, w1, w2 = terms
     if not _TINY <= (g0 + g1) * 0.5 < 2.0 ** 1000:
         return None
-    y0 = w0 if w0.real and w0.imag else (
-        1.0 * w0 + 0.0 * w3 + _C0 * w1 + _D0 * w2)
-    y3 = w3 if w3.real and w3.imag else (
-        0.0 * w0 + 1.0 * w3 + _C0 * w1 + _D0 * w2)
-    y1, d = w1 + w2, w1 - w2
-    if not (y1.real and y1.imag):
-        y1 = 0.0 * w0 + 0.0 * w3 + _C1 * w1 + _D1 * w2
-    y2 = d * 1j if d.real and d.imag else (
-        0.0 * w0 + 0.0 * w3 + _C2 * w1 + _D2 * w2)
+    z0, z3, z1, z2 = 0.0 * w0, 0.0 * w3, _C0 * w1, _D0 * w2
+    y0, y3 = 1.0 * w0 + z3 + z1 + z2, z0 + 1.0 * w3 + z1 + z2
+    y1, y2 = z0 + z3 + _C1 * w1 + _D1 * w2, z0 + z3 + _C2 * w1 + _D2 * w2
     # math.fsum gives +0.0 for a zero sum, as adding 0.0 does
     return (0.5 * (g0 + g1), 0.5 * (gc.real + 0.0), 0.5 * (0.0 - gc.imag),
             0.5 * (g0 - g1),

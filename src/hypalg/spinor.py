@@ -42,8 +42,10 @@ class NonScalarResidual(_ResidualError, ArithmeticError):
 
 
 class Spinor(_SpinValue):
-    """A multivector confined to the spinor subalgebra, with the M2(C) entries
-    that product_modulus_sq and act read (lorentz._SpinValue)."""
+    """A multivector confined to the spinor subalgebra.
+
+    product_modulus_sq and act read its M2(C) entries (lorentz._SpinValue).
+    """
 
     __slots__ = __match_args__ = ("value",)
 
@@ -56,8 +58,11 @@ class Spinor(_SpinValue):
 
 
 def from_rotor(t: Rotor) -> Spinor:
-    """Identify the spin transformation itself as the spinor: a rotor's kept
-    entries pass on without a test, another rotor meets from_multivector."""
+    """Identify the spin transformation itself as the spinor.
+
+    A rotor that carries entries passes them on, without a test; every
+    other rotor's value meets from_multivector.
+    """
     if t._half is None:
         return from_multivector(t.value)
     return _with_half(Spinor, t.value, t._half)
@@ -66,9 +71,10 @@ def from_rotor(t: Rotor) -> Spinor:
 def from_multivector(m: Multivector) -> Spinor:
     """m as a Spinor; NotInSpinorAlgebra unless m lies in the spinor span.
 
-    A value with the m half _sigma(p) and finite entries (lorentz._spin_half),
-    as every one the library builds, is exactly 0 outside the span, so it
-    skips the guard, which decides every other value.
+    A value whose m half is _sigma of its p half, with finite entries
+    (lorentz._spin_half), as every rotor and spinor the library builds, has
+    every coefficient outside the span exactly 0, so it is accepted without
+    the guard; the guard decides every other value.
     """
     p = _spin_half(m)
     if p is None:
@@ -281,8 +287,9 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
         return sprod_algebraic(a, b).modulus_sq()
     a00, a01, a10, a11 = h
     b00, b01, b10, b11 = k
+    # HyperComplex.modulus_sq of the pair (P, conj(Q)), formed in place
     c = (a11 * b00 - a01 * b10) * (b11 * a00 - b01 * a10)
-    m2 = _pair(c, c.conjugate())  # modulus_sq of the pair (P, conj(Q))
+    m2 = _pair(c, c.conjugate())
     if _norm_sq(h) * _norm_sq(k) <= _RANGE:
         return m2
     want = sprod_algebraic(a, b).modulus_sq()
