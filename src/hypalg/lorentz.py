@@ -51,52 +51,96 @@ def _spin_half(a: Multivector) -> tuple | None:
 class _SpinValue(_Frozen):
     """Base of Rotor and spinor.Spinor: a value and its M2(C) entries.
 
-    The slot _half keeps the entries: _spin_half(value) (also in _fill), a
-    closed form's, or a composition's product.  The slot _terms keeps
-    _sandwich_terms of them, formed by the first _kept_terms call and unset
-    until then.  Outside a subclass's __slots__, equality, hashing and repr
-    see neither; pickling carries the entries, not the terms.
+    A spin value keeps what its builder computed.  The slot _src is one
+    source of its value: the value itself, a Multivector (Rotor(m),
+    Spinor(m), _with_half and pickle, which also set value); its p half, a
+    4-tuple (_spin_value); or the LorentzParams of spin_transform.  The
+    slot _half keeps the entries: _spin_half(value) (also in _fill), a
+    closed form's, or a composition's product.  value, where unset, and
+    _terms, _sandwich_terms of the entries, are formed on their first read
+    (__getattr__) and kept; two threads that both form one write the same
+    bits.  Outside a subclass's __slots__, equality, hashing and repr see
+    none of _src, _half and _terms; pickling carries the value and the
+    entries.
     """
 
-    __slots__ = ("_half", "_terms")
+    __slots__ = ("_src", "_half", "_terms")
 
     def __init__(self, value: Multivector):
         self._setters[0](self, value)
+        _set_src(self, value)
         _set_half(self, _spin_half(value))
 
     _fill = __init__
+
+    def __getattr__(self, name: str):
+        """Form value or _terms on its first read; called on an unset slot."""
+        if name == "value":
+            src = self._src
+            if isinstance(src, Multivector):
+                value = src
+            else:
+                p = _p_half(src)
+                value = _halves(p, _sigma(p))
+            type(self)._setters[0](self, value)
+            return value
+        if name == "_terms":
+            terms = _sandwich_terms(self._half)
+            _set_terms(self, terms)
+            return terms
+        raise AttributeError(f"{type(self).__name__!r} object has no "
+                             f"attribute {name!r}", name=name, obj=self)
 
     def __reduce__(self):
         return _with_half, (type(self), self.value, self._half)
 
 
-_set_half, _set_terms = _SpinValue._setters
-
-
-def _kept_terms(t: _SpinValue) -> tuple:
-    """_sandwich_terms(t._half), formed on the first call and kept in t.
-
-    Two threads that both form them write the same terms.
-    """
-    try:
-        return t._terms
-    except AttributeError:
-        terms = _sandwich_terms(t._half)
-        _set_terms(t, terms)
-        return terms
+_set_src, _set_half, _set_terms = _SpinValue._setters
 
 
 def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
     """The cls with the value value and the entries half, found by the caller."""
     obj = _new(cls)
     cls._setters[0](obj, value)
+    _set_src(obj, value)
     _set_half(obj, half)
     return obj
 
 
-def _spin_value(cls: type, half: tuple, entries: tuple | None) -> _SpinValue:
-    """The cls with the p half half and entries (finite or None) as given."""
-    return _with_half(cls, _halves(half, _sigma(half)), entries)
+def _spin_value(cls: type, src, entries: tuple | None) -> _SpinValue:
+    """The cls with the source src and entries (finite or None) as given.
+
+    src is a p half, a LorentzParams or a Multivector (see _SpinValue); the
+    value is formed from it on its first read.
+    """
+    obj = _new(cls)
+    _set_src(obj, src)
+    _set_half(obj, entries)
+    return obj
+
+
+def _p_half(src) -> tuple:
+    """The p half of the spin value with the source src, without its value.
+
+    For spin_transform's LorentzParams, the closed form: with cp, sp = cos,
+    sin(phi/2), ct, st = cos, sin(theta/2) and ch, sh = cosh, sinh(xi/2),
+    the even components s = cp ct ch, b32 = sp st ch, b13 = -cp st ch,
+    b21 = -sp ct ch, b10 = cp st sh, b20 = sp st sh, b30 = cp ct sh and
+    p = -sp ct sh in _spinor_span's layout.  spin_transform has refused
+    every parameter for which a factor here raises: exp(|xi|/2) overflows
+    before cosh and sinh do.
+    """
+    if src.__class__ is tuple:
+        return src
+    if isinstance(src, Multivector):
+        return src.p
+    cp, sp = math.cos(src.phi / 2.0), math.sin(src.phi / 2.0)
+    ct, st = math.cos(src.theta / 2.0), math.sin(src.theta / 2.0)
+    x = src.xi / 2.0
+    ch, sh = math.cosh(x), math.sinh(x)
+    cpct, spst, cpst, spct = cp * ct, sp * st, cp * st, sp * ct
+    return (complex(cpct * ch, -spct * sh), complex(cpst * sh, spst * ch),
+            complex(spst * sh, -cpst * ch), complex(cpct * sh, -spct * ch))
 
 
 def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
@@ -107,8 +151,10 @@ def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
     That is s + b32 i s1 + ... + p ij (see hypalg.spinor): the p half
     v + i*eta, v = (s, b10, b20, b30) and eta = (p, b32, b13, b21), and the
     m half _sigma of it.  Its entries, a closed form's or _entries of the p
-    half, are kept when finite.  spin_transform writes the same p half and
-    calls _spin_value itself; every other spin-span builder comes here.
+    half, are kept when finite; the p half is the value's source, so the
+    value is formed on its first read.  spin_transform keeps its parameters
+    instead, and _p_half writes the same layout from them; every other
+    spin-span builder comes here.
     """
     half = (complex(s, p), complex(b10, b32), complex(b20, b13),
             complex(b30, b21))
@@ -118,16 +164,18 @@ def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
                        entries if _zero_if_finite(entries) == 0 else None)
 
 
-def _spin_product(cls: type, a: Multivector, h: tuple | None, b: Multivector,
+def _spin_product(cls: type, a, h: tuple | None, b,
                   k: tuple | None) -> _SpinValue | None:
-    """The cls of the product of the spin values a and b, with entries h and k.
+    """The cls of the product of the spin values with the sources a and b.
 
-    The value is the pair form of _pauli(a.p, b.p), the full product's up to
-    the sign of a zero; None where h or k is None or a part is not finite.
+    a and b are _SpinValue sources (a Multivector, a p half or a
+    LorentzParams) with the entries h and k.  The value is the pair form of
+    _pauli of their p halves (_p_half), the full product's up to the sign of
+    a zero; None where h or k is None or a part is not finite.
     """
     if h is None or k is None:
         return None
-    p = _pauli(a.p, b.p)
+    p = _pauli(_p_half(a), _p_half(b))
     h00, h01, h10, h11 = h
     k00, k01, k10, k11 = k
     entries = (h00 * k00 + h01 * k10, h00 * k01 + h01 * k11,
@@ -268,6 +316,7 @@ class Rotor(_SpinValue):
     apply, matrix_of, composition, inverse and spinor.from_rotor read its
     M2(C) entries (see _SpinValue), found once, when it is built;
     apply and matrix_of read their trace terms, formed on the first of them.
+    Its value is formed on its first read where it was built without one.
     """
 
     __slots__ = __match_args__ = ("value",)
@@ -280,7 +329,7 @@ class Rotor(_SpinValue):
         """
         if not isinstance(other, Rotor):
             return NotImplemented
-        t = _spin_product(Rotor, self.value, self._half, other.value,
+        t = _spin_product(Rotor, self._src, self._half, other._src,
                           other._half)
         return Rotor(self.value * other.value) if t is None else t
 
@@ -370,7 +419,7 @@ def apply(t: Rotor, x: FourVector) -> FourVector:
     span (t is not actually a rotor) or a part of it is not finite.
     """
     if t._half is not None:
-        y = _spin_sandwich(_kept_terms(t), x.x0, x.x1, x.x2, x.x3)
+        y = _spin_sandwich(t._terms, x.x0, x.x1, x.x2, x.x3)
         if y is not None:
             return FourVector(*y)
     return extract(t.value * embed(x) * t.value.dagger())
@@ -401,20 +450,24 @@ def spin_transform(p: LorentzParams) -> Rotor:
     (hypalg.checks).  The entries [[a ct E, -a st / E], [conj(a) st E,
     conj(a) ct / E]], a = e^{-i phi/2} and E = e^{xi/2}, take no difference.
     OverflowError is raised from |xi| = 2 ln(max float) = 1419.565425786768.
+
+    Only what can refuse is computed here: the factors and the entries.
+    The rotor keeps p (copied into a LorentzParams unless it is one) as the
+    source of its value, which _p_half forms on its first read.
     """
+    if p.__class__ is not LorentzParams:  # a source that cannot change
+        p = LorentzParams(p.phi, p.theta, p.xi)
     cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
     ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
     x = p.xi / 2.0  # -x is -p.xi / 2.0 bit for bit
-    ch, sh, up, down = math.cosh(x), math.sinh(x), math.exp(x), math.exp(-x)
+    up, down = math.exp(x), math.exp(-x)
     cpct, spst, cpst, spct = cp * ct, sp * st, cp * st, sp * ct
-    half = (complex(cpct * ch, -spct * sh), complex(cpst * sh, spst * ch),
-            complex(spst * sh, -cpst * ch), complex(cpct * sh, -spct * ch))
     h = (complex(cpct * up, -spct * up), complex(-cpst * down, spst * down),
          complex(cpst * up, spst * up), complex(cpct * down, spct * down))
     # h is finite where cpct spst up down is: an infinite angle or a finite
     # |xi| past the range raised, and NaN or xi = +-inf makes that NaN
     finite = cpct * spst * up * down
-    return _spin_value(Rotor, half, h if finite - finite == 0 else None)
+    return _spin_value(Rotor, p, h if finite - finite == 0 else None)
 
 
 def matrix_of(t: Rotor):
@@ -428,7 +481,7 @@ def matrix_of(t: Rotor):
     import numpy as np
 
     if t._half is not None:
-        entries = _matrix_entries(_kept_terms(t))
+        entries = _matrix_entries(t._terms)
         if entries is not None:
             return np.array(entries).reshape(4, 4)
     return np.array([apply(t, FourVector(*e)).components()

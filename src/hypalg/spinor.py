@@ -23,7 +23,8 @@ import math
 from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _pair, _rebuild
 from .lorentz import (LorentzParams, Rotor, _spin_half, _spin_product,
-                      _spinor_span, _SpinValue, _with_half, spin_transform)
+                      _spin_value, _spinor_span, _SpinValue, _with_half,
+                      spin_transform)
 
 
 class NotInSpinorAlgebra(_ResidualError, ValueError):
@@ -60,12 +61,15 @@ class Spinor(_SpinValue):
 def from_rotor(t: Rotor) -> Spinor:
     """Identify the spin transformation itself as the spinor.
 
-    A rotor that carries entries passes them on, without a test; every
-    other rotor's value meets from_multivector.
+    A rotor that carries entries passes them and the source of its value
+    (lorentz._SpinValue) on, without a test and forming nothing: the
+    spinor's value is the rotor's, zero signs included, on its first read.
+    Every other rotor's value meets from_multivector.
     """
-    if t._half is None:
+    h = t._half
+    if h is None:
         return from_multivector(t.value)
-    return _with_half(Spinor, t.value, t._half)
+    return _spin_value(Spinor, t._src, h)
 
 
 def from_multivector(m: Multivector) -> Spinor:
@@ -246,7 +250,7 @@ def act(omega: Multivector, psi: Spinor) -> Spinor:
 
     lorentz._spin_product on entries; else omega meets the guard.
     """
-    out = _spin_product(Spinor, omega, _spin_half(omega), psi.value, psi._half)
+    out = _spin_product(Spinor, omega, _spin_half(omega), psi._src, psi._half)
     if out is None:
         NotInSpinorAlgebra.check(omega)
         out = Spinor(omega * psi.value)
@@ -277,10 +281,12 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
 
     On the entries A and B of a and b, the product (sprod_algebraic's) is
     ((adj A B)00, conj((adj B A)00)), A11 B00 - A01 B10 being Penrose and
-    Rindler's antisymmetric form.  Where |a|^2 |b|^2 <= 2**1000 (|a|^2 =
-    sum |A_ij|^2 / 2) no part either route forms exceeds about 2**1011, so
-    both are finite.  Beyond it, and without entries, sprod_algebraic runs
-    too: its NaN, inf or NonScalarResidual stands, else the entries' value.
+    Rindler's antisymmetric form.  Where (sum |A_ij|) (sum |B_ij|) <=
+    2**500, so that |a|^2 |b|^2 <= 2**998 (|a|^2 = sum |A_ij|^2 / 2 is at
+    most (sum |A_ij|)^2 / 2), no part either route forms exceeds about
+    2**1011, so both are finite.  Beyond it, where abs of an entry
+    overflows, and without entries, sprod_algebraic runs too: its NaN, inf
+    or NonScalarResidual stands, else the entries' value.
     """
     h, k = a._half, b._half
     if h is None or k is None:
@@ -290,20 +296,19 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     # HyperComplex.modulus_sq of the pair (P, conj(Q)), formed in place
     c = (a11 * b00 - a01 * b10) * (b11 * a00 - b01 * a10)
     m2 = _pair(c, c.conjugate())
-    if _norm_sq(h) * _norm_sq(k) <= _RANGE:
+    try:  # abs of a finite entry overflows past the float range
+        inside = ((abs(a00) + abs(a01) + abs(a10) + abs(a11))
+                  * (abs(b00) + abs(b01) + abs(b10) + abs(b11)) <= _RANGE)
+    except OverflowError:
+        inside = False
+    if inside:
         return m2
     want = sprod_algebraic(a, b).modulus_sq()
     return m2 if m2.p - m2.p == 0 and want.p - want.p == 0 else want
 
 
-_RANGE = 2.0 ** 1000  # the largest |a|^2 |b|^2 taken on the entries alone
-
-
-def _norm_sq(h: tuple) -> float:
-    """|a|^2 for the spin value a with the entries h: half the sum of |h_ij|^2."""
-    h00, h01, h10, h11 = h
-    return (h00 * h00.conjugate() + h01 * h01.conjugate()
-            + h10 * h10.conjugate() + h11 * h11.conjugate()).real * 0.5
+# the largest (sum |A_ij|) (sum |B_ij|) taken on the entries alone
+_RANGE = 2.0 ** 500
 
 
 def mott_factor(theta: float) -> float:

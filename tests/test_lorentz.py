@@ -17,8 +17,8 @@ from hypalg import (S1, S2, S3, FourVector, HyperComplex,
                     rotation, spin_transform)
 from hypalg import lorentz
 from hypalg.cayley import ONE, _halves, scalar
-from hypalg.lorentz import (_TINY, _entries, _kept_terms, _sigma,
-                            _spin_half, _spin_sandwich, _spinor_span)
+from hypalg.lorentz import (_TINY, _entries, _sigma, _spin_half,
+                            _spin_sandwich, _spinor_span)
 
 from conftest import rand_multivector, rel_close
 
@@ -340,7 +340,7 @@ def test_tiny_rotors_take_the_full_product():
         == -1.000000000003e-312
     # from |a|^2 = 2^-1000 on, the terms answer, within K eps |a|^2 max|x_k|
     t = Rotor(Multivector(HyperComplex(2.0 ** -500)))
-    assert _spin_sandwich(_kept_terms(t), *x.components()) is not None
+    assert _spin_sandwich(t._terms, *x.components()) is not None
     assert _sandwich_error(t, x, apply(t, x)) <= K
 
 
@@ -592,7 +592,7 @@ def test_matrix_of_is_one_closed_form(rng, monkeypatch):
     rotors = [rotation((0.3, 0.2, 0.1)), rotation((0.0, 0.0, math.pi)),
               boost((0.0, -0.0, 2.0))]
     rotors += [t for t in _sparse_rotors(rng)
-               if _TINY <= sum(_kept_terms(t)[:2]) * 0.5]
+               if _TINY <= sum(t._terms[:2]) * 0.5]
     assert len(rotors) > 150
     want = [_matrix_outcome(t) for t in rotors]
     assert all(w[0] != "raised" for w in want)

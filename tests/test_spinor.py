@@ -544,15 +544,22 @@ def test_product_modulus_keeps_every_refused_and_non_finite_outcome(rng):
 def test_product_modulus_forms_the_pair_modulus_in_place(rng):
     # product_modulus_sq forms c = P Q and the pair (c, conj(c)), where P and
     # Q are (adj A B)00 and (adj B A)00: bit for bit modulus_sq of the pair
-    # (P, conj(Q)), since conj(conj(Q)) is exact; beyond _RANGE it is that
-    # value where both it and sprod_algebraic's are finite, else the latter
+    # (P, conj(Q)), since conj(conj(Q)) is exact; where |a|^2 |b|^2 passes
+    # 2**1000 it is that value where both it and sprod_algebraic's are
+    # finite, else the latter
     from hypalg.hypernum import _pair
-    from hypalg.spinor import _RANGE
-    from hypalg.spinor import _norm_sq as norm_sq
+
+    def norm_sq(h):
+        """|a|^2 of the spin value a with the entries h, as it was formed."""
+        h00, h01, h10, h11 = h
+        return (h00 * h00.conjugate() + h01 * h01.conjugate()
+                + h10 * h10.conjugate() + h11 * h11.conjugate()).real * 0.5
+
+    bound = 2.0 ** 1000  # the |a|^2 |b|^2 up to which both routes are finite
 
     def value():
         r = rng.random()
-        if r < 0.4:  # |xi| past about 693: |a|^2 |b|^2 passes _RANGE
+        if r < 0.4:  # |xi| past about 693: |a|^2 |b|^2 passes the bound
             xi = rng.choice((rng.uniform(-30, 30), rng.uniform(-1400, 1400)))
             return spinor_of(rng.uniform(-7, 7), rng.uniform(-4, 4), xi)
         scale = rng.choice((1.0, 1e-160, 1e75, 1e150, 3e154))
@@ -560,13 +567,13 @@ def test_product_modulus_forms_the_pair_modulus_in_place(rng):
             rng.choice((0.0, -0.0, rng.uniform(-10, 10) * scale))
             for _ in range(8))))
 
-    inside = beyond = 0  # beyond: on the entries past _RANGE
+    inside = beyond = 0  # beyond: on the entries past the bound
     for _ in range(3000):
         a, b = value(), value()
         (a00, a01, a10, a11), (b00, b01, b10, b11) = a._half, b._half
         want = _pair(a11 * b00 - a01 * b10,
                      (b11 * a00 - b01 * a10).conjugate()).modulus_sq()
-        if norm_sq(a._half) * norm_sq(b._half) <= _RANGE:
+        if norm_sq(a._half) * norm_sq(b._half) <= bound:
             inside += 1
         else:
             algebraic = _outcome(_algebraic_modulus_sq, a, b)
