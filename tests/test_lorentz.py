@@ -479,6 +479,113 @@ def test_spin_transform_is_its_spinor_span_bit_for_bit(rng):
     assert 2000 < kept < len(params)  # NaN and infinite parameters keep None
 
 
+def _slot_set(t, name: str) -> bool:
+    """Whether t's slot name holds a value, read through the slot's
+    descriptor, which never forms a field on its first read."""
+    slot = next(cls.__dict__[name] for cls in type(t).__mro__
+                if name in cls.__dict__)
+    try:
+        slot.__get__(t)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_spin_values_form_their_value_on_first_read(rng):
+    # spin_transform, from_rotor of it, boost, rotation and composition
+    # leave value unset; reading value, ==, hash, repr, pickle, copy and
+    # deepcopy, first on an unread value and then again, give the same bits
+    # as a value built with its value set (_with_half of _spinor_span's)
+    from hypalg import from_rotor
+    from hypalg.lorentz import _with_half
+
+    angles = (0.0, -0.0, math.pi, 2 * math.pi, math.nan)
+    xis = (0.0, -0.0, 1419.5, -1419.5, math.inf, -math.inf, math.nan)
+    params = [(phi, theta, xi) for phi in angles for theta in angles
+              for xi in xis]
+    params += [(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                rng.choice((rng.uniform(-30, 30), rng.uniform(-1419, 1419))))
+               for _ in range(300)]
+
+    def copies(t):
+        return [pickle.loads(pickle.dumps(t, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] \
+            + [copy.copy(t), copy.deepcopy(t)]
+
+    reads = {
+        "value": _spin_bits,
+        "repr": repr,
+        "pickle": lambda t: pickle.dumps(t),
+        "copies": lambda t: [(type(c), _spin_bits(c)) for c in copies(t)],
+    }
+    for phi, theta, xi in params:
+        want = _spin_transform_span(phi, theta, xi)
+        eager = _with_half(Rotor, want.value, want._half)
+        # NaN parts compare unequal and hash by identity
+        ordered = not any(math.isnan(x) for c in eager.value.p
+                          for x in (c.real, c.imag))
+        checks = dict(reads, **({"eq": lambda t: t == eager, "hash": hash}
+                                if ordered else {}))
+        for name, read in checks.items():
+            t = spin_transform(LorentzParams(phi, theta, xi))
+            assert not _slot_set(t, "value")
+            first = read(t)
+            assert _slot_set(t, "value")
+            assert first == read(t) == read(eager), (name, phi, theta, xi)
+            assert _spin_bits(t) == _spin_bits(eager), (phi, theta, xi)
+    # every builder of a value from its p half or parameters forms nothing
+    t = spin_transform(LorentzParams(0.4, 1.3, -2.0))
+    built = (t, from_rotor(t), boost((0.3, -0.2, 0.1)),
+             rotation((0.4, 1.3, -2.0)), t * boost((1.0, 2.0, 3.0)),
+             boost((0.3, -0.2, 0.1)) * rotation((0.4, 1.3, -2.0)))
+    assert not any(_slot_set(a, "value") for a in built)
+    formed = _spin_bits(from_rotor(t))  # its own value, not the rotor's
+    assert not _slot_set(t, "value") and formed == _spin_bits(t)
+    # the hook forms value and _terms only: copy's and pickle's probes and
+    # an unset source raise the usual AttributeError, with no recursion
+    from hypalg.hypernum import _new
+
+    t = spin_transform(LorentzParams(0.4, 1.3, -2.0))
+    for name in ("__deepcopy__", "__copy__", "__setstate__", "not_a_field"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(t, name)
+    assert not _slot_set(t, "value")
+    with pytest.raises(AttributeError, match="no attribute '_src'"):
+        _new(Rotor).value
+
+
+def test_a_given_value_keeps_its_zero_signs():
+    # a Rotor(m) whose m half is _sigma(m.p) only up to zero signs keeps its
+    # entries, and its from_rotor, act, composition and inverse read m
+    # itself: m's bits, not those of the p half's pair form
+    from hypalg import act, from_rotor
+    from hypalg.cayley import _pauli
+
+    def flipped(c):
+        return complex(-c.real if c.real == 0 else c.real,
+                       -c.imag if c.imag == 0 else c.imag)
+
+    def bits(q):
+        return [(c.real.hex(), c.imag.hex()) for c in q]
+
+    def pair_form(p):
+        return bits(p) + bits(_sigma(p))
+
+    p = rotation((0.0, 0.0, 0.7)).value.p
+    m = _halves(p, tuple(map(flipped, _sigma(p))))
+    r = Rotor(m)
+    assert r._half is not None and bits(m.m) != bits(_sigma(m.p))
+    other = spin_transform(LorentzParams(0.4, 1.3, -2.0))
+    omega = boost((0.3, -0.2, 0.1)).value
+    assert _spin_bits(from_rotor(r))[:2] == (bits(m.p), bits(m.m))
+    assert bits(r.inverse().value.p + r.inverse().value.m) \
+        == bits(m.bar().p + m.bar().m)
+    for got, (a, b) in (((r * other).value, (m.p, other.value.p)),
+                        ((other * r).value, (other.value.p, m.p)),
+                        (act(omega, from_rotor(r)).value, (omega.p, m.p))):
+        assert bits(got.p + got.m) == pair_form(_pauli(a, b))
+
+
 def test_composition_order(rng):
     t1, t2 = random_rotor(rng), random_rotor(rng)
     x = FourVector(*(rng.uniform(-2, 2) for _ in range(4)))

@@ -541,25 +541,52 @@ def test_product_modulus_keeps_every_refused_and_non_finite_outcome(rng):
     assert kept > 1000
 
 
+def _pair_norm_sq(h) -> float:
+    """|a|^2 of the spin value a with the entries h, half the sum of
+    |h_ij|^2, formed as product_modulus_sq once formed it."""
+    h00, h01, h10, h11 = h
+    return (h00 * h00.conjugate() + h01 * h01.conjugate()
+            + h10 * h10.conjugate() + h11 * h11.conjugate()).real * 0.5
+
+
+def _pair_modulus_rule(a: Spinor, b: Spinor):
+    """What product_modulus_sq(a, b) gives on entries, and the route.
+
+    modulus_sq of the pair (P, conj(Q)), P and Q being (adj A B)00 and
+    (adj B A)00, where |a|^2 |b|^2 <= 2**1000, the range in which both
+    routes are finite ("inside"); past it that value where both it and
+    sprod_algebraic's are finite ("beyond"), else the latter, or its
+    exception ("algebraic").
+    """
+    from hypalg.hypernum import _pair
+
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a._half, b._half
+    want = _pair(a11 * b00 - a01 * b10,
+                 (b11 * a00 - b01 * a10).conjugate()).modulus_sq()
+    if _pair_norm_sq(a._half) * _pair_norm_sq(b._half) <= 2.0 ** 1000:
+        return want, "inside"
+    algebraic = _outcome(_algebraic_modulus_sq, a, b)
+    if _finite(want) and _finite(algebraic):
+        return want, "beyond"
+    return algebraic, "algebraic"
+
+
+def _assert_same_outcome(got, want, *context):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), context
+    else:
+        assert _bits((got.p, got.m)) == _bits((want.p, want.m)), context
+
+
 def test_product_modulus_forms_the_pair_modulus_in_place(rng):
     # product_modulus_sq forms c = P Q and the pair (c, conj(c)), where P and
     # Q are (adj A B)00 and (adj B A)00: bit for bit modulus_sq of the pair
     # (P, conj(Q)), since conj(conj(Q)) is exact; where |a|^2 |b|^2 passes
     # 2**1000 it is that value where both it and sprod_algebraic's are
     # finite, else the latter
-    from hypalg.hypernum import _pair
-
-    def norm_sq(h):
-        """|a|^2 of the spin value a with the entries h, as it was formed."""
-        h00, h01, h10, h11 = h
-        return (h00 * h00.conjugate() + h01 * h01.conjugate()
-                + h10 * h10.conjugate() + h11 * h11.conjugate()).real * 0.5
-
-    bound = 2.0 ** 1000  # the |a|^2 |b|^2 up to which both routes are finite
-
     def value():
         r = rng.random()
-        if r < 0.4:  # |xi| past about 693: |a|^2 |b|^2 passes the bound
+        if r < 0.4:  # |xi| past about 693: |a|^2 |b|^2 passes 2**1000
             xi = rng.choice((rng.uniform(-30, 30), rng.uniform(-1400, 1400)))
             return spinor_of(rng.uniform(-7, 7), rng.uniform(-4, 4), xi)
         scale = rng.choice((1.0, 1e-160, 1e75, 1e150, 3e154))
@@ -567,26 +594,79 @@ def test_product_modulus_forms_the_pair_modulus_in_place(rng):
             rng.choice((0.0, -0.0, rng.uniform(-10, 10) * scale))
             for _ in range(8))))
 
-    inside = beyond = 0  # beyond: on the entries past the bound
+    routes = {"inside": 0, "beyond": 0, "algebraic": 0}
     for _ in range(3000):
         a, b = value(), value()
-        (a00, a01, a10, a11), (b00, b01, b10, b11) = a._half, b._half
-        want = _pair(a11 * b00 - a01 * b10,
-                     (b11 * a00 - b01 * a10).conjugate()).modulus_sq()
-        if norm_sq(a._half) * norm_sq(b._half) <= bound:
-            inside += 1
-        else:
-            algebraic = _outcome(_algebraic_modulus_sq, a, b)
-            if _finite(want) and _finite(algebraic):
-                beyond += 1
-            else:
-                want = algebraic
-        got = _outcome(product_modulus_sq, a, b)
-        if isinstance(want, Exception):
-            assert (type(got), str(got)) == (type(want), str(want)), (a, b)
-        else:
-            assert _bits((got.p, got.m)) == _bits((want.p, want.m)), (a, b)
-    assert inside > 1000 and beyond > 500, (inside, beyond)
+        want, route = _pair_modulus_rule(a, b)
+        routes[route] += 1
+        _assert_same_outcome(_outcome(product_modulus_sq, a, b), want, a, b)
+    assert routes["inside"] > 1000 and routes["beyond"] > 500, routes
+
+
+def test_product_modulus_range_test_reads_entry_magnitudes(rng):
+    # the entries route is taken where (sum |A_ij|) (sum |B_ij|) <= 2**500,
+    # which implies |a|^2 |b|^2 <= 2**998; around the moved bound
+    # (|a|^2 |b|^2 in [2**990, 2**1002]) and where abs of a finite entry
+    # overflows (components near 1.3e308), every result is still the pair
+    # modulus or sprod_algebraic's value or exception, as _pair_modulus_rule
+    # decides, bit for bit
+    def unit():
+        return [rng.choice((0.0, rng.uniform(-1, 1))) for _ in range(8)]
+
+    def scaled(u, e):
+        """The span value of u scaled so that |a|^2 is about 2**e."""
+        psi = from_even_components(EvenComponents(*u))
+        n = _pair_norm_sq(psi._half) or 1.0
+        f = 2.0 ** (e / 2) / math.sqrt(n)
+        return from_even_components(EvenComponents(*(c * f for c in u)))
+
+    def near_bound():
+        r = rng.random()
+        if r < 0.3:  # spin transforms against the standard spinor
+            xi = rng.choice((-1.0, 1.0)) * rng.uniform(680.0, 700.0)
+            return (spinor_of(rng.uniform(-7, 7), rng.uniform(-4, 4), xi),
+                    Spinor.standard())
+        e = rng.uniform(990.0, 1002.0)
+        ea = rng.uniform(0.0, e)
+        return scaled(unit(), ea), scaled(unit(), e - ea)
+
+    def huge():
+        # A00 = (s + b30) + i (p + b21) and A11 = (s - b30) + i (p - b21)
+        s, p = (rng.choice((-1.0, 1.0)) * rng.uniform(1.2e308, 1.34e308)
+                for _ in range(2))
+        a = from_even_components(EvenComponents(
+            s, rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1),
+            rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), p))
+        b = rng.choice((Spinor.standard(), a, from_even_components(
+            EvenComponents(*(rng.uniform(-1e-300, 1e-300) for _ in range(8))))))
+        return (a, b) if rng.random() < 0.5 else (b, a)
+
+    def overflows(h):
+        try:
+            sum(abs(c) for c in h)
+        except OverflowError:
+            return True
+        return False
+
+    moved = overflowed = 0
+    routes = {"inside": 0, "beyond": 0, "algebraic": 0}
+    for draw in (near_bound, huge):
+        for _ in range(1500):
+            a, b = draw()
+            if a._half is None or b._half is None:
+                continue
+            want, route = _pair_modulus_rule(a, b)
+            routes[route] += 1
+            _assert_same_outcome(_outcome(product_modulus_sq, a, b), want,
+                                 a, b)
+            if overflows(a._half) or overflows(b._half):
+                overflowed += 1
+            elif route == "inside" and (
+                    sum(map(abs, a._half)) * sum(map(abs, b._half))
+                    > 2.0 ** 500):
+                moved += 1  # the old bound took the entries alone
+    assert moved > 200 and overflowed > 500, (moved, overflowed)
+    assert min(routes.values()) > 100, routes
 
 
 def test_product_modulus_takes_the_half_route(monkeypatch):

@@ -12,7 +12,11 @@ hypalg from its tree and computes a fixed seeded set of results:
   pickled rotor), matrix_of, rotor composition and inverse (also on a
   pickled rotor), from_rotor, from_multivector, even_components, act (also
   on a pickled rotor's spinor), to_column, from_column, sprod_algebraic,
-  product_modulus_sq (also of spin transforms at |xi| from 20 to 1400),
+  product_modulus_sq (also of spin transforms at |xi| from 20 to 1400, of
+  pairs near the bound of its range test: spin transforms at |xi| from 680
+  to 700, span values scaled to |a|^2 |b|^2 from 2^990 to 2^1002 and
+  entries near the float max, and of spin values whose value is first read
+  after a pickle or copy, after composition or through from_rotor),
   exp_general, rotation, boost, spin_transform, from_even_components,
   from_odd_components, and the HMat2 product and apply) on random values
   and on
@@ -292,6 +296,56 @@ def lib_cases(H):
     def pickled(a):
         return pickle.loads(pickle.dumps(a))
 
+    def spin(rng, xi):
+        return H.from_rotor(H.spin_transform(H.LorentzParams(
+            finite(rng, 7.0), finite(rng, 4.0), xi)))
+
+    def span_scaled(rng, e):
+        """A span value with |a|^2 (the sum of its squared components)
+        about 2^e."""
+        u = [rng.choice((0.0, finite(rng, 1.0))) for _ in range(8)]
+        f = 2.0 ** (e / 2.0) / math.sqrt(sum(c * c for c in u) or 1.0)
+        return H.from_even_components(H.EvenComponents(*(c * f for c in u)))
+
+    def near_range(rng):
+        """Two spinors near the bound of product_modulus_sq's range test,
+        or with entries whose abs overflows."""
+        r = rng.random()
+        if r < 0.35:
+            return (spin(rng, rng.choice((-1.0, 1.0)) * rng.uniform(680.0,
+                                                                    700.0)),
+                    H.Spinor.standard())
+        if r < 0.7:
+            e = rng.uniform(990.0, 1002.0)
+            ea = rng.uniform(0.0, e)
+            return span_scaled(rng, ea), span_scaled(rng, e - ea)
+        # A00 = (s + b30) + i (p + b21): finite, its abs past the float max
+        s, p = (rng.choice((-1.0, 1.0)) * rng.uniform(1.2e308, 1.34e308)
+                for _ in range(2))
+        a = H.from_even_components(H.EvenComponents(
+            s, *(finite(rng, 1.0) for _ in range(6)), p))
+        return a, rng.choice((a, H.Spinor.standard(), member_spinor(rng)))
+
+    def member_spinor(rng):
+        return H.from_even_components(H.EvenComponents(
+            *(finite(rng) for _ in range(8))))
+
+    def first_read_late(rng):
+        """A spinor whose value is first read after its rotor's pickle or
+        copy, after composition or through from_rotor; the spinor, its
+        product with the standard spinor, then the rotor."""
+        t = rotor(rng)
+        r = rng.random()
+        if r < 0.2:
+            psi = H.from_rotor(pickled(t))
+        elif r < 0.4:
+            psi = H.from_rotor(rng.choice((copy.copy, copy.deepcopy))(t))
+        elif r < 0.7:
+            psi = H.from_rotor(t * rotor(rng))
+        else:
+            psi = H.from_rotor(t)
+        return psi, H.product_modulus_sq(psi, H.Spinor.standard()), t
+
     def inverse_pickled(rng):
         """A pickled rotor's inverse, and that inverse applied."""
         t = pickled(rotor(rng)).inverse()
@@ -357,6 +411,10 @@ def lib_cases(H):
                                                    *spinor_pair(rng))),
         ("product_modulus_sq.large_xi", lambda rng: outcome(
             lambda: H.product_modulus_sq(*spin_large_xi(rng)))),
+        ("product_modulus_sq.near_range", lambda rng: outcome(
+            lambda: H.product_modulus_sq(*near_range(rng)))),
+        ("product_modulus_sq.first_read", lambda rng: outcome(
+            first_read_late, rng)),
         ("exp_general", lambda rng: outcome(
             H.exp_general, mv(rng, finite) if rng.random() < 0.9
             else mv(rng))),
