@@ -100,10 +100,8 @@ _set_src, _set_half, _set_terms = _SpinValue._setters
 
 def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
     """The cls with the value value and the entries half, found by the caller."""
-    obj = _new(cls)
+    obj = _spin_value(cls, value, half)
     cls._setters[0](obj, value)
-    _set_src(obj, value)
-    _set_half(obj, half)
     return obj
 
 

@@ -110,3 +110,15 @@ def assert_mv_close(a: Multivector, b: Multivector, tol: float = 1e-12):
 def rel_close(a: Multivector, b: Multivector, tol: float) -> bool:
     scale = max(1.0, a.max_abs(), b.max_abs())
     return a.isclose(b, tol * scale)
+
+
+def slot_set(value, name: str) -> bool:
+    """Whether value's slot name holds a value, read through the slot's
+    descriptor, which never runs a first-read hook (lorentz._SpinValue)."""
+    slot = next(cls.__dict__[name] for cls in type(value).__mro__
+                if name in cls.__dict__)
+    try:
+        slot.__get__(value)
+    except AttributeError:
+        return False
+    return True

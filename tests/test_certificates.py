@@ -50,6 +50,47 @@ def same(a, b):
     return all(sp.expand(x - y) == 0 for x, y in zip(a, b, strict=True))
 
 
+def ring_product(a, b):
+    """(x, y, v, w) of the product of x + y i + v j + w ij's, from i^2 = -1,
+    j^2 = 1 and ij = ji alone."""
+    j = sp.Symbol("j")
+
+    def element(z):
+        x, y, v, w = z
+        return x + y * sp.I + (v + w * sp.I) * j
+
+    product = sp.rem(sp.expand(element(a) * element(b)), j ** 2 - 1, j)
+    c0, c1 = (sp.expand(product.coeff(j, k)) for k in (0, 1))
+    return sp.re(c0), sp.im(c0), sp.re(c1), sp.im(c1)
+
+
+def test_pair_map_is_a_ring_isomorphism_onto_c_plus_c():
+    # (x, y, v, w) -> (p, m) is real linear and one to one (its matrix has
+    # determinant 4, and _coeffs' x + iy = (p + m)/2, v + iw = (p - m)/2
+    # inverts it), takes 1 to (1, 1) and the product to the pairwise one; so
+    # it is a ring isomorphism onto C+C, and it takes conj (i, j flipped),
+    # rev (i flipped) and grade (j flipped) to (m*, p*), (p*, m*) and
+    # (m, p), and modulus_sq = z conj(z) to (c, c*), c = p m*
+    a = sp.symbols("x y v w", real=True)
+    b = sp.symbols("x2 y2 v2 w2", real=True)
+    (p, m), (q, n) = pair(*a), pair(*b)
+    linear = sp.Matrix([[sp.diff(f(z), c) for c in a]
+                        for z in (p, m) for f in (sp.re, sp.im)])
+    assert linear.det() == 4
+    assert same(((p + m) / 2, (p - m) / 2),
+                (a[0] + sp.I * a[1], a[2] + sp.I * a[3]))
+    assert same(pair(1, 0, 0, 0), (1, 1))
+    assert same(pair(*(s + t for s, t in zip(a, b))), (p + q, m + n))
+    assert same(pair(*ring_product(a, b)), (p * q, m * n))
+    x, y, v, w = a
+    for flipped, image in (((x, -y, -v, w), (sp.conjugate(m), sp.conjugate(p))),
+                           ((x, -y, v, -w), (sp.conjugate(p), sp.conjugate(m))),
+                           ((x, y, -v, -w), (m, p))):
+        assert same(pair(*flipped), image)
+    c = p * sp.conjugate(m)
+    assert same(pair(*ring_product(a, (x, -y, -v, w))), (c, sp.conjugate(c)))
+
+
 def test_spinor_span_is_the_pair_form():
     # s + b32 i s1 + b13 i s2 + b21 i s3 + b10 j s1 + b20 j s2 + b30 j s3
     # + p ij has the p half v + i eta and the m half sigma of it

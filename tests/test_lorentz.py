@@ -20,7 +20,7 @@ from hypalg.cayley import ONE, _halves, scalar
 from hypalg.lorentz import (_TINY, _entries, _sigma, _spin_half,
                             _spin_sandwich, _spinor_span)
 
-from conftest import rand_multivector, rel_close
+from conftest import rand_multivector, rel_close, slot_set
 
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
        (2, 1, 0): -1, (0, 2, 1): -1, (1, 0, 2): -1}
@@ -479,18 +479,6 @@ def test_spin_transform_is_its_spinor_span_bit_for_bit(rng):
     assert 2000 < kept < len(params)  # NaN and infinite parameters keep None
 
 
-def _slot_set(t, name: str) -> bool:
-    """Whether t's slot name holds a value, read through the slot's
-    descriptor, which never forms a field on its first read."""
-    slot = next(cls.__dict__[name] for cls in type(t).__mro__
-                if name in cls.__dict__)
-    try:
-        slot.__get__(t)
-    except AttributeError:
-        return False
-    return True
-
-
 def test_spin_values_form_their_value_on_first_read(rng):
     # spin_transform, from_rotor of it, boost, rotation and composition
     # leave value unset; reading value, ==, hash, repr, pickle, copy and
@@ -528,9 +516,9 @@ def test_spin_values_form_their_value_on_first_read(rng):
                                 if ordered else {}))
         for name, read in checks.items():
             t = spin_transform(LorentzParams(phi, theta, xi))
-            assert not _slot_set(t, "value")
+            assert not slot_set(t, "value")
             first = read(t)
-            assert _slot_set(t, "value")
+            assert slot_set(t, "value")
             assert first == read(t) == read(eager), (name, phi, theta, xi)
             assert _spin_bits(t) == _spin_bits(eager), (phi, theta, xi)
     # every builder of a value from its p half or parameters forms nothing
@@ -538,9 +526,9 @@ def test_spin_values_form_their_value_on_first_read(rng):
     built = (t, from_rotor(t), boost((0.3, -0.2, 0.1)),
              rotation((0.4, 1.3, -2.0)), t * boost((1.0, 2.0, 3.0)),
              boost((0.3, -0.2, 0.1)) * rotation((0.4, 1.3, -2.0)))
-    assert not any(_slot_set(a, "value") for a in built)
+    assert not any(slot_set(a, "value") for a in built)
     formed = _spin_bits(from_rotor(t))  # its own value, not the rotor's
-    assert not _slot_set(t, "value") and formed == _spin_bits(t)
+    assert not slot_set(t, "value") and formed == _spin_bits(t)
     # the hook forms value and _terms only: copy's and pickle's probes and
     # an unset source raise the usual AttributeError, with no recursion
     from hypalg.hypernum import _new
@@ -549,7 +537,7 @@ def test_spin_values_form_their_value_on_first_read(rng):
     for name in ("__deepcopy__", "__copy__", "__setstate__", "not_a_field"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(t, name)
-    assert not _slot_set(t, "value")
+    assert not slot_set(t, "value")
     with pytest.raises(AttributeError, match="no attribute '_src'"):
         _new(Rotor).value
 

@@ -307,6 +307,10 @@ def lib_cases(H):
         f = 2.0 ** (e / 2.0) / math.sqrt(sum(c * c for c in u) or 1.0)
         return H.from_even_components(H.EvenComponents(*(c * f for c in u)))
 
+    def member_spinor(rng):
+        return H.from_even_components(H.EvenComponents(
+            *(finite(rng) for _ in range(8))))
+
     def near_range(rng):
         """Two spinors near the bound of product_modulus_sq's range test,
         or with entries whose abs overflows."""
@@ -325,10 +329,6 @@ def lib_cases(H):
         a = H.from_even_components(H.EvenComponents(
             s, *(finite(rng, 1.0) for _ in range(6)), p))
         return a, rng.choice((a, H.Spinor.standard(), member_spinor(rng)))
-
-    def member_spinor(rng):
-        return H.from_even_components(H.EvenComponents(
-            *(finite(rng) for _ in range(8))))
 
     def first_read_late(rng):
         """A spinor whose value is first read after its rotor's pickle or
