@@ -231,7 +231,8 @@ def _spin_sandwich(terms: tuple, x0: float, x1: float, x2: float,
 
 
 # the least |a|^2 taken on the trace terms: a subnormal |A_ij|^2 is off by
-# at most 2^-1075, under 2^-23 eps |a|^2 (cf. spinor._RANGE)
+# at most 2^-1075, under 2^-23 eps |a|^2; also the least |P|^2 and |Q|^2
+# that spinor.product_modulus_sq forms c = P Q from directly
 _TINY = 2.0 ** -1000
 
 

@@ -22,9 +22,9 @@ import math
 
 from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _pair, _rebuild
-from .lorentz import (LorentzParams, Rotor, _spin_half, _spin_product,
-                      _spin_value, _spinor_span, _SpinValue, _with_half,
-                      spin_transform)
+from .lorentz import (_TINY, LorentzParams, Rotor, _spin_half,
+                      _spin_product, _spin_value, _spinor_span, _SpinValue,
+                      _with_half, spin_transform)
 
 
 class NotInSpinorAlgebra(_ResidualError, ValueError):
@@ -280,35 +280,74 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     """Squared modulus of the spinor product, of the form re + ij*hyper.
 
     On the entries A and B of a and b, the product (sprod_algebraic's) is
-    ((adj A B)00, conj((adj B A)00)), A11 B00 - A01 B10 being Penrose and
-    Rindler's antisymmetric form.  Where (sum |A_ij|) (sum |B_ij|) <=
-    2**500, so that |a|^2 |b|^2 <= 2**998 (|a|^2 = sum |A_ij|^2 / 2 is at
-    most (sum |A_ij|)^2 / 2), no part either route forms exceeds about
-    2**1011, so both are finite.  Beyond it, where abs of an entry
-    overflows, and without entries, sprod_algebraic runs too: its NaN, inf
-    or NonScalarResidual stands, else the entries' value.
+    the pair (P, conj(Q)): P = (adj A B)00 = A11 B00 - A01 B10, Penrose and
+    Rindler's antisymmetric form, and Q = (adj B A)00 = B11 A00 - B01 A10.
+    Its squared modulus is the pair (c, conj(c)), c = P Q, and that is the
+    one rule: c is formed directly where |P|^2 and |Q|^2 are at least
+    lorentz._TINY and |c|^2 is under 2**1000, else on the columns of A and B
+    scaled by powers of two (_scaled_form), which is exact.  Either way c
+    is within a few eps |a|^2 |b|^2 of its exact value (|a|^2 = sum
+    |A_ij|^2 / 2), and the one refusal is an OverflowError where a part of
+    c is past the float range.  A spinor without entries takes
+    sprod_algebraic, whose NaN, inf or NonScalarResidual stands.
     """
     h, k = a._half, b._half
     if h is None or k is None:
         return sprod_algebraic(a, b).modulus_sq()
+    p, q = _form(h, k)
+    t = p.real * p.real + p.imag * p.imag
+    u = q.real * q.real + q.imag * q.imag
+    if _TINY <= t and _TINY <= u and t * u < _HUGE:  # a NaN fails each
+        c = p * q
+    else:
+        c = _scaled_form(h, k)
+    return _pair(c, c.conjugate())
+
+
+# the bound on |c|^2 = |P|^2 |Q|^2 formed directly: no part of P Q
+# passes 2**500
+_HUGE = 2.0 ** 1000
+
+
+def _form(h: tuple, k: tuple) -> tuple[complex, complex]:
+    """P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10 of the entries h, k."""
     a00, a01, a10, a11 = h
     b00, b01, b10, b11 = k
-    # HyperComplex.modulus_sq of the pair (P, conj(Q)), formed in place
-    c = (a11 * b00 - a01 * b10) * (b11 * a00 - b01 * a10)
-    m2 = _pair(c, c.conjugate())
-    try:  # abs of a finite entry overflows past the float range
-        inside = ((abs(a00) + abs(a01) + abs(a10) + abs(a11))
-                  * (abs(b00) + abs(b01) + abs(b10) + abs(b11)) <= _RANGE)
+    return a11 * b00 - a01 * b10, b11 * a00 - b01 * a10
+
+
+def _scaled_form(h: tuple, k: tuple) -> complex:
+    """P Q on the entries h and k, with every factor scaled by powers of two.
+
+    Scaling A's columns by 2^-e_A0, 2^-e_A1 and B's by 2^-e_B0, 2^-e_B1 to
+    [1/2, 1) multiplies P by 2^-(e_A1 + e_B0) and Q by 2^-(e_A0 + e_B1),
+    exactly where no part turns subnormal, so no product in P or Q leaves
+    the float range.  P and Q are scaled to [1/2, 1) again before their
+    product, so a part of it far below |P Q| keeps its bits, and the
+    product is scaled back by ldexp: OverflowError where a part of it is
+    past the float range.
+    """
+    ea = _exponent(h[0], h[2]), _exponent(h[1], h[3])  # column j: j % 2
+    eb = _exponent(k[0], k[2]), _exponent(k[1], k[3])
+    p, q = _form(tuple(_ldexp(z, -ea[j % 2]) for j, z in enumerate(h)),
+                 tuple(_ldexp(z, -eb[j % 2]) for j, z in enumerate(k)))
+    ep, eq = _exponent(p), _exponent(q)
+    c, e = _ldexp(p, -ep) * _ldexp(q, -eq), sum(ea) + sum(eb) + ep + eq
+    try:
+        return _ldexp(c, e)
     except OverflowError:
-        inside = False
-    if inside:
-        return m2
-    want = sprod_algebraic(a, b).modulus_sq()
-    return m2 if m2.p - m2.p == 0 and want.p - want.p == 0 else want
+        raise OverflowError(f"squared spinor product beyond the float range: "
+                            f"{c} * 2**{e}") from None
 
 
-# the largest (sum |A_ij|) (sum |B_ij|) taken on the entries alone
-_RANGE = 2.0 ** 500
+def _exponent(*zs: complex) -> int:
+    """The e with the largest part of zs in [2^(e-1), 2^e); 0 if all are 0."""
+    return math.frexp(max([max(abs(z.real), abs(z.imag)) for z in zs]))[1]
+
+
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2^e, each part alone; OverflowError past the float range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
 def mott_factor(theta: float) -> float:

@@ -422,3 +422,61 @@ def test_composition_on_the_half_is_the_full_product():
     assert same(product, pauli_coeffs(pauli_half(P) * pauli_half(Q)))
     assert same(pauli_formula(sigma(P), sigma(Q)), sigma(product))
 
+
+
+# -- the spinor product on scaled columns -----------------------------------------
+
+def test_column_scaling_scales_the_spinor_form_exactly():
+    # spinor._form's P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10 are
+    # (adj A B)00 and (adj B A)00; A diag(al0, al1) and B diag(be0, be1)
+    # multiply P by al1 be0 and Q by al0 be1, so c = P Q by al0 al1 be0 be1:
+    # with powers of two for the scales, _scaled_form's scaled c is exact
+    # up to that factor
+    from hypalg.spinor import _form
+
+    A, B = (sp.Matrix(2, 2, complex_half(name)) for name in ("a", "b"))
+    al0, al1, be0, be1 = sp.symbols("al0 al1 be0 be1", positive=True)
+    P, Q = _form(tuple(A), tuple(B))
+    assert same((P, Q), ((A.adjugate() * B)[0, 0], (B.adjugate() * A)[0, 0]))
+    Ps, Qs = _form(tuple(A * sp.diag(al0, al1)), tuple(B * sp.diag(be0, be1)))
+    assert same((Ps, Qs, Ps * Qs),
+                (al1 * be0 * P, al0 * be1 * Q, al0 * al1 * be0 * be1 * P * Q))
+
+
+# -- the Lie brackets that hypalg verify tests -------------------------------------
+
+def test_generator_brackets_are_the_lorentz_algebra():
+    # lorentz.generators' J_k = s_k / 2 and K_k = ij s_k / 2, read exactly
+    # on both idempotent halves, close as checks.verify_suites tests for all
+    # 27 index pairs: [J_a, J_b] = i eps_abc J_c, [J_a, K_b] = i eps_abc K_c
+    # and [K_a, K_b] = -i eps_abc J_c, eps_abc being Levi-Civita's sign,
+    # which verify_suites writes as (b - a + 1) % 3 - 1, c = (3 - a - b) % 3
+    from hypalg.lorentz import generators
+
+    def exact(m):
+        """The (p half, m half) matrices of m, from its exact coefficients."""
+        slots = [tuple(sp.Rational(c) for c in z.coeffs()) for z in m.slots()]
+        return tuple(pauli_half(half) for half in halves(slots))
+
+    def bracket(x, y):
+        return tuple(u * v - v * u for u, v in zip(x, y))
+
+    def times(x, z):
+        return tuple(u * z for u in x)
+
+    J_gen, K_gen = (tuple(exact(g) for g in gens) for gens in generators())
+    checked = 0
+    for a in range(3):
+        for b in range(3):
+            c = (3 - a - b) % 3
+            sign = sp.LeviCivita(a + 1, b + 1, c + 1)
+            assert sign == (b - a + 1) % 3 - 1
+            i_eps = sp.I * sign
+            for got, want in (
+                    (bracket(J_gen[a], J_gen[b]), times(J_gen[c], i_eps)),
+                    (bracket(J_gen[a], K_gen[b]), times(K_gen[c], i_eps)),
+                    (bracket(K_gen[a], K_gen[b]), times(J_gen[c], -i_eps))):
+                assert all((u - v).expand() == sp.zeros(2, 2)
+                           for u, v in zip(got, want))
+                checked += 1
+    assert checked == 27

@@ -390,11 +390,11 @@ def test_general_pair_modulus_can_have_hyperbolic_part():
 # -- the half route of product_modulus_sq -------------------------------------
 #
 # product_modulus_sq takes the spinor product on the two M2(C) halves when
-# both values carry one and |a|^2 |b|^2 <= 2**1000, and sprod_algebraic
-# otherwise.  The oracle below is
-# independent of both routes: sprod_column of the two columns, in exact
-# Fraction arithmetic through the unit table, with the eight components read
-# from the stored p half, (s + i p, b10 + i b32, b20 + i b13, b30 + i b21).
+# both values carry one, at every magnitude, and sprod_algebraic otherwise.
+# The oracle below is independent of both routes: sprod_column of the two
+# columns, in exact Fraction arithmetic through the unit table, with the
+# eight components read from the stored p half, (s + i p, b10 + i b32,
+# b20 + i b13, b30 + i b21).
 
 EPS = 2.0 ** -52
 K = 16  # the error bounds' constant, as in perfbench's checks
@@ -492,13 +492,62 @@ def test_product_modulus_half_route_is_within_its_error_bound(rng):
     assert worst["half"] <= worst["algebraic"], worst
 
 
+def _direct_modulus(a: Spinor, b: Spinor):
+    """_pair of c = P Q formed directly from the entries of a and b, where
+    product_modulus_sq's direct test holds for them, else None.
+
+    P and Q are (adj A B)00 and (adj B A)00; the test is |P|^2 >= 2**-1000,
+    |Q|^2 >= 2**-1000 and |P|^2 |Q|^2 < 2**1000, which a NaN fails.
+    """
+    from hypalg.hypernum import _pair
+
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a._half, b._half
+    p, q = a11 * b00 - a01 * b10, b11 * a00 - b01 * a10
+    t = p.real * p.real + p.imag * p.imag
+    u = q.real * q.real + q.imag * q.imag
+    if not (2.0 ** -1000 <= t and 2.0 ** -1000 <= u and t * u < 2.0 ** 1000):
+        return None
+    c = p * q
+    return _pair(c, c.conjugate())
+
+
+# the least magnitude that rounds past the float max, 2**1024 - 2**970
+FLOAT_LIMIT = Fraction(2 ** 1024 - 2 ** 970)
+
+
+def _assert_entries_outcome(got, a: Spinor, b: Spinor) -> str:
+    """product_modulus_sq's outcome got on two spinors with entries.
+
+    Where the direct test holds, got is _pair of the direct c bit for bit.
+    Either way got is within K eps |a|^2 |b|^2 + K 2**-1074 of the exact
+    value, or an OverflowError where a part of the exact value is past the
+    float range, to that bound.  Returns the route: "direct" or "scaled".
+    """
+    direct = _direct_modulus(a, b)
+    if direct is not None:
+        assert _bits((got.p, got.m)) == _bits((direct.p, direct.m)), (a, b)
+    exact = _exact_modulus_sq(a, b)
+    bound = (K * Fraction(EPS) * _norm_sq(a) * _norm_sq(b)
+             + K * Fraction(5e-324))
+    if isinstance(got, OverflowError):
+        assert str(got).startswith(
+            "squared spinor product beyond the float range: "), got
+        assert max(map(abs, exact)) >= FLOAT_LIMIT - bound, (a, b)
+    else:
+        assert _finite(got) and got.m == got.p.conjugate(), (a, b, got)
+        assert _error_sq(got, exact) <= bound ** 2, (a, b)
+    return "scaled" if direct is None else "direct"
+
+
 def test_product_modulus_keeps_every_refused_and_non_finite_outcome(rng):
-    # on values with special fields, wherever either route refuses or gives
-    # a NaN or infinite part, product_modulus_sq gives exactly what
-    # sprod_algebraic(a, b).modulus_sq() gives: the same bits, or the same
-    # exception type and message; where both are finite, both are within
+    # on values with special fields: where a value has no entries,
+    # product_modulus_sq gives exactly what sprod_algebraic(a, b).modulus_sq()
+    # gives, the same bits or the same exception type and message, and
+    # every refused or non-finite outcome of it stands; on two values with
+    # entries it is the entries' value (_assert_entries_outcome): within
     # K eps |a|^2 |b|^2 of the exact value, plus K units of 2**-1074 for
-    # what a subnormal result loses
+    # what a subnormal result loses, or an OverflowError past the float
+    # range, also where sprod_algebraic refuses or is not finite
     specials = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
                 3e154, -3e154, 1e308, -1e308, 1e-300, 5e-324, -5e-324,
                 1e-310, 2.2250738585072014e-308, 1.0, -1.0)
@@ -521,54 +570,26 @@ def test_product_modulus_keeps_every_refused_and_non_finite_outcome(rng):
             *(rng.uniform(-10, 10) for _ in range(8))))
         return Spinor(psi.value + Multivector(H(0.0, 0.0, 0.0, 1e-300)))
 
-    kept = 0
+    kept = mended = refused = 0
     for _ in range(3000):
         a, b = value(), value()
         got = _outcome(product_modulus_sq, a, b)
         want = _outcome(_algebraic_modulus_sq, a, b)
-        if _finite(got) and _finite(want):
+        if a._half is None or b._half is None:
+            _assert_same_outcome(got, want, a, b)
+            kept += not _finite(want)
+            continue
+        _assert_entries_outcome(got, a, b)
+        refused += isinstance(got, OverflowError)
+        if _finite(want):
             exact = _exact_modulus_sq(a, b)
             scale = _norm_sq(a) * _norm_sq(b)
             bound = K * Fraction(EPS) * scale + K * Fraction(5e-324)
-            assert _error_sq(got, exact) <= bound ** 2, (a, b)
             assert _error_sq(want, exact) <= bound ** 2, (a, b)
-        elif isinstance(want, Exception) or isinstance(got, Exception):
-            assert (type(got), str(got)) == (type(want), str(want)), (a, b)
-            kept += 1
-        else:
-            assert _bits((got.p, got.m)) == _bits((want.p, want.m)), (a, b)
-            kept += 1
-    assert kept > 1000
-
-
-def _pair_norm_sq(h) -> float:
-    """|a|^2 of the spin value a with the entries h, half the sum of
-    |h_ij|^2, formed as product_modulus_sq once formed it."""
-    h00, h01, h10, h11 = h
-    return (h00 * h00.conjugate() + h01 * h01.conjugate()
-            + h10 * h10.conjugate() + h11 * h11.conjugate()).real * 0.5
-
-
-def _pair_modulus_rule(a: Spinor, b: Spinor):
-    """What product_modulus_sq(a, b) gives on entries, and the route.
-
-    modulus_sq of the pair (P, conj(Q)), P and Q being (adj A B)00 and
-    (adj B A)00, where |a|^2 |b|^2 <= 2**1000, the range in which both
-    routes are finite ("inside"); past it that value where both it and
-    sprod_algebraic's are finite ("beyond"), else the latter, or its
-    exception ("algebraic").
-    """
-    from hypalg.hypernum import _pair
-
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = a._half, b._half
-    want = _pair(a11 * b00 - a01 * b10,
-                 (b11 * a00 - b01 * a10).conjugate()).modulus_sq()
-    if _pair_norm_sq(a._half) * _pair_norm_sq(b._half) <= 2.0 ** 1000:
-        return want, "inside"
-    algebraic = _outcome(_algebraic_modulus_sq, a, b)
-    if _finite(want) and _finite(algebraic):
-        return want, "beyond"
-    return algebraic, "algebraic"
+        elif _finite(got):
+            mended += 1  # sprod_algebraic refused or was not finite
+    assert kept > 1000 and mended > 100 and refused > 100, (
+        kept, mended, refused)
 
 
 def _assert_same_outcome(got, want, *context):
@@ -578,12 +599,27 @@ def _assert_same_outcome(got, want, *context):
         assert _bits((got.p, got.m)) == _bits((want.p, want.m)), context
 
 
+def _pair_norm_sq(h) -> float:
+    """|a|^2 of the spin value a with the entries h, half the sum of
+    |h_ij|^2, in floats."""
+    h00, h01, h10, h11 = h
+    return (h00 * h00.conjugate() + h01 * h01.conjugate()
+            + h10 * h10.conjugate() + h11 * h11.conjugate()).real * 0.5
+
+
+def _norm_past_bound(a: Spinor, b: Spinor) -> bool:
+    """Whether |a|^2 |b|^2, in floats, passes 2**1000: the bound past which
+    product_modulus_sq once also ran sprod_algebraic."""
+    return not _pair_norm_sq(a._half) * _pair_norm_sq(b._half) <= 2.0 ** 1000
+
+
 def test_product_modulus_forms_the_pair_modulus_in_place(rng):
     # product_modulus_sq forms c = P Q and the pair (c, conj(c)), where P and
     # Q are (adj A B)00 and (adj B A)00: bit for bit modulus_sq of the pair
-    # (P, conj(Q)), since conj(conj(Q)) is exact; where |a|^2 |b|^2 passes
-    # 2**1000 it is that value where both it and sprod_algebraic's are
-    # finite, else the latter
+    # (P, conj(Q)), since conj(conj(Q)) is exact, where the direct test
+    # holds, and on columns scaled by powers of two elsewhere; on both
+    # routes, also where |a|^2 |b|^2 passes 2**1000, it is within its error
+    # bound of the exact value (_assert_entries_outcome)
     def value():
         r = rng.random()
         if r < 0.4:  # |xi| past about 693: |a|^2 |b|^2 passes 2**1000
@@ -594,22 +630,23 @@ def test_product_modulus_forms_the_pair_modulus_in_place(rng):
             rng.choice((0.0, -0.0, rng.uniform(-10, 10) * scale))
             for _ in range(8))))
 
-    routes = {"inside": 0, "beyond": 0, "algebraic": 0}
+    routes = {"direct": 0, "scaled": 0}
+    beyond = 0
     for _ in range(3000):
         a, b = value(), value()
-        want, route = _pair_modulus_rule(a, b)
-        routes[route] += 1
-        _assert_same_outcome(_outcome(product_modulus_sq, a, b), want, a, b)
-    assert routes["inside"] > 1000 and routes["beyond"] > 500, routes
+        routes[_assert_entries_outcome(_outcome(product_modulus_sq, a, b),
+                                       a, b)] += 1
+        beyond += _norm_past_bound(a, b)
+    assert 3000 - beyond > 1000 and beyond > 500, beyond
+    assert min(routes.values()) > 500, routes
 
 
 def test_product_modulus_range_test_reads_entry_magnitudes(rng):
-    # the entries route is taken where (sum |A_ij|) (sum |B_ij|) <= 2**500,
-    # which implies |a|^2 |b|^2 <= 2**998; around the moved bound
-    # (|a|^2 |b|^2 in [2**990, 2**1002]) and where abs of a finite entry
-    # overflows (components near 1.3e308), every result is still the pair
-    # modulus or sprod_algebraic's value or exception, as _pair_modulus_rule
-    # decides, bit for bit
+    # no range test on entry magnitudes is left: around the bound that the
+    # old one took, (sum |A_ij|) (sum |B_ij|) <= 2**500, and the one before
+    # it, |a|^2 |b|^2 <= 2**1000 (|a|^2 |b|^2 in [2**990, 2**1002]), and
+    # where abs of a finite entry overflows (components near 1.3e308),
+    # every result is the entries' value (_assert_entries_outcome)
     def unit():
         return [rng.choice((0.0, rng.uniform(-1, 1))) for _ in range(8)]
 
@@ -641,37 +678,50 @@ def test_product_modulus_range_test_reads_entry_magnitudes(rng):
             EvenComponents(*(rng.uniform(-1e-300, 1e-300) for _ in range(8))))))
         return (a, b) if rng.random() < 0.5 else (b, a)
 
-    def overflows(h):
-        try:
-            sum(abs(c) for c in h)
-        except OverflowError:
-            return True
-        return False
-
-    moved = overflowed = 0
-    routes = {"inside": 0, "beyond": 0, "algebraic": 0}
+    moved = overflowed = refused = 0
+    routes = {"direct": 0, "scaled": 0}
     for draw in (near_bound, huge):
         for _ in range(1500):
             a, b = draw()
             if a._half is None or b._half is None:
                 continue
-            want, route = _pair_modulus_rule(a, b)
+            got = _outcome(product_modulus_sq, a, b)
+            route = _assert_entries_outcome(got, a, b)
             routes[route] += 1
-            _assert_same_outcome(_outcome(product_modulus_sq, a, b), want,
-                                 a, b)
-            if overflows(a._half) or overflows(b._half):
-                overflowed += 1
-            elif route == "inside" and (
+            refused += isinstance(got, OverflowError)
+            if not all(math.hypot(z.real, z.imag) < math.inf
+                       for z in a._half + b._half):
+                overflowed += 1  # abs of an entry overflows
+            elif not _norm_past_bound(a, b) and (
                     sum(map(abs, a._half)) * sum(map(abs, b._half))
                     > 2.0 ** 500):
                 moved += 1  # the old bound took the entries alone
     assert moved > 200 and overflowed > 500, (moved, overflowed)
-    assert min(routes.values()) > 100, routes
+    assert min(routes.values()) > 100 and refused > 100, (routes, refused)
 
 
-def test_product_modulus_takes_the_half_route(monkeypatch):
+def _mp_entries(phi, theta, xi):
+    """spin_transform's entries [[a ct E, -a st / E], [conj(a) st E,
+    conj(a) ct / E]], a = e^{-i phi/2}, E = e^{xi/2}, in mpmath."""
+    import mpmath
+
+    a = mpmath.expj(-mpmath.mpf(phi) / 2)
+    half = mpmath.mpf(theta) / 2
+    ct, st = mpmath.cos(half), mpmath.sin(half)
+    up = mpmath.exp(mpmath.mpf(xi) / 2)
+    return (a * ct * up, -a * st / up, mpmath.conj(a) * st * up,
+            mpmath.conj(a) * ct / up)
+
+
+def test_product_modulus_takes_the_half_route(monkeypatch, rng):
     # with the algebraic route out of reach, spin transforms against the
-    # standard spinor still give cos^2(theta/2), to K eps (1 + cosh xi)
+    # standard spinor still give cos^2(theta/2), to K eps (1 + cosh xi);
+    # spin transforms at |xi_a| from 600 to 1419.5 against ones at |xi_b|
+    # <= 40, where the direct c can overflow or lose bits, are within
+    # K eps cosh^2(xi_b/2) of c formed by mpmath at 200 bits; a value past
+    # the float range raises OverflowError
+    import mpmath
+
     def refuse(*args, **kwargs):
         raise AssertionError("sprod_algebraic called")
 
@@ -684,8 +734,85 @@ def test_product_modulus_takes_the_half_route(monkeypatch):
         bound = K * EPS * (1 + math.cosh(xi))
         assert abs(m2.x - math.cos(theta / 2) ** 2) <= bound
         assert abs(m2.w) <= bound and m2.y == m2.v == 0.0
+
+    # the first pair once gave x = inf, y = nan, and is 0.9455234934114745;
+    # the second's direct Q = B11 A00 - B01 A10 overflows, its value does not
+    pairs = [((0.9881633305042796, 1.1525594022431522, 911.8407340596626),
+              (0.6424387336956671, 0.7729252147723286, 18.49469734235393)),
+             ((0.3, 1.2, 1419.0), (1.1, 0.7, -39.0))]
+    a, b = spinor_of(*pairs[1][0]), spinor_of(*pairs[1][1])
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a._half, b._half
+    c = (a11 * b00 - a01 * b10) * (b11 * a00 - b01 * a10)
+    assert not (math.isfinite(c.real) and math.isfinite(c.imag)), c
+    for _ in range(200):
+        sign = rng.choice((-1.0, 1.0))
+        pairs.append(((rng.uniform(-7, 7), rng.uniform(-4, 4),
+                       sign * rng.uniform(600.0, 1419.5)),
+                      (rng.uniform(-7, 7), rng.uniform(-4, 4),
+                       rng.uniform(-40.0, 40.0))))
+    with mpmath.workprec(200):
+        for pa, pb in pairs:
+            A, B = _mp_entries(*pa), _mp_entries(*pb)
+            # P and Q trade places when a and b do, so c is the same
+            c = (A[3] * B[0] - A[1] * B[2]) * (B[3] * A[0] - B[1] * A[2])
+            bound = K * EPS * math.cosh(pb[2] / 2) ** 2
+            for x, y in ((pa, pb), (pb, pa)):
+                m2 = product_modulus_sq(spinor_of(*x), spinor_of(*y))
+                assert abs(m2.x - c.real) <= bound, (x, y, m2)
+                assert abs(m2.w - c.imag) <= bound, (x, y, m2)
+                assert m2.y == m2.v == 0.0
+
+    # c = A11 A00 A11 A00 = 1e640 for A = 1e160 (identity): past the range
+    huge = from_even_components(EvenComponents(1e160, *(0.0,) * 7))
+    with pytest.raises(OverflowError,
+                       match="squared spinor product beyond the float range"):
+        product_modulus_sq(huge, huge)
     with pytest.raises(AssertionError):  # a value without a half
         product_modulus_sq(Spinor(S1), std)
+
+
+def _exact_form(h, k) -> tuple[Fraction, Fraction]:
+    """c = (A11 B00 - A01 B10) (B11 A00 - B01 A10) of the entries h and k,
+    exactly, as (re, im)."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = [
+        [(Fraction(z.real), Fraction(z.imag)) for z in e] for e in (h, k)]
+    return mul(sub(mul(a11, b00), mul(a01, b10)),
+               sub(mul(b11, a00), mul(b01, a10)))
+
+
+def test_scaled_route_keeps_small_parts():
+    # two pairs on the scaled route whose c has no difference to lose bits
+    # in, so that each part of c is within K eps of itself (plus K units of
+    # 2**-1074 for a part below the float range): a spin
+    # transform at xi = 1419.4, whose A11 is subnormal, against B00 = 0.75
+    # + 1e-300 i, where P = 0.75 A11 loses bits and |P|^2 < 2**-1000 (the
+    # direct c is off by 155 eps); and, against B = 1, entries whose direct
+    # |Q|^2 overflows, A's second column of size 2.5e300 with A11 of size
+    # 10 in it, where c = A11 A00 has a real part 1e-67 of |c|, kept
+    # since the scaled route scales P and Q again before their product
+    from hypalg.spinor import _scaled_form
+
+    a = spinor_of(0.0, 3.11, 1419.4)
+    b = from_even_components(EvenComponents(0.375, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                            0.375, 1e-300))
+    assert 0 < abs(a._half[3]) < 2.0 ** -1022 and b._half[0] == 0.75 + 1e-300j
+    m2 = product_modulus_sq(a, b)
+    h = (complex(-2e300, 9.80949847473463e232),
+         complex(-1.2261873093418288e233, -2.5e300),
+         complex(-2e300, -2.5e300), complex(-2.5e-300, 10.677733557154678))
+    k = (1 + 0j, 0j, 0j, 1 + 0j)
+    c = _scaled_form(h, k)
+    for parts, exact in (((m2.x, m2.w), _exact_form(a._half, b._half)),
+                         ((c.real, c.imag), _exact_form(h, k))):
+        for got, want in zip(parts, exact):
+            bound = K * Fraction(EPS) * abs(want) + K * Fraction(5e-324)
+            assert abs(Fraction(got) - want) <= bound, (parts, exact)
 
 
 def test_spin_values_are_accepted_without_the_spinor_guard(monkeypatch):

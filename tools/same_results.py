@@ -13,10 +13,12 @@ hypalg from its tree and computes a fixed seeded set of results:
   pickled rotor), from_rotor, from_multivector, even_components, act (also
   on a pickled rotor's spinor), to_column, from_column, sprod_algebraic,
   product_modulus_sq (also of spin transforms at |xi| from 20 to 1400, of
-  pairs near the bound of its range test: spin transforms at |xi| from 680
-  to 700, span values scaled to |a|^2 |b|^2 from 2^990 to 2^1002 and
-  entries near the float max, and of spin values whose value is first read
-  after a pickle or copy, after composition or through from_rotor),
+  pairs near the bounds that once sent it to sprod_algebraic: spin
+  transforms at |xi| from 680 to 700, span values scaled to |a|^2 |b|^2
+  from 2^990 to 2^1002 and entries near the float max, of spin transforms
+  at |xi_a| from 600 to 1419.5 against ones at |xi_b| up to 40, and of spin
+  values whose value is first read after a pickle or copy, after
+  composition or through from_rotor),
   exp_general, rotation, boost, spin_transform, from_even_components,
   from_odd_components, and the HMat2 product and apply) on random values
   and on
@@ -312,8 +314,9 @@ def lib_cases(H):
             *(finite(rng) for _ in range(8))))
 
     def near_range(rng):
-        """Two spinors near the bound of product_modulus_sq's range test,
-        or with entries whose abs overflows."""
+        """Two spinors near the bounds past which product_modulus_sq once
+        also ran sprod_algebraic, |a|^2 |b|^2 = 2^1000 and (sum |A_ij|)
+        (sum |B_ij|) = 2^500, or with entries whose abs overflows."""
         r = rng.random()
         if r < 0.35:
             return (spin(rng, rng.choice((-1.0, 1.0)) * rng.uniform(680.0,
@@ -329,6 +332,14 @@ def lib_cases(H):
         a = H.from_even_components(H.EvenComponents(
             s, *(finite(rng, 1.0) for _ in range(6)), p))
         return a, rng.choice((a, H.Spinor.standard(), member_spinor(rng)))
+
+    def far_pair(rng):
+        """A spin transform at |xi| from 600 to 1419.5 and one at |xi| up
+        to 40, in either order, where a part of c = P Q formed directly can
+        overflow."""
+        a = spin(rng, rng.choice((-1.0, 1.0)) * rng.uniform(600.0, 1419.5))
+        b = spin(rng, finite(rng, 40.0))
+        return (a, b) if rng.random() < 0.5 else (b, a)
 
     def first_read_late(rng):
         """A spinor whose value is first read after its rotor's pickle or
@@ -413,6 +424,8 @@ def lib_cases(H):
             lambda: H.product_modulus_sq(*spin_large_xi(rng)))),
         ("product_modulus_sq.near_range", lambda rng: outcome(
             lambda: H.product_modulus_sq(*near_range(rng)))),
+        ("product_modulus_sq.far_pair", lambda rng: outcome(
+            lambda: H.product_modulus_sq(*far_pair(rng)))),
         ("product_modulus_sq.first_read", lambda rng: outcome(
             first_read_late, rng)),
         ("exp_general", lambda rng: outcome(
