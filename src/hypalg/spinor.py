@@ -284,8 +284,9 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     Rindler's antisymmetric form, and Q = (adj B A)00 = B11 A00 - B01 A10.
     Its squared modulus is the pair (c, conj(c)), c = P Q, and that is the
     one rule: c is formed directly where |P|^2 and |Q|^2 are at least
-    lorentz._TINY and |c|^2 is under 2**1000, else on the columns of A and B
-    scaled by powers of two (_scaled_form), which is exact.  Either way c
+    lorentz._TINY and |c|^2 is under 2**1000, else by the same formula on the
+    columns of A and B scaled by powers of two (_scaled_columns), which is
+    exact, and scaled back (_scaled_back).  Either way c
     is within a few eps |a|^2 |b|^2 of its exact value (|a|^2 = sum
     |A_ij|^2 / 2), and the one refusal is an OverflowError where a part of
     c is past the float range.  A spinor without entries takes
@@ -294,13 +295,20 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     h, k = a._half, b._half
     if h is None or k is None:
         return sprod_algebraic(a, b).modulus_sq()
-    p, q = _form(h, k)
-    t = p.real * p.real + p.imag * p.imag
-    u = q.real * q.real + q.imag * q.imag
-    if _TINY <= t and _TINY <= u and t * u < _HUGE:  # a NaN fails each
-        c = p * q
-    else:
-        c = _scaled_form(h, k)
+    e = None  # the power of two the scaled route scaled c down by
+    while True:  # the scaled route runs this once more on scaled entries
+        a00, a01, a10, a11 = h
+        b00, b01, b10, b11 = k
+        p, q = a11 * b00 - a01 * b10, b11 * a00 - b01 * a10
+        if e is not None:
+            c = _scaled_back(p, q, e)
+            break
+        t = p.real * p.real + p.imag * p.imag
+        u = q.real * q.real + q.imag * q.imag
+        if _TINY <= t and _TINY <= u and t * u < _HUGE:  # a NaN fails each
+            c = p * q
+            break
+        h, k, e = _scaled_columns(h, k)
     return _pair(c, c.conjugate())
 
 
@@ -309,30 +317,29 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
 _HUGE = 2.0 ** 1000
 
 
-def _form(h: tuple, k: tuple) -> tuple[complex, complex]:
-    """P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10 of the entries h, k."""
-    a00, a01, a10, a11 = h
-    b00, b01, b10, b11 = k
-    return a11 * b00 - a01 * b10, b11 * a00 - b01 * a10
+def _scaled_columns(h: tuple, k: tuple) -> tuple[tuple, tuple, int]:
+    """The entries h and k with each column scaled to [1/2, 1), and e.
 
-
-def _scaled_form(h: tuple, k: tuple) -> complex:
-    """P Q on the entries h and k, with every factor scaled by powers of two.
-
-    Scaling A's columns by 2^-e_A0, 2^-e_A1 and B's by 2^-e_B0, 2^-e_B1 to
-    [1/2, 1) multiplies P by 2^-(e_A1 + e_B0) and Q by 2^-(e_A0 + e_B1),
-    exactly where no part turns subnormal, so no product in P or Q leaves
-    the float range.  P and Q are scaled to [1/2, 1) again before their
-    product, so a part of it far below |P Q| keeps its bits, and the
-    product is scaled back by ldexp: OverflowError where a part of it is
-    past the float range.
+    Scaling A's columns by 2^-e_A0, 2^-e_A1 and B's by 2^-e_B0, 2^-e_B1
+    multiplies P by 2^-(e_A1 + e_B0) and Q by 2^-(e_A0 + e_B1), so c by
+    2^-e, e = e_A0 + e_A1 + e_B0 + e_B1, exactly where no part turns
+    subnormal; no product in P or Q then leaves the float range.
     """
     ea = _exponent(h[0], h[2]), _exponent(h[1], h[3])  # column j: j % 2
     eb = _exponent(k[0], k[2]), _exponent(k[1], k[3])
-    p, q = _form(tuple(_ldexp(z, -ea[j % 2]) for j, z in enumerate(h)),
-                 tuple(_ldexp(z, -eb[j % 2]) for j, z in enumerate(k)))
+    return (tuple(_ldexp(z, -ea[j % 2]) for j, z in enumerate(h)),
+            tuple(_ldexp(z, -eb[j % 2]) for j, z in enumerate(k)),
+            sum(ea) + sum(eb))
+
+
+def _scaled_back(p: complex, q: complex, e: int) -> complex:
+    """P Q 2^e for P and Q of scaled columns; OverflowError past the range.
+
+    P and Q are scaled to [1/2, 1) again before their product, so that a
+    part of it far below |P Q| keeps its bits.
+    """
     ep, eq = _exponent(p), _exponent(q)
-    c, e = _ldexp(p, -ep) * _ldexp(q, -eq), sum(ea) + sum(eb) + ep + eq
+    c, e = _ldexp(p, -ep) * _ldexp(q, -eq), e + ep + eq
     try:
         return _ldexp(c, e)
     except OverflowError:

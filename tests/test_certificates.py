@@ -427,18 +427,20 @@ def test_composition_on_the_half_is_the_full_product():
 # -- the spinor product on scaled columns -----------------------------------------
 
 def test_column_scaling_scales_the_spinor_form_exactly():
-    # spinor._form's P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10 are
-    # (adj A B)00 and (adj B A)00; A diag(al0, al1) and B diag(be0, be1)
-    # multiply P by al1 be0 and Q by al0 be1, so c = P Q by al0 al1 be0 be1:
-    # with powers of two for the scales, _scaled_form's scaled c is exact
-    # up to that factor
-    from hypalg.spinor import _form
+    # P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10, as
+    # spinor.product_modulus_sq writes them, are (adj A B)00 and
+    # (adj B A)00; A diag(al0, al1) and B diag(be0, be1) multiply P by
+    # al1 be0 and Q by al0 be1, so c = P Q by al0 al1 be0 be1: with powers
+    # of two for the scales, the scaled route's c is exact up to that factor
+    def form(A, B):
+        return (A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0],
+                B[1, 1] * A[0, 0] - B[0, 1] * A[1, 0])
 
     A, B = (sp.Matrix(2, 2, complex_half(name)) for name in ("a", "b"))
     al0, al1, be0, be1 = sp.symbols("al0 al1 be0 be1", positive=True)
-    P, Q = _form(tuple(A), tuple(B))
+    P, Q = form(A, B)
     assert same((P, Q), ((A.adjugate() * B)[0, 0], (B.adjugate() * A)[0, 0]))
-    Ps, Qs = _form(tuple(A * sp.diag(al0, al1)), tuple(B * sp.diag(be0, be1)))
+    Ps, Qs = form(A * sp.diag(al0, al1), B * sp.diag(be0, be1))
     assert same((Ps, Qs, Ps * Qs),
                 (al1 * be0 * P, al0 * be1 * Q, al0 * al1 * be0 * be1 * P * Q))
 

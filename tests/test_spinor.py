@@ -796,23 +796,23 @@ def test_scaled_route_keeps_small_parts():
     # |Q|^2 overflows, A's second column of size 2.5e300 with A11 of size
     # 10 in it, where c = A11 A00 has a real part 1e-67 of |c|, kept
     # since the scaled route scales P and Q again before their product
-    from hypalg.spinor import _scaled_form
+    from hypalg.lorentz import _spin_value
 
     a = spinor_of(0.0, 3.11, 1419.4)
     b = from_even_components(EvenComponents(0.375, 0.0, 0.0, 0.0, 0.0, 0.0,
                                             0.375, 1e-300))
     assert 0 < abs(a._half[3]) < 2.0 ** -1022 and b._half[0] == 0.75 + 1e-300j
-    m2 = product_modulus_sq(a, b)
     h = (complex(-2e300, 9.80949847473463e232),
          complex(-1.2261873093418288e233, -2.5e300),
          complex(-2e300, -2.5e300), complex(-2.5e-300, 10.677733557154678))
-    k = (1 + 0j, 0j, 0j, 1 + 0j)
-    c = _scaled_form(h, k)
-    for parts, exact in (((m2.x, m2.w), _exact_form(a._half, b._half)),
-                         ((c.real, c.imag), _exact_form(h, k))):
-        for got, want in zip(parts, exact):
+    a00, a01, a10, a11 = h  # the p half of A, for the spinor's value
+    big = _spin_value(Spinor, ((a00 + a11) / 2, (a01 + a10) / 2,
+                               (a10 - a01) / 2j, (a00 - a11) / 2), h)
+    for x, y in ((a, b), (big, Spinor.standard())):
+        m2 = product_modulus_sq(x, y)
+        for got, want in zip((m2.x, m2.w), _exact_form(x._half, y._half)):
             bound = K * Fraction(EPS) * abs(want) + K * Fraction(5e-324)
-            assert abs(Fraction(got) - want) <= bound, (parts, exact)
+            assert abs(Fraction(got) - want) <= bound, (x, y, m2)
 
 
 def test_spin_values_are_accepted_without_the_spinor_guard(monkeypatch):
