@@ -284,13 +284,13 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     Rindler's antisymmetric form, and Q = (adj B A)00 = B11 A00 - B01 A10.
     Its squared modulus is the pair (c, conj(c)), c = P Q, and that is the
     one rule: c is formed directly where |P|^2 and |Q|^2 are at least
-    lorentz._TINY and |c|^2 is under 2**1000, else by the same formula on the
-    columns of A and B scaled by powers of two (_scaled_columns), which is
-    exact, and scaled back (_scaled_back).  Either way c
-    is within a few eps |a|^2 |b|^2 of its exact value (|a|^2 = sum
-    |A_ij|^2 / 2), and the one refusal is an OverflowError where a part of
-    c is past the float range.  A spinor without entries takes
-    sprod_algebraic, whose NaN, inf or NonScalarResidual stands.
+    lorentz._TINY and |c|^2 is under 2**1000, else by the same formula on
+    the columns of A and B scaled by powers of two (_scaled_columns), which
+    is exact, and scaled back (_scaled_back).  Either way c is within a few
+    eps |a|^2 |b|^2 of its exact value (|a|^2 = sum |A_ij|^2 / 2), and the
+    one refusal is an OverflowError where a part of c is past the float
+    range.  A spinor without entries takes sprod_algebraic, whose NaN, inf
+    or NonScalarResidual stands.
     """
     h, k = a._half, b._half
     if h is None or k is None:
