@@ -423,7 +423,6 @@ def test_composition_on_the_half_is_the_full_product():
     assert same(pauli_formula(sigma(P), sigma(Q)), sigma(product))
 
 
-
 # -- the spinor product on scaled columns -----------------------------------------
 
 def test_column_scaling_scales_the_spinor_form_exactly():
