@@ -284,72 +284,71 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     Rindler's antisymmetric form, and Q = (adj B A)00 = B11 A00 - B01 A10.
     Its squared modulus is the pair (c, conj(c)), c = P Q, and that is the
     one rule: c is formed directly where |P|^2 and |Q|^2 are at least
-    lorentz._TINY and |c|^2 is under 2**1000, else by the same formula on
-    the columns of A and B scaled by powers of two (_scaled_columns), which
-    is exact, and scaled back (_scaled_back).  Either way c is within a few
-    eps |a|^2 |b|^2 of its exact value (|a|^2 = sum |A_ij|^2 / 2), and the
-    one refusal is an OverflowError where a part of c is past the float
-    range.  A spinor without entries takes sprod_algebraic, whose NaN, inf
-    or NonScalarResidual stands.
+    lorentz._TINY and |c|^2 is under 1 / lorentz._TINY, else by the same
+    formula on the entries held as mantissas and powers of two (_Scaled),
+    so that no term or part of it leaves the float range on the way.
+    Either way c is within a few eps (|A11| |B00| + |A01| |B10|) (|B11|
+    |A00| + |B01| |A10|) of its exact value, and the one refusal is an
+    OverflowError where a part of c is past the float range.  A spinor
+    without entries takes sprod_algebraic, whose NaN, inf or
+    NonScalarResidual stands.
     """
     h, k = a._half, b._half
     if h is None or k is None:
         return sprod_algebraic(a, b).modulus_sq()
-    e = None  # the power of two the scaled route scaled c down by
-    while True:  # the scaled route runs this once more on scaled entries
-        a00, a01, a10, a11 = h
-        b00, b01, b10, b11 = k
-        p, q = a11 * b00 - a01 * b10, b11 * a00 - b01 * a10
-        if e is not None:
-            c = _scaled_back(p, q, e)
-            break
-        t = p.real * p.real + p.imag * p.imag
-        u = q.real * q.real + q.imag * q.imag
-        if _TINY <= t and _TINY <= u and t * u < _HUGE:  # a NaN fails each
-            c = p * q
-            break
-        h, k, e = _scaled_columns(h, k)
+    p, q = _pq(h, k)
+    t = p.real * p.real + p.imag * p.imag
+    u = q.real * q.real + q.imag * q.imag
+    if _TINY <= t and _TINY <= u and t * u < 1 / _TINY:  # a NaN fails each
+        c = p * q
+    else:
+        p, q = _pq(tuple(map(_Scaled, h)), tuple(map(_Scaled, k)))
+        c = (p * q).value()
     return _pair(c, c.conjugate())
 
 
-# the bound on |c|^2 = |P|^2 |Q|^2 formed directly: no part of P Q
-# passes 2**500
-_HUGE = 2.0 ** 1000
+def _pq(h: tuple, k: tuple) -> tuple:
+    """P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10 of the entries h, k."""
+    a00, a01, a10, a11 = h
+    b00, b01, b10, b11 = k
+    return a11 * b00 - a01 * b10, b11 * a00 - b01 * a10
 
 
-def _scaled_columns(h: tuple, k: tuple) -> tuple[tuple, tuple, int]:
-    """The entries h and k with each column scaled to [1/2, 1), and e.
+# the power that _Scaled gives 0: below every other, so that a difference
+# with 0 keeps the other operand, and 0 * 2**_ZERO is 0
+_ZERO = -(1 << 40)
 
-    Scaling A's columns by 2^-e_A0, 2^-e_A1 and B's by 2^-e_B0, 2^-e_B1
-    multiplies P by 2^-(e_A1 + e_B0) and Q by 2^-(e_A0 + e_B1), so c by
-    2^-e, e = e_A0 + e_A1 + e_B0 + e_B1, exactly where no part turns
-    subnormal; no product in P or Q then leaves the float range.
+
+class _Scaled:
+    """The complex number m 2^e, the larger part of m in [1/2, 1) or m = 0.
+
+    A product multiplies the mantissas and adds the powers; a difference
+    scales the operand with the smaller power to the larger one first.
+    Scaling by a power of two is exact where no part turns subnormal, so a
+    part is lost only where it is about 2^-1074 of the value it belongs to.
     """
-    ea = _exponent(h[0], h[2]), _exponent(h[1], h[3])  # column j: j % 2
-    eb = _exponent(k[0], k[2]), _exponent(k[1], k[3])
-    return (tuple(_ldexp(z, -ea[j % 2]) for j, z in enumerate(h)),
-            tuple(_ldexp(z, -eb[j % 2]) for j, z in enumerate(k)),
-            sum(ea) + sum(eb))
 
+    __slots__ = ("m", "e")
 
-def _scaled_back(p: complex, q: complex, e: int) -> complex:
-    """P Q 2^e for P and Q of scaled columns; OverflowError past the range.
+    def __init__(self, z: complex, e: int = 0):
+        d = _ZERO if z == 0 else math.frexp(max(abs(z.real), abs(z.imag)))[1]
+        self.m, self.e = _ldexp(z, -d), e + d
 
-    P and Q are scaled to [1/2, 1) again before their product, so that a
-    part of it far below |P Q| keeps its bits.
-    """
-    ep, eq = _exponent(p), _exponent(q)
-    c, e = _ldexp(p, -ep) * _ldexp(q, -eq), e + ep + eq
-    try:
-        return _ldexp(c, e)
-    except OverflowError:
-        raise OverflowError(f"squared spinor product beyond the float range: "
-                            f"{c} * 2**{e}") from None
+    def __mul__(self, other: "_Scaled") -> "_Scaled":
+        return _Scaled(self.m * other.m, self.e + other.e)
 
+    def __sub__(self, other: "_Scaled") -> "_Scaled":
+        e = max(self.e, other.e)
+        return _Scaled(_ldexp(self.m, self.e - e) - _ldexp(other.m, other.e - e),
+                       e)
 
-def _exponent(*zs: complex) -> int:
-    """The e with the largest part of zs in [2^(e-1), 2^e); 0 if all are 0."""
-    return math.frexp(max([max(abs(z.real), abs(z.imag)) for z in zs]))[1]
+    def value(self) -> complex:
+        """m 2^e; OverflowError where a part of it is past the float range."""
+        try:
+            return _ldexp(self.m, self.e)
+        except OverflowError:
+            raise OverflowError(f"squared spinor product beyond the float "
+                                f"range: {self.m} * 2**{self.e}") from None
 
 
 def _ldexp(z: complex, e: int) -> complex:

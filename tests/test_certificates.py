@@ -425,20 +425,31 @@ def test_composition_on_the_half_is_the_full_product():
 
 # -- the spinor product on scaled columns -----------------------------------------
 
-def test_column_scaling_scales_the_spinor_form_exactly():
-    # P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10, as
-    # spinor.product_modulus_sq writes them, are (adj A B)00 and
-    # (adj B A)00; A diag(al0, al1) and B diag(be0, be1) multiply P by
-    # al1 be0 and Q by al0 be1, so c = P Q by al0 al1 be0 be1: with powers
-    # of two for the scales, the scaled route's c is exact up to that factor
+def test_entry_scaling_scales_each_term_of_the_spinor_form():
+    # spinor._pq's P = A11 B00 - A01 B10 and Q = B11 A00 - B01 A10 are
+    # (adj A B)00 and (adj B A)00, and each of their terms is one entry of A
+    # times one of B: scaling each entry by its own al_ij or be_ij scales
+    # each term by the product of its two factors' scales, which is what
+    # spinor._Scaled keeps as a power of two; with one scale per column, A
+    # diag(al0, al1) and B diag(be0, be1) multiply P by al1 be0 and Q by
+    # al0 be1, so c = P Q by al0 al1 be0 be1
+    from hypalg.spinor import _pq
+
     def form(A, B):
-        return (A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0],
-                B[1, 1] * A[0, 0] - B[0, 1] * A[1, 0])
+        return _pq(tuple(A), tuple(B))  # the entries row by row
 
     A, B = (sp.Matrix(2, 2, complex_half(name)) for name in ("a", "b"))
-    al0, al1, be0, be1 = sp.symbols("al0 al1 be0 be1", positive=True)
     P, Q = form(A, B)
     assert same((P, Q), ((A.adjugate() * B)[0, 0], (B.adjugate() * A)[0, 0]))
+    al, be = (sp.Matrix(2, 2, sp.symbols(f"{name}0:4", positive=True))
+              for name in ("al", "be"))
+    Ps, Qs = form(A.multiply_elementwise(al), B.multiply_elementwise(be))
+    assert same((Ps, Qs),
+                (al[1, 1] * be[0, 0] * A[1, 1] * B[0, 0]
+                 - al[0, 1] * be[1, 0] * A[0, 1] * B[1, 0],
+                 be[1, 1] * al[0, 0] * B[1, 1] * A[0, 0]
+                 - be[0, 1] * al[1, 0] * B[0, 1] * A[1, 0]))
+    al0, al1, be0, be1 = sp.symbols("al0 al1 be0 be1", positive=True)
     Ps, Qs = form(A * sp.diag(al0, al1), B * sp.diag(be0, be1))
     assert same((Ps, Qs, Ps * Qs),
                 (al1 * be0 * P, al0 * be1 * Q, al0 * al1 * be0 * be1 * P * Q))

@@ -515,27 +515,56 @@ def _direct_modulus(a: Spinor, b: Spinor):
 FLOAT_LIMIT = Fraction(2 ** 1024 - 2 ** 970)
 
 
+def _exact_form(h, k) -> tuple[Fraction, Fraction]:
+    """c = (A11 B00 - A01 B10) (B11 A00 - B01 A10) of the entries h and k,
+    exactly, as (re, im)."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = [
+        [(Fraction(z.real), Fraction(z.imag)) for z in e] for e in (h, k)]
+    return mul(sub(mul(a11, b00), mul(a01, b10)),
+               sub(mul(b11, a00), mul(b01, a10)))
+
+
+def _term_scale(h, k) -> Fraction:
+    """(|A11| |B00| + |A01| |B10|) (|B11| |A00| + |B01| |A10|) of the
+    entries h and k, exactly, with |z| taken as |re z| + |im z|: the size
+    of the terms that c = P Q is formed from."""
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = [
+        [abs(Fraction(z.real)) + abs(Fraction(z.imag)) for z in e]
+        for e in (h, k)]
+    return (a11 * b00 + a01 * b10) * (b11 * a00 + b01 * a10)
+
+
 def _assert_entries_outcome(got, a: Spinor, b: Spinor) -> str:
     """product_modulus_sq's outcome got on two spinors with entries.
 
     Where the direct test holds, got is _pair of the direct c bit for bit.
     Either way got is within K eps |a|^2 |b|^2 + K 2**-1074 of the exact
-    value, or an OverflowError where a part of the exact value is past the
-    float range, to that bound.  Returns the route: "direct" or "scaled".
+    value of the p half, and within K eps _term_scale + K 2**-1074 of the
+    exact value of the entries (_exact_form), or it is an OverflowError
+    where a part of each of these exact values is past the float range, to
+    its bound.  Returns the route: "direct" or "scaled".
     """
     direct = _direct_modulus(a, b)
     if direct is not None:
         assert _bits((got.p, got.m)) == _bits((direct.p, direct.m)), (a, b)
-    exact = _exact_modulus_sq(a, b)
-    bound = (K * Fraction(EPS) * _norm_sq(a) * _norm_sq(b)
-             + K * Fraction(5e-324))
-    if isinstance(got, OverflowError):
-        assert str(got).startswith(
-            "squared spinor product beyond the float range: "), got
-        assert max(map(abs, exact)) >= FLOAT_LIMIT - bound, (a, b)
-    else:
-        assert _finite(got) and got.m == got.p.conjugate(), (a, b, got)
-        assert _error_sq(got, exact) <= bound ** 2, (a, b)
+    tiny = K * Fraction(5e-324)
+    for exact, scale in (
+            (_exact_modulus_sq(a, b), _norm_sq(a) * _norm_sq(b)),
+            (_exact_form(a._half, b._half), _term_scale(a._half, b._half))):
+        bound = K * Fraction(EPS) * scale + tiny
+        if isinstance(got, OverflowError):
+            assert str(got).startswith(
+                "squared spinor product beyond the float range: "), got
+            assert max(map(abs, exact)) >= FLOAT_LIMIT - bound, (a, b)
+        else:
+            assert _finite(got) and got.m == got.p.conjugate(), (a, b, got)
+            assert _error_sq(got, exact) <= bound ** 2, (a, b)
     return "scaled" if direct is None else "direct"
 
 
@@ -575,19 +604,18 @@ def test_product_modulus_keeps_every_refused_and_non_finite_outcome(rng):
         a, b = value(), value()
         got = _outcome(product_modulus_sq, a, b)
         want = _outcome(_algebraic_modulus_sq, a, b)
+        if _finite(want):
+            exact = _exact_modulus_sq(a, b)
+            scale = _norm_sq(a) * _norm_sq(b)
+            bound = K * Fraction(EPS) * scale + K * Fraction(5e-324)
+            assert _error_sq(want, exact) <= bound ** 2, (a, b)
         if a._half is None or b._half is None:
             _assert_same_outcome(got, want, a, b)
             kept += not _finite(want)
             continue
         _assert_entries_outcome(got, a, b)
         refused += isinstance(got, OverflowError)
-        if _finite(want):
-            exact = _exact_modulus_sq(a, b)
-            scale = _norm_sq(a) * _norm_sq(b)
-            bound = K * Fraction(EPS) * scale + K * Fraction(5e-324)
-            assert _error_sq(want, exact) <= bound ** 2, (a, b)
-        elif _finite(got):
-            mended += 1  # sprod_algebraic refused or was not finite
+        mended += _finite(got) and not _finite(want)
     assert kept > 1000 and mended > 100 and refused > 100, (
         kept, mended, refused)
 
@@ -762,41 +790,41 @@ def test_product_modulus_takes_the_half_route(monkeypatch, rng):
                 assert abs(m2.w - c.imag) <= bound, (x, y, m2)
                 assert m2.y == m2.v == 0.0
 
-    # c = A11 A00 A11 A00 = 1e640 for A = 1e160 (identity): past the range
+    # past the range: c = A11 A00 A11 A00 = 1e640 for A = 1e160 (identity);
+    # and c = (A11 B00) (B11 A00) = 9e538 for A = [[1e-30, 1e300], [0,
+    # 1e-30]] and B = diag(1e299, 9e299), whose A11 is 1e-330 of its column
     huge = from_even_components(EvenComponents(1e160, *(0.0,) * 7))
-    with pytest.raises(OverflowError,
-                       match="squared spinor product beyond the float range"):
-        product_modulus_sq(huge, huge)
+    a = from_even_components(EvenComponents(1e-30, 0.0, 5e299, 0.0, 5e299,
+                                            0.0, 0.0, 0.0))
+    b = from_even_components(EvenComponents(5e299, *(0.0,) * 5, -4e299, 0.0))
+    assert a._half == (1e-30, 1e300, 0.0, 1e-30)
+    assert b._half == (1e299, 0.0, 0.0, 9e299)
+    for x, y in ((huge, huge), (a, b), (b, a)):
+        with pytest.raises(OverflowError, match="squared spinor product "
+                           "beyond the float range"):
+            product_modulus_sq(x, y)
     with pytest.raises(AssertionError):  # a value without a half
         product_modulus_sq(Spinor(S1), std)
 
 
-def _exact_form(h, k) -> tuple[Fraction, Fraction]:
-    """c = (A11 B00 - A01 B10) (B11 A00 - B01 A10) of the entries h and k,
-    exactly, as (re, im)."""
-    def mul(x, y):
-        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    def sub(x, y):
-        return x[0] - y[0], x[1] - y[1]
-
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = [
-        [(Fraction(z.real), Fraction(z.imag)) for z in e] for e in (h, k)]
-    return mul(sub(mul(a11, b00), mul(a01, b10)),
-               sub(mul(b11, a00), mul(b01, a10)))
-
-
 def test_scaled_route_keeps_small_parts():
-    # two pairs on the scaled route whose c has no difference to lose bits
-    # in, so that each part of c is within K eps of itself (plus K units of
-    # 2**-1074 for a part below the float range): a spin
+    # three pairs on the scaled route whose c has no difference to lose
+    # bits in, so that each part of c is within K eps of itself (plus K
+    # units of 2**-1074 for a part below the float range): a spin
     # transform at xi = 1419.4, whose A11 is subnormal, against B00 = 0.75
     # + 1e-300 i, where P = 0.75 A11 loses bits and |P|^2 < 2**-1000 (the
-    # direct c is off by 155 eps); and, against B = 1, entries whose direct
+    # direct c is off by 155 eps); against B = 1, entries whose direct
     # |Q|^2 overflows, A's second column of size 2.5e300 with A11 of size
-    # 10 in it, where c = A11 A00 has a real part 1e-67 of |c|, kept
-    # since the scaled route scales P and Q again before their product
+    # 10 in it, where c = A11 A00 has a real part 1e-67 of |c|; and,
+    # against B = 1, entries (1e308, 1e300, 1, 1e-30), where c = A11 A00 =
+    # 1e278 though A11 is 1e-330 of the other entry in its column
     from hypalg.lorentz import _spin_value
+
+    def spin_value(h):
+        """The spinor with the entries h, its p half read off them."""
+        a00, a01, a10, a11 = h
+        return _spin_value(Spinor, ((a00 + a11) / 2, (a01 + a10) / 2,
+                                    (a10 - a01) / 2j, (a00 - a11) / 2), h)
 
     a = spinor_of(0.0, 3.11, 1419.4)
     b = from_even_components(EvenComponents(0.375, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -805,10 +833,10 @@ def test_scaled_route_keeps_small_parts():
     h = (complex(-2e300, 9.80949847473463e232),
          complex(-1.2261873093418288e233, -2.5e300),
          complex(-2e300, -2.5e300), complex(-2.5e-300, 10.677733557154678))
-    a00, a01, a10, a11 = h  # the p half of A, for the spinor's value
-    big = _spin_value(Spinor, ((a00 + a11) / 2, (a01 + a10) / 2,
-                               (a10 - a01) / 2j, (a00 - a11) / 2), h)
-    for x, y in ((a, b), (big, Spinor.standard())):
+    std = Spinor.standard()
+    for x, y in ((a, b), (spin_value(h), std),
+                 (spin_value((1e308 + 0j, 1e300 + 0j, 1 + 0j, 1e-30 + 0j)),
+                  std)):
         m2 = product_modulus_sq(x, y)
         for got, want in zip((m2.x, m2.w), _exact_form(x._half, y._half)):
             bound = K * Fraction(EPS) * abs(want) + K * Fraction(5e-324)
