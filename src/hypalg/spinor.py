@@ -288,7 +288,8 @@ def product_modulus_sq(a: Spinor, b: Spinor) -> HyperComplex:
     formula on the entries held as mantissas and powers of two (_Scaled),
     so that no term or part of it leaves the float range on the way.
     Either way c is within a few eps (|A11| |B00| + |A01| |B10|) (|B11|
-    |A00| + |B01| |A10|) of its exact value, and the one refusal is an
+    |A00| + |B01| |A10|) of its exact value, plus a few units of 2^-1074
+    where a part of c is subnormal, and the one refusal is an
     OverflowError where a part of c is past the float range.  A spinor
     without entries takes sprod_algebraic, whose NaN, inf or
     NonScalarResidual stands.
