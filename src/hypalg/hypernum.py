@@ -27,9 +27,10 @@ Every hypalg value class, here and in the other modules, derives from
 ``_Frozen``, defined here as the bottom module: a plain class with
 ``__slots__`` whose fields cannot be assigned or deleted, and which is the
 one home of filling the fields, equality, hashing, repr and pickling for all
-of them.  Being the bottom module, it is also the home of what the CLI's
-commands and its expression language share: ``format_real``,
-``NonFiniteResult`` and ``_check_angles``.
+of them; spin values (``lorentz._SpinValue``) override ``_key``, ``__repr__``
+and ``__reduce__`` to read their ``value``, a property.  Being the bottom
+module, it is also the home of what the CLI's commands and its expression
+language share: ``format_real``, ``NonFiniteResult`` and ``_check_angles``.
 """
 
 from __future__ import annotations

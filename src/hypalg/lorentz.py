@@ -51,70 +51,68 @@ def _spin_half(a: Multivector) -> tuple | None:
 class _SpinValue(_Frozen):
     """Base of Rotor and spinor.Spinor: a value and its M2(C) entries.
 
-    A spin value keeps what its builder computed.  The slot _src is one
-    source of its value: the value itself, a Multivector (Rotor(m),
-    Spinor(m), _with_half and pickle, which also set value); its p half, a
-    4-tuple (_spin_value); or the LorentzParams of spin_transform.  The
-    slot _half keeps the entries: _spin_half(value) (also in _fill), a
-    closed form's, or a composition's product.  value, where unset, and
-    _terms, _sandwich_terms of the entries, are formed on their first read
-    (__getattr__) and kept; two threads that both form one write the same
-    bits.  Outside a subclass's __slots__, equality, hashing and repr see
-    none of _src, _half and _terms; pickling carries the value and the
-    entries.
+    A spin value keeps what its builder computed.  The slot _src holds the
+    value itself, a Multivector (Rotor(m), Spinor(m), and _spin_value from a
+    value, as in pickling), or the source it is formed from: its p half, a
+    4-tuple, or the LorentzParams of spin_transform.  The read-only property
+    value forms _halves(p, _sigma(p)) of such a source's p half on its first
+    read and stores it back in _src; two threads that both form it store the
+    same bits, and _p_half reads the same p half from either form.  The
+    slot _half keeps the entries: _spin_half(value), a closed form's, or a
+    composition's product; _terms, _sandwich_terms of them, is formed by
+    _kept_terms for apply and matrix_of.  Equality, hashing and repr read
+    value alone; pickling carries value and the entries.
     """
 
     __slots__ = ("_src", "_half", "_terms")
+    __match_args__ = ("value",)
 
     def __init__(self, value: Multivector):
-        self._setters[0](self, value)
         _set_src(self, value)
         _set_half(self, _spin_half(value))
 
-    _fill = __init__
+    @property
+    def value(self) -> Multivector:
+        src = self._src
+        if isinstance(src, Multivector):
+            return src
+        p = _p_half(src)
+        value = _halves(p, _sigma(p))
+        _set_src(self, value)
+        return value
 
-    def __getattr__(self, name: str):
-        """Form value or _terms on its first read; called on an unset slot."""
-        if name == "value":
-            src = self._src
-            if isinstance(src, Multivector):
-                value = src
-            else:
-                p = _p_half(src)
-                value = _halves(p, _sigma(p))
-            type(self)._setters[0](self, value)
-            return value
-        if name == "_terms":
-            terms = _sandwich_terms(self._half)
-            _set_terms(self, terms)
-            return terms
-        raise AttributeError(f"{type(self).__name__!r} object has no "
-                             f"attribute {name!r}", name=name, obj=self)
+    def _key(self) -> tuple:
+        return (self.value,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(value={self.value!r})"
 
     def __reduce__(self):
-        return _with_half, (type(self), self.value, self._half)
+        return _spin_value, (type(self), self.value, self._half)
 
 
 _set_src, _set_half, _set_terms = _SpinValue._setters
 
 
-def _with_half(cls: type, value: Multivector, half: tuple | None) -> _SpinValue:
-    """The cls with the value value and the entries half, found by the caller."""
-    obj = _spin_value(cls, value, half)
-    cls._setters[0](obj, value)
-    return obj
-
-
 def _spin_value(cls: type, src, entries: tuple | None) -> _SpinValue:
     """The cls with the source src and entries (finite or None) as given.
 
-    src is a p half, a LorentzParams or a Multivector (see _SpinValue); the
-    value is formed from it on its first read.
+    src is the value, a p half or a LorentzParams (see _SpinValue).
     """
     obj = _new(cls)
     _set_src(obj, src)
     _set_half(obj, entries)
     return obj
+
+
+def _kept_terms(t: _SpinValue) -> tuple:
+    """t's trace terms: _sandwich_terms of its entries, kept on first use."""
+    try:
+        return t._terms
+    except AttributeError:
+        terms = _sandwich_terms(t._half)
+        _set_terms(t, terms)
+        return terms
 
 
 def _p_half(src) -> tuple:
@@ -314,11 +312,12 @@ class Rotor(_SpinValue):
 
     apply, matrix_of, composition, inverse and spinor.from_rotor read its
     M2(C) entries (see _SpinValue), found once, when it is built;
-    apply and matrix_of read their trace terms, formed on the first of them.
-    Its value is formed on its first read where it was built without one.
+    apply and matrix_of read their trace terms, formed on the first of them
+    (_kept_terms).  Its value is formed on its first read where it was
+    built from a source.
     """
 
-    __slots__ = __match_args__ = ("value",)
+    __slots__ = ()
 
     def __mul__(self, other: "Rotor") -> "Rotor":
         """Composition; (t2 * t1) acts as t2 after t1.
@@ -335,7 +334,7 @@ class Rotor(_SpinValue):
     def inverse(self) -> "Rotor":
         """Rotor(value.bar()), with the entries adj A: A^-1 where det A = 1."""
         h = self._half
-        return Rotor(self.value.bar()) if h is None else _with_half(
+        return Rotor(self.value.bar()) if h is None else _spin_value(
             Rotor, self.value.bar(), (h[3], -h[1], -h[2], h[0]))
 
     def is_unit(self, tol: float = 1e-12) -> bool:
@@ -418,7 +417,7 @@ def apply(t: Rotor, x: FourVector) -> FourVector:
     span (t is not actually a rotor) or a part of it is not finite.
     """
     if t._half is not None:
-        y = _spin_sandwich(t._terms, x.x0, x.x1, x.x2, x.x3)
+        y = _spin_sandwich(_kept_terms(t), x.x0, x.x1, x.x2, x.x3)
         if y is not None:
             return FourVector(*y)
     return extract(t.value * embed(x) * t.value.dagger())
@@ -480,7 +479,7 @@ def matrix_of(t: Rotor):
     import numpy as np
 
     if t._half is not None:
-        entries = _matrix_entries(t._terms)
+        entries = _matrix_entries(_kept_terms(t))
         if entries is not None:
             return np.array(entries).reshape(4, 4)
     return np.array([apply(t, FourVector(*e)).components()

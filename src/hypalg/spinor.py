@@ -24,7 +24,7 @@ from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _pair, _rebuild
 from .lorentz import (_TINY, LorentzParams, Rotor, _spin_half,
                       _spin_product, _spin_value, _spinor_span, _SpinValue,
-                      _with_half, spin_transform)
+                      spin_transform)
 
 
 class NotInSpinorAlgebra(_ResidualError, ValueError):
@@ -48,7 +48,7 @@ class Spinor(_SpinValue):
     product_modulus_sq and act read its M2(C) entries (lorentz._SpinValue).
     """
 
-    __slots__ = __match_args__ = ("value",)
+    __slots__ = ()
 
     @classmethod
     def standard(cls) -> "Spinor":
@@ -61,10 +61,10 @@ class Spinor(_SpinValue):
 def from_rotor(t: Rotor) -> Spinor:
     """Identify the spin transformation itself as the spinor.
 
-    A rotor that carries entries passes them and the source of its value
-    (lorentz._SpinValue) on, without a test and forming nothing: the
-    spinor's value is the rotor's, zero signs included, on its first read.
-    Every other rotor's value meets from_multivector.
+    A rotor that carries entries passes them and its _src (its value or the
+    source of it, lorentz._SpinValue) on, without a test and forming
+    nothing: the spinor's value is the rotor's, zero signs included.  Every
+    other rotor's value meets from_multivector.
     """
     h = t._half
     if h is None:
@@ -83,7 +83,7 @@ def from_multivector(m: Multivector) -> Spinor:
     p = _spin_half(m)
     if p is None:
         NotInSpinorAlgebra.check(m)
-    return _with_half(Spinor, m, p)
+    return _spin_value(Spinor, m, p)
 
 
 # -- component views ----------------------------------------------------------

@@ -8,12 +8,14 @@ representation of the scalar ring) with plain numpy products.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from hypalg import HyperComplex, Multivector
+from hypalg import HyperComplex, Multivector, Rotor
+from hypalg.lorentz import _spinor_span
 
 # unit products of (1, i, j, ij): UNIT_TABLE[a][b] = (sign, unit)
 UNIT_TABLE = (
@@ -113,8 +115,8 @@ def rel_close(a: Multivector, b: Multivector, tol: float) -> bool:
 
 
 def slot_set(value, name: str) -> bool:
-    """Whether value's slot name holds a value, read through the slot's
-    descriptor, which never runs a first-read hook (lorentz._SpinValue)."""
+    """Whether value's slot name holds a value, read through the slot's own
+    descriptor, so that nothing else of that name on the class is read."""
     slot = next(cls.__dict__[name] for cls in type(value).__mro__
                 if name in cls.__dict__)
     try:
@@ -122,3 +124,28 @@ def slot_set(value, name: str) -> bool:
     except AttributeError:
         return False
     return True
+
+
+# -- spin values -----------------------------------------------------------------
+
+def spin_transform_span(phi, theta, xi) -> Rotor:
+    """_spinor_span of spin_transform's eight closed-form components and its
+    closed-form entries, each formed as the docstring writes it."""
+    cp, sp = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    ch, sh = math.cosh(xi / 2.0), math.sinh(xi / 2.0)
+    up, down = math.exp(xi / 2.0), math.exp(-xi / 2.0)
+    cpct, spst, cpst, spct = cp * ct, sp * st, cp * st, sp * ct
+    return _spinor_span(Rotor, cpct * ch, spst * ch, -cpst * ch, -spct * ch,
+                        cpst * sh, spst * sh, cpct * sh, -spct * sh,
+                        (complex(cpct * up, -spct * up),
+                         complex(-cpst * down, spst * down),
+                         complex(cpst * up, spst * up),
+                         complex(cpct * down, spct * down)))
+
+
+def spin_bits(t):
+    """The bits of a spin value's halves and of its kept entries, or None."""
+    def bits(q):
+        return None if q is None else [(c.real.hex(), c.imag.hex()) for c in q]
+    return bits(t.value.p), bits(t.value.m), bits(t._half)

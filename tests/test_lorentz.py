@@ -17,10 +17,11 @@ from hypalg import (S1, S2, S3, FourVector, HyperComplex,
                     rotation, spin_transform)
 from hypalg import lorentz
 from hypalg.cayley import ONE, _halves, scalar
-from hypalg.lorentz import (_TINY, _entries, _sigma, _spin_half,
-                            _spin_sandwich, _spinor_span)
+from hypalg.lorentz import (_TINY, _entries, _kept_terms, _sigma,
+                            _spin_half, _spin_sandwich, _spinor_span)
 
-from conftest import rand_multivector, rel_close, slot_set
+from conftest import (rand_multivector, rel_close, spin_bits,
+                      spin_transform_span)
 
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
        (2, 1, 0): -1, (0, 2, 1): -1, (1, 0, 2): -1}
@@ -340,7 +341,7 @@ def test_tiny_rotors_take_the_full_product():
         == -1.000000000003e-312
     # from |a|^2 = 2^-1000 on, the terms answer, within K eps |a|^2 max|x_k|
     t = Rotor(Multivector(HyperComplex(2.0 ** -500)))
-    assert _spin_sandwich(t._terms, *x.components()) is not None
+    assert _spin_sandwich(_kept_terms(t), *x.components()) is not None
     assert _sandwich_error(t, x, apply(t, x)) <= K
 
 
@@ -433,29 +434,6 @@ def test_spin_transform_closed_form_matches_product():
                 assert worst <= 16 * eps * math.cosh(xi / 2), (phi, theta, xi)
 
 
-def _spin_transform_span(phi, theta, xi) -> Rotor:
-    """_spinor_span of spin_transform's eight closed-form components and its
-    closed-form entries, each formed as the docstring writes it."""
-    cp, sp = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    ch, sh = math.cosh(xi / 2.0), math.sinh(xi / 2.0)
-    up, down = math.exp(xi / 2.0), math.exp(-xi / 2.0)
-    cpct, spst, cpst, spct = cp * ct, sp * st, cp * st, sp * ct
-    return _spinor_span(Rotor, cpct * ch, spst * ch, -cpst * ch, -spct * ch,
-                        cpst * sh, spst * sh, cpct * sh, -spct * sh,
-                        (complex(cpct * up, -spct * up),
-                         complex(-cpst * down, spst * down),
-                         complex(cpst * up, spst * up),
-                         complex(cpct * down, spct * down)))
-
-
-def _spin_bits(t):
-    """The bits of a spin value's halves and of its kept entries, or None."""
-    def bits(q):
-        return None if q is None else [(c.real.hex(), c.imag.hex()) for c in q]
-    return bits(t.value.p), bits(t.value.m), bits(t._half)
-
-
 def test_spin_transform_is_its_spinor_span_bit_for_bit(rng):
     # spin_transform builds its value and entries in one step and decides
     # their finiteness from its factors; _spinor_span of the same components
@@ -472,9 +450,9 @@ def test_spin_transform_is_its_spinor_span_bit_for_bit(rng):
     kept = 0
     for phi, theta, xi in params:
         got = spin_transform(LorentzParams(phi, theta, xi))
-        want = _spin_transform_span(phi, theta, xi)
+        want = spin_transform_span(phi, theta, xi)
         assert type(got) is Rotor
-        assert _spin_bits(got) == _spin_bits(want), (phi, theta, xi)
+        assert spin_bits(got) == spin_bits(want), (phi, theta, xi)
         kept += got._half is not None
     assert 2000 < kept < len(params)  # NaN and infinite parameters keep None
 
@@ -483,9 +461,12 @@ def test_spin_values_form_their_value_on_first_read(rng):
     # spin_transform, from_rotor of it, boost, rotation and composition
     # leave value unset; reading value, ==, hash, repr, pickle, copy and
     # deepcopy, first on an unread value and then again, give the same bits
-    # as a value built with its value set (_with_half of _spinor_span's)
+    # as a value built with its value set (_spin_value of _spinor_span's)
     from hypalg import from_rotor
-    from hypalg.lorentz import _with_half
+    from hypalg.lorentz import _spin_value
+
+    def formed(t):
+        return isinstance(t._src, Multivector)
 
     angles = (0.0, -0.0, math.pi, 2 * math.pi, math.nan)
     xis = (0.0, -0.0, 1419.5, -1419.5, math.inf, -math.inf, math.nan)
@@ -501,14 +482,14 @@ def test_spin_values_form_their_value_on_first_read(rng):
             + [copy.copy(t), copy.deepcopy(t)]
 
     reads = {
-        "value": _spin_bits,
+        "value": spin_bits,
         "repr": repr,
         "pickle": lambda t: pickle.dumps(t),
-        "copies": lambda t: [(type(c), _spin_bits(c)) for c in copies(t)],
+        "copies": lambda t: [(type(c), spin_bits(c)) for c in copies(t)],
     }
     for phi, theta, xi in params:
-        want = _spin_transform_span(phi, theta, xi)
-        eager = _with_half(Rotor, want.value, want._half)
+        want = spin_transform_span(phi, theta, xi)
+        eager = _spin_value(Rotor, want.value, want._half)
         # NaN parts compare unequal and hash by identity
         ordered = not any(math.isnan(x) for c in eager.value.p
                           for x in (c.real, c.imag))
@@ -516,28 +497,28 @@ def test_spin_values_form_their_value_on_first_read(rng):
                                 if ordered else {}))
         for name, read in checks.items():
             t = spin_transform(LorentzParams(phi, theta, xi))
-            assert not slot_set(t, "value")
+            assert not formed(t)
             first = read(t)
-            assert slot_set(t, "value")
+            assert formed(t)
             assert first == read(t) == read(eager), (name, phi, theta, xi)
-            assert _spin_bits(t) == _spin_bits(eager), (phi, theta, xi)
+            assert spin_bits(t) == spin_bits(eager), (phi, theta, xi)
     # every builder of a value from its p half or parameters forms nothing
     t = spin_transform(LorentzParams(0.4, 1.3, -2.0))
     built = (t, from_rotor(t), boost((0.3, -0.2, 0.1)),
              rotation((0.4, 1.3, -2.0)), t * boost((1.0, 2.0, 3.0)),
              boost((0.3, -0.2, 0.1)) * rotation((0.4, 1.3, -2.0)))
-    assert not any(slot_set(a, "value") for a in built)
-    formed = _spin_bits(from_rotor(t))  # its own value, not the rotor's
-    assert not slot_set(t, "value") and formed == _spin_bits(t)
-    # the hook forms value and _terms only: copy's and pickle's probes and
-    # an unset source raise the usual AttributeError, with no recursion
+    assert not any(formed(a) for a in built)
+    own = spin_bits(from_rotor(t))  # its own value, not the rotor's
+    assert not formed(t) and own == spin_bits(t)
+    # value forms nothing else: copy's and pickle's probes and an unset
+    # source raise the usual AttributeError, with no recursion
     from hypalg.hypernum import _new
 
     t = spin_transform(LorentzParams(0.4, 1.3, -2.0))
     for name in ("__deepcopy__", "__copy__", "__setstate__", "not_a_field"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(t, name)
-    assert not slot_set(t, "value")
+    assert not formed(t)
     with pytest.raises(AttributeError, match="no attribute '_src'"):
         _new(Rotor).value
 
@@ -565,7 +546,7 @@ def test_a_given_value_keeps_its_zero_signs():
     assert r._half is not None and bits(m.m) != bits(_sigma(m.p))
     other = spin_transform(LorentzParams(0.4, 1.3, -2.0))
     omega = boost((0.3, -0.2, 0.1)).value
-    assert _spin_bits(from_rotor(r))[:2] == (bits(m.p), bits(m.m))
+    assert spin_bits(from_rotor(r))[:2] == (bits(m.p), bits(m.m))
     assert bits(r.inverse().value.p + r.inverse().value.m) \
         == bits(m.bar().p + m.bar().m)
     for got, (a, b) in (((r * other).value, (m.p, other.value.p)),
@@ -687,7 +668,7 @@ def test_matrix_of_is_one_closed_form(rng, monkeypatch):
     rotors = [rotation((0.3, 0.2, 0.1)), rotation((0.0, 0.0, math.pi)),
               boost((0.0, -0.0, 2.0))]
     rotors += [t for t in _sparse_rotors(rng)
-               if _TINY <= sum(t._terms[:2]) * 0.5]
+               if _TINY <= sum(_kept_terms(t)[:2]) * 0.5]
     assert len(rotors) > 150
     want = [_matrix_outcome(t) for t in rotors]
     assert all(w[0] != "raised" for w in want)

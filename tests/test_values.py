@@ -3,6 +3,7 @@ pattern matching, pickling and copying."""
 
 import copy
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,7 @@ from hypalg import (S1, S2, ColumnSpinor, EvenComponents, FourVector, HMat2,
                     Rotor, Spinor, to_matrix)
 from hypalg.cli import BinOp, parse
 
-from conftest import slot_set
+from conftest import slot_set, spin_transform_span
 
 H = HyperComplex
 HC0 = "HyperComplex(x=0.0, y=0.0, v=0.0, w=0.0)"
@@ -155,6 +156,51 @@ def test_repr_and_match_args(case):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_match_destructures_by_match_args(case):
+    # each positional capture of a class pattern is the attribute that
+    # __match_args__ names, a view or a spin value's value included
+    a = CASES[case][0]()
+    kind = SimpleNamespace(cls=type(a))
+    match len(kind.cls.__match_args__), a:
+        case 1, kind.cls(f0):
+            got = (f0,)
+        case 2, kind.cls(f0, f1):
+            got = (f0, f1)
+        case 3, kind.cls(f0, f1, f2):
+            got = (f0, f1, f2)
+        case 4, kind.cls(f0, f1, f2, f3):
+            got = (f0, f1, f2, f3)
+        case 8, kind.cls(f0, f1, f2, f3, f4, f5, f6, f7):
+            got = (f0, f1, f2, f3, f4, f5, f6, f7)
+        case _:
+            pytest.fail(f"no pattern for {kind.cls.__match_args__}")
+    assert got == tuple(getattr(a, name) for name in type(a).__match_args__)
+
+
+def test_match_forms_an_unread_spin_value():
+    # a spin transform, and its spinor, whose value was never read: the
+    # match forms it, bit for bit _spinor_span's of the same components,
+    # whose p half q is kept as its source and whose m half is _sigma(q)
+    from hypalg import from_rotor, spin_transform
+    from hypalg.lorentz import _sigma
+
+    def bits(halves):
+        return [(c.real.hex(), c.imag.hex()) for c in halves]
+
+    q = spin_transform_span(0.4, 1.3, -2.0)._src
+    want = bits(q + _sigma(q))
+    for build in (spin_transform, lambda p: from_rotor(spin_transform(p))):
+        a = build(LorentzParams(0.4, 1.3, -2.0))
+        assert not isinstance(a._src, Multivector)
+        match a:
+            case Rotor(value) | Spinor(value):
+                assert bits(value.p + value.m) == want
+                assert value is a.value
+            case _:
+                pytest.fail(f"{a!r} matched no spin value class")
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_fields_refuse_assignment_and_deletion(case):
     build, _, _, names = CASES[case]
     a = build()
@@ -188,19 +234,20 @@ def test_pickle_and_copy_round_trip(case):
 
 
 def test_the_kept_half_never_shows():
-    # Rotor and Spinor keep their M2(C) entries, and a rotor its trace
-    # terms, in slots of their private base, outside __slots__: a value with
-    # them and one without them are one value to ==, hash and repr;
-    # pickling carries each one's entries
+    # Rotor and Spinor keep their value (or its source), their M2(C)
+    # entries, and a rotor its trace terms, in slots of their private base,
+    # and have none of their own: a value with entries and one without them
+    # are one value to ==, hash and repr; pickling carries each one's entries
     from hypalg import (apply, boost, from_rotor, matrix_of, rotation,
                         spin_transform)
-    from hypalg.lorentz import (_entries, _sandwich_terms, _spinor_span,
-                                _with_half)
+    from hypalg.lorentz import (_entries, _sandwich_terms, _spin_value,
+                                _spinor_span, _SpinValue)
 
+    assert _SpinValue.__slots__ == ("_src", "_half", "_terms")
     m = Multivector(H(1.0), z2=H(0.0, 0.5))
     for cls in (Rotor, Spinor):
-        assert cls.__slots__ == cls.__match_args__ == ("value",)
-        a, b = cls(m), _with_half(cls, m, None)
+        assert cls.__slots__ == () and cls.__match_args__ == ("value",)
+        a, b = cls(m), _spin_value(cls, m, None)
         assert a._half == _entries(m.p) and b._half is None
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert repr(a) == repr(b) and "_half" not in repr(a)
@@ -222,9 +269,8 @@ def test_the_kept_half_never_shows():
     built = (t, t.inverse(), rotation((0.1, 0.2, 0.3)), boost((1, 2, 3)),
              spin_transform(LorentzParams(0.4, 1.3, -2.0)), from_rotor(t),
              _spinor_span(Rotor, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-             _with_half(Rotor, t.value, t._half), Rotor(t.value),
+             _spin_value(Rotor, t.value, t._half), Rotor(t.value),
              Spinor(t.value))
-    # read through the slot: reading a._terms would form the terms
     assert not any(slot_set(a, "_terms") for a in built)
     x = FourVector(1.0, 0.5, -2.0, 0.25)
     before = shown(t)
@@ -237,6 +283,6 @@ def test_the_kept_half_never_shows():
         assert [c.hex() for c in apply(copied, x).components()] \
             == [c.hex() for c in image.components()]
         assert bits(copied._terms) == bits(t._terms)
-    fresh = _with_half(Rotor, t.value, t._half)
+    fresh = _spin_value(Rotor, t.value, t._half)
     matrix_of(fresh)
     assert bits(fresh._terms) == bits(t._terms)

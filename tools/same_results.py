@@ -37,13 +37,18 @@ hypalg from its tree and computes a fixed seeded set of results:
   ``cross-section`` at |xi| from 20 to 1400.
 
 Values are encoded exactly: floats as ``float.hex``, value classes as their
-stored fields, and a Rotor or Spinor also by the M2(C) entries it keeps
-(``_half``, or None).  Each result is digested twice: once over its
-encoding, and once with every negative zero read as a positive one.  The
-report gives, per op, the number of results compared, the number that
+stored fields, and a Rotor or Spinor as its value and the M2(C) entries it
+keeps (``_half``, or None).  Each result is digested twice: once over its
+encoding, and once with every negative zero read as a positive one.  Each
+result also has a kind: ``raised <Type>`` for the first exception in it,
+else ``non-finite`` where a float in it is NaN or infinite, else ``finite``.
+The report gives, per op, the number of results compared, the number that
 differ and how many of those differ only in the sign of a zero (equal in the
-second digest), with up to three differing results of each op.  The exit
-status is 0 when nothing differs and 1 otherwise.
+second digest); then, per op with differences, the count of each
+``base kind -> change kind`` transition among them; then up to three
+differing results of each op, with their kinds and the first 400
+characters of their encodings.  The exit status is 0 when nothing differs
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import platform
 import random
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 SEED = 20061
@@ -78,26 +84,42 @@ SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 3e154,
 
 # -- encoding -------------------------------------------------------------------
 
-def encode(value):
-    """A JSON-able form of value that keeps every bit of every float."""
+def encode(value, kinds: list | None = None):
+    """A JSON-able form of value that keeps every bit of every float.
+
+    kinds, where given, gets "raised <Type>" for each exception met (before
+    its fields) and "non-finite" for each NaN or infinite float.
+    """
     if isinstance(value, float):
+        if kinds is not None and not math.isfinite(value):
+            kinds.append("non-finite")
         return value.hex()
     if isinstance(value, complex):
-        return [value.real.hex(), value.imag.hex()]
+        return [encode(value.real, kinds), encode(value.imag, kinds)]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (tuple, list)):
-        return [encode(v) for v in value]
+        return [encode(v, kinds) for v in value]
     if isinstance(value, BaseException):
-        fields = {k: encode(v) for k, v in sorted(vars(value).items())}
+        if kinds is not None:
+            kinds.append(f"raised {type(value).__name__}")
+        fields = {k: encode(v, kinds) for k, v in sorted(vars(value).items())}
         return ["raised", type(value).__name__, str(value), fields]
     if hasattr(value, "tolist"):  # a numpy array
-        return encode(value.tolist())
+        return encode(value.tolist(), kinds)
     cls = type(value)
-    fields = [encode(getattr(value, name)) for name in cls.__slots__]
-    if hasattr(cls, "_half"):  # a Rotor or Spinor: its kept entries too
-        fields.append(encode(value._half))
-    return [cls.__name__] + fields
+    if hasattr(cls, "_half"):  # a Rotor or Spinor: its value, its entries
+        return [cls.__name__, encode(value.value, kinds),
+                encode(value._half, kinds)]
+    return [cls.__name__] + [encode(getattr(value, name), kinds)
+                             for name in cls.__slots__]
+
+
+def kind(kinds: list) -> str:
+    """The kind of a result from what encode put in kinds: its first
+    exception's "raised <Type>", else "non-finite" or "finite"."""
+    raised = [k for k in kinds if k.startswith("raised ")]
+    return raised[0] if raised else "non-finite" if kinds else "finite"
 
 
 def outcome(fn, *args):
@@ -569,7 +591,7 @@ def run_cli(main, argv: list[str]) -> tuple[str, str, object]:
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a traceback is a result to compare too
-            code = encode(exc)
+            code = exc
     return out.getvalue(), err.getvalue(), code
 
 
@@ -588,8 +610,8 @@ def transcript_lines(main) -> list[str]:
     """One line per transcript command: the digest of its stdout, stderr
     and exit code, then the command as JSON.  Help texts are formatted for
     80 columns, so COLUMNS must be 80."""
-    return [f"{digest(json.dumps(run_cli(main, argv)))} {json.dumps(argv)}"
-            for argv in cli_commands(N_TRANSCRIPT)]
+    return [f"{digest(json.dumps(encode(run_cli(main, argv))))} "
+            f"{json.dumps(argv)}" for argv in cli_commands(N_TRANSCRIPT)]
 
 
 def write_transcript() -> None:
@@ -614,37 +636,39 @@ def import_cli(src: str):
 
 
 def worker(src: str) -> None:
-    """Print one JSON line [op, digest, zero-sign digest, preview] per
-    result, hypalg from src."""
+    """Print one JSON line [op, digest, zero-sign digest, kind, preview]
+    per result, hypalg from src."""
     cli = import_cli(src)
     import hypalg
 
     def emit(op: str, result) -> None:
-        text = json.dumps(result)
+        kinds = []
+        text = json.dumps(encode(result, kinds))
         unsigned = text.replace('"-0x0.0p+0"', '"0x0.0p+0"')
-        print(json.dumps([op, digest(text), digest(unsigned), text[:400]]))
+        print(json.dumps([op, digest(text), digest(unsigned), kind(kinds),
+                          text[:400]]))
 
     for op, case in lib_cases(hypalg):
         rng = random.Random(f"{SEED}:{op}")
         for _ in range(N_LIB):
-            emit(op, encode(case(rng)))
+            emit(op, case(rng))
     for argv in cli_commands(N_CLI) + large_xi_commands(N_LARGE_XI):
-        kind = argv[0] if argv and not argv[0].startswith("-") else "top"
+        sub = argv[0] if argv and not argv[0].startswith("-") else "top"
         for stream, result in zip(("stdout", "stderr", "exit"),
                                   run_cli(cli.main, argv)):
-            emit(f"cli.{kind}.{stream}", [argv, result])
+            emit(f"cli.{sub}.{stream}", [argv, result])
 
 
-def results(src: str) -> dict[str, list[tuple[str, str, str]]]:
+def results(src: str) -> dict[str, list[tuple[str, str, str, str]]]:
     env = dict(os.environ, COLUMNS="80", PYTHONHASHSEED="0")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, __file__, "--worker", src],
                           env=env, stdout=subprocess.PIPE, check=True,
                           text=True)
-    table: dict[str, list[tuple[str, str, str]]] = {}
+    table: dict[str, list[tuple[str, str, str, str]]] = {}
     for line in proc.stdout.splitlines():
-        op, digest, unsigned, preview = json.loads(line)
-        table.setdefault(op, []).append((digest, unsigned, preview))
+        op, *fields = json.loads(line)
+        table.setdefault(op, []).append(tuple(fields))
     return table
 
 
@@ -664,7 +688,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(f"{'op':32} {'compared':>9} {'differ':>7} {'zero-sign':>9}")
     totals = {"library": [0, 0, 0], "cli": [0, 0, 0]}
-    examples = []
+    examples, transitions = [], []
     for op in base:
         pairs = list(zip(base[op], change[op]))
         differ = [k for k, (a, b) in enumerate(pairs) if a[0] != b[0]]
@@ -674,12 +698,20 @@ def main(argv: list[str]) -> int:
         total = totals["cli" if op.startswith("cli.") else "library"]
         for k, n in enumerate(counts):
             total[k] += n
-        examples += [f"{op} #{k}\n  base   {pairs[k][0][2]}\n"
-                     f"  change {pairs[k][1][2]}" for k in differ[:N_SHOWN]]
+        moves = Counter(f"{pairs[k][0][2]} -> {pairs[k][1][2]}"
+                        for k in differ)
+        transitions += [f"{op:32} {n:7d}  {move}"
+                        for move, n in sorted(moves.items())]
+        examples += [f"{op} #{k}\n  base   {pairs[k][0][2]}: {pairs[k][0][3]}"
+                     f"\n  change {pairs[k][1][2]}: {pairs[k][1][3]}"
+                     for k in differ[:N_SHOWN]]
     for name, (compared, differ, zero_sign) in totals.items():
         print(f"{'total ' + name:32} {compared:9d} {differ:7d} {zero_sign:9d}")
     commands = sum(len(v) for op, v in base.items() if op.endswith(".exit"))
     print(f"cli commands: {commands}")
+    if transitions:
+        print(f"\n{'differences by kind':32} {'count':>7}  base -> change")
+        print("\n".join(transitions))
     if examples:
         print(f"\nfirst {N_SHOWN} differences per op (truncated):")
         print("\n".join(examples))
