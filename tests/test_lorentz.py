@@ -459,7 +459,7 @@ def test_spin_transform_is_its_spinor_span_bit_for_bit(rng):
 
 def test_spin_values_form_their_value_on_first_read(rng):
     # spin_transform, from_rotor of it, boost, rotation and composition
-    # leave value unset; reading value, ==, hash, repr, pickle, copy and
+    # leave value unformed; reading value, ==, hash, repr, pickle, copy and
     # deepcopy, first on an unread value and then again, give the same bits
     # as a value built with its value set (_spin_value of _spinor_span's)
     from hypalg import from_rotor
