@@ -54,14 +54,15 @@ class _SpinValue(_Frozen):
     A spin value keeps what its builder computed.  The slot _src holds the
     value itself, a Multivector (Rotor(m), Spinor(m), and _spin_value from a
     value, as in pickling), or the source it is formed from: its p half, a
-    4-tuple, or the LorentzParams of spin_transform.  The read-only property
-    value forms _halves(p, _sigma(p)) of such a source's p half on its first
-    read and stores it back in _src; two threads that both form it store the
-    same bits, and _p_half reads the same p half from either form.  The
-    slot _half keeps the entries: _spin_half(value), a closed form's, or a
-    composition's product; _terms, _sandwich_terms of them, is formed by
-    _kept_terms for apply and matrix_of.  Equality, hashing and repr read
-    value alone; pickling carries value and the entries.
+    4-tuple of complex, or the factors spin_transform formed, a 5-tuple of
+    floats.  The read-only property value forms _halves(p, _sigma(p)) of
+    such a source's p half on its first read and stores it back in _src;
+    two threads that both form it store the same bits, and _p_half reads
+    the same p half from either form.  The slot _half keeps the entries:
+    _spin_half(value), a closed form's, or a composition's product; _terms,
+    _sandwich_terms of them, is formed by _kept_terms for apply and
+    matrix_of.  Equality, hashing and repr read value alone; pickling
+    carries value and the entries.
     """
 
     __slots__ = ("_src", "_half", "_terms")
@@ -97,7 +98,7 @@ _set_src, _set_half, _set_terms = _SpinValue._setters
 def _spin_value(cls: type, src, entries: tuple | None) -> _SpinValue:
     """The cls with the source src and entries (finite or None) as given.
 
-    src is the value, a p half or a LorentzParams (see _SpinValue).
+    src is the value, a p half or spin_transform's factors (see _SpinValue).
     """
     obj = _new(cls)
     _set_src(obj, src)
@@ -118,23 +119,17 @@ def _kept_terms(t: _SpinValue) -> tuple:
 def _p_half(src) -> tuple:
     """The p half of the spin value with the source src, without its value.
 
-    For spin_transform's LorentzParams, the closed form: with cp, sp = cos,
-    sin(phi/2), ct, st = cos, sin(theta/2) and ch, sh = cosh, sinh(xi/2),
-    the even components s = cp ct ch, b32 = sp st ch, b13 = -cp st ch,
-    b21 = -sp ct ch, b10 = cp st sh, b20 = sp st sh, b30 = cp ct sh and
-    p = -sp ct sh in _spinor_span's layout.  spin_transform has refused
-    every parameter for which a factor here raises: exp(|xi|/2) overflows
-    before cosh and sinh do.
+    A p half is itself.  spin_transform's factors (cp ct, sp st, cp st,
+    sp ct, xi/2) give the closed form its docstring states, with
+    cosh(xi/2) and sinh(xi/2) formed here.  spin_transform has refused every
+    parameter for which they raise: exp(|xi|/2) overflows before they do.
     """
-    if src.__class__ is tuple:
-        return src
-    if isinstance(src, Multivector):
+    if src.__class__ is not tuple:
         return src.p
-    cp, sp = math.cos(src.phi / 2.0), math.sin(src.phi / 2.0)
-    ct, st = math.cos(src.theta / 2.0), math.sin(src.theta / 2.0)
-    x = src.xi / 2.0
+    if len(src) == 4:
+        return src
+    cpct, spst, cpst, spct, x = src
     ch, sh = math.cosh(x), math.sinh(x)
-    cpct, spst, cpst, spct = cp * ct, sp * st, cp * st, sp * ct
     return (complex(cpct * ch, -spct * sh), complex(cpst * sh, spst * ch),
             complex(spst * sh, -cpst * ch), complex(cpct * sh, -spct * ch))
 
@@ -148,7 +143,7 @@ def _spinor_span(cls: type, s: float, b32: float, b13: float, b21: float,
     v + i*eta, v = (s, b10, b20, b30) and eta = (p, b32, b13, b21), and the
     m half _sigma of it.  Its entries, a closed form's or _entries of the p
     half, are kept when finite; the p half is the value's source, so the
-    value is formed on its first read.  spin_transform keeps its parameters
+    value is formed on its first read.  spin_transform keeps its factors
     instead, and _p_half writes the same layout from them; every other
     spin-span builder comes here.
     """
@@ -164,10 +159,11 @@ def _spin_product(cls: type, a, h: tuple | None, b,
                   k: tuple | None) -> _SpinValue | None:
     """The cls of the product of the spin values with the sources a and b.
 
-    a and b are _SpinValue sources (a Multivector, a p half or a
-    LorentzParams) with the entries h and k.  The value is the pair form of
-    _pauli of their p halves (_p_half), the full product's up to the sign of
-    a zero; None where h or k is None or a part is not finite.
+    a and b are _SpinValue sources (a Multivector, a p half or
+    spin_transform's factors) with the entries h and k.  The value is the
+    pair form of _pauli of their p halves (_p_half), the full product's up
+    to the sign of a zero; None where h or k is None or a part is not
+    finite.
     """
     if h is None or k is None:
         return None
@@ -338,7 +334,8 @@ class Rotor(_SpinValue):
             Rotor, self.value.bar(), (h[3], -h[1], -h[2], h[0]))
 
     def is_unit(self, tol: float = 1e-12) -> bool:
-        return (self.value * self.value.bar()).isclose(ONE, tol)
+        v = self.value
+        return (v * v.bar()).isclose(ONE, tol)
 
 
 IDENTITY = _spinor_span(Rotor, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -420,7 +417,8 @@ def apply(t: Rotor, x: FourVector) -> FourVector:
         y = _spin_sandwich(_kept_terms(t), x.x0, x.x1, x.x2, x.x3)
         if y is not None:
             return FourVector(*y)
-    return extract(t.value * embed(x) * t.value.dagger())
+    v = t.value
+    return extract(v * embed(x) * v.dagger())
 
 
 def generators() -> tuple[tuple[Multivector, ...], tuple[Multivector, ...]]:
@@ -450,11 +448,9 @@ def spin_transform(p: LorentzParams) -> Rotor:
     OverflowError is raised from |xi| = 2 ln(max float) = 1419.565425786768.
 
     Only what can refuse is computed here: the factors and the entries.
-    The rotor keeps p (copied into a LorentzParams unless it is one) as the
+    The rotor keeps the factors (cp ct, sp st, cp st, sp ct, xi/2) as the
     source of its value, which _p_half forms on its first read.
     """
-    if p.__class__ is not LorentzParams:  # a source that cannot change
-        p = LorentzParams(p.phi, p.theta, p.xi)
     cp, sp = math.cos(p.phi / 2.0), math.sin(p.phi / 2.0)
     ct, st = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
     x = p.xi / 2.0  # -x is -p.xi / 2.0 bit for bit
@@ -465,7 +461,8 @@ def spin_transform(p: LorentzParams) -> Rotor:
     # h is finite where cpct spst up down is: an infinite angle or a finite
     # |xi| past the range raised, and NaN or xi = +-inf makes that NaN
     finite = cpct * spst * up * down
-    return _spin_value(Rotor, p, h if finite - finite == 0 else None)
+    return _spin_value(Rotor, (cpct, spst, cpst, spct, x),
+                       h if finite - finite == 0 else None)
 
 
 def matrix_of(t: Rotor):

@@ -22,7 +22,7 @@ import math
 
 from .cayley import E3, ONE, _SPAN_TOL, Multivector, _ResidualError, sym
 from .hypernum import HyperComplex, J, _Frozen, _mul_i, _pair, _rebuild
-from .lorentz import (_TINY, LorentzParams, Rotor, _spin_half,
+from .lorentz import (_TINY, LorentzParams, Rotor, _entries, _spin_half,
                       _spin_product, _spin_value, _spinor_span, _SpinValue,
                       spin_transform)
 
@@ -152,13 +152,14 @@ class HMat2(_Frozen):
     """2x2 matrix with hyperbolic-complex entries: the Pauli matrix of a multivector.
 
     Stored as the multivector ``pauli`` it represents; the entries ``m11``,
-    ``m12``, ``m21`` and ``m22`` are read-only views.  Entries stored as
-    idempotent pairs could not hold the 16 real coefficients exactly (a part
-    of ``z0 + z3`` is the sum of two parts and needs one more bit), so the
-    Pauli coefficients are what the matrix keeps.  Built from its entries, a
-    matrix is decomposed into Pauli coefficients by half sums and
-    differences, to rounding.  The product of two matrices is the matrix of
-    the product of their multivectors, so to_matrix is exactly a
+    ``m12``, ``m21`` and ``m22`` are read-only views, each the pair of
+    lorentz._entries of ``pauli``'s p half and of its m half.  Entries
+    stored as idempotent pairs could not hold the 16 real coefficients
+    exactly (a part of ``z0 + z3`` is the sum of two parts and needs one
+    more bit), so the Pauli coefficients are what the matrix keeps.  Built
+    from its entries, a matrix is decomposed into Pauli coefficients by half
+    sums and differences, to rounding.  The product of two matrices is the
+    matrix of the product of their multivectors, so to_matrix is exactly a
     homomorphism.
     """
 
@@ -172,21 +173,9 @@ class HMat2(_Frozen):
                                _mul_i(m12 - m21) * 0.5,
                                (m11 - m22) * 0.5))
 
-    @property
-    def m11(self) -> HyperComplex:
-        return self.pauli.z0 + self.pauli.z3
-
-    @property
-    def m12(self) -> HyperComplex:
-        return self.pauli.z1 - _mul_i(self.pauli.z2)
-
-    @property
-    def m21(self) -> HyperComplex:
-        return self.pauli.z1 + _mul_i(self.pauli.z2)
-
-    @property
-    def m22(self) -> HyperComplex:
-        return self.pauli.z0 - self.pauli.z3
+    m11, m12, m21, m22 = (property(lambda self, k=k: _pair(
+        _entries(self.pauli.p)[k], _entries(self.pauli.m)[k]))
+        for k in range(4))
 
     def __mul__(self, other: "HMat2") -> "HMat2":
         if not isinstance(other, HMat2):
@@ -271,7 +260,8 @@ def sprod_algebraic(a: Spinor, b: Spinor, tol: float = _SPAN_TOL) -> HyperComple
     the scalar slot exactly on spinor-subalgebra arguments; any residual above
     tolerance, or a NaN or infinite residual, raises NonScalarResidual.
     """
-    total = sym(a.value, b.value) + sym(a.value, b.value * E3) * J
+    u, v = a.value, b.value
+    total = sym(u, v) + sym(u, v * E3) * J
     NonScalarResidual.check(total, tol)
     return total.scalar()
 

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import numpy as np
 import pytest
@@ -225,11 +226,20 @@ def test_every_real_type_scales_as_its_float():
         assert (a + r) == (a + f) and (z - r) == (z - f), r
         if f:
             assert z / r == z / f, r
+    # anything else is no scalar: each operator, on either side, gives
+    # NotImplemented and Python raises TypeError
     for other in (1j, "2", None):
-        with pytest.raises(TypeError):
-            a * other
-        with pytest.raises(TypeError):
-            z * other
+        for x, y in ((a, other), (other, a), (z, other), (other, z)):
+            for op in (mul, add, sub, truediv):
+                with pytest.raises(TypeError):
+                    op(x, y)
+
+
+def test_builders_refuse_a_wrong_count_and_a_non_scalar():
+    with pytest.raises(ValueError, match="expected 16 coefficients"):
+        Multivector.from_coeffs16([0.0] * 15)
+    with pytest.raises(TypeError, match="not a scalar: 'x'"):
+        scalar("x")
 
 
 def test_sym_and_antisym_take_one_product(rng):

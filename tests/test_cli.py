@@ -223,6 +223,12 @@ def test_eval_type_errors():
         evaluate(parse("exp(1, 2)"))
 
 
+def test_render_and_evaluate_refuse_what_is_not_a_node():
+    for fn in (render, evaluate):
+        with pytest.raises(TypeError, match="not an AST node: 1"):
+            fn(1)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def test_cli_eval_exp_of_a_large_phase(capsys):

@@ -457,6 +457,33 @@ def test_spin_transform_is_its_spinor_span_bit_for_bit(rng):
     assert 2000 < kept < len(params)  # NaN and infinite parameters keep None
 
 
+def test_spin_transform_keeps_nothing_of_a_duck_typed_argument():
+    # any object with phi, theta and xi will do; the rotor keeps what it
+    # formed from them, so changing the fields after the call, before its
+    # value is first read, changes nothing: its value, entries and product
+    # with the standard spinor are LorentzParams' bit for bit
+    from types import SimpleNamespace
+
+    from hypalg import (NotInSpinorAlgebra, Spinor, from_rotor,
+                        product_modulus_sq)
+
+    def pq_bits(t):
+        try:
+            c = product_modulus_sq(from_rotor(t), Spinor.standard())
+        except NotInSpinorAlgebra as exc:  # a NaN value meets the guard
+            return str(exc)
+        return [(z.real.hex(), z.imag.hex()) for z in (c.p, c.m)]
+
+    for phi, theta, xi in ((0.7, -1.3, 2.5), (-0.0, math.pi, -30.0),
+                           (5.0, 0.2, 700.0), (1.0, 2.0, math.nan)):
+        p = SimpleNamespace(phi=phi, theta=theta, xi=xi)
+        got = spin_transform(p)
+        p.phi, p.theta, p.xi = 3.0, -1.0, 4.0
+        want = spin_transform(LorentzParams(phi, theta, xi))
+        assert pq_bits(got) == pq_bits(want), (phi, theta, xi)
+        assert spin_bits(got) == spin_bits(want), (phi, theta, xi)
+
+
 def test_spin_values_form_their_value_on_first_read(rng):
     # spin_transform, from_rotor of it, boost, rotation and composition
     # leave value unformed; reading value, ==, hash, repr, pickle, copy and
@@ -561,6 +588,8 @@ def test_composition_order(rng):
     chained = apply(t2, apply(t1, x))
     composed = apply(t2 * t1, x)
     assert chained.isclose(composed, 1e-12)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        t1 * 2.0  # rotors compose only with rotors
 
 
 def test_unit_property_of_products(rng):

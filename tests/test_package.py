@@ -71,6 +71,14 @@ spinor = {SPINOR!r}
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("hypalg."))
 assert loaded() == ["hypalg.cayley", "hypalg.hypernum"], loaded()
 assert not (set(lorentz) | set(spinor)) & set(vars(hypalg))
+# an unknown name meets the hook's own refusal and loads nothing
+try:
+    hypalg.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'hypalg' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("hypalg.no_such_name")
+assert loaded() == ["hypalg.cayley", "hypalg.hypernum"], loaded()
 hypalg.boost
 assert loaded() == ["hypalg.cayley", "hypalg.hypernum", "hypalg.lorentz"]
 assert set(lorentz) <= set(vars(hypalg)), set(lorentz) - set(vars(hypalg))

@@ -158,6 +158,24 @@ def test_matrix_homomorphism_and_bijection(rng):
         assert from_matrix(to_matrix(a)) == a
 
 
+def test_matrix_entries_are_the_pauli_sums_bit_for_bit(rng):
+    # the views read the M2(C) entries of each half; they are z0 +- z3 and
+    # z1 -+ i z2 on the hyperbolic-complex slots, zero signs included
+    from hypalg.hypernum import _mul_i
+    values = [rand_multivector(rng) for _ in range(100)]
+    values += [Multivector(*(H(*(rng.choice((0.0, -0.0, 1.0, -2.5))
+                                 for _ in range(4))) for _ in range(4)))
+               for _ in range(100)]
+    for a in values:
+        z0, z1, z2, z3 = a.slots()
+        m = to_matrix(a)
+        for got, want in ((m.m11, z0 + z3), (m.m12, z1 - _mul_i(z2)),
+                          (m.m21, z1 + _mul_i(z2)), (m.m22, z0 - z3)):
+            assert _bits((got.p, got.m)) == _bits((want.p, want.m)), a
+    with pytest.raises(TypeError, match="unsupported operand"):
+        to_matrix(ONE) * 2.0
+
+
 def test_matrix_from_entries_decomposes_to_rounding(rng):
     # a matrix built from its entries recovers the multivector to a few ulps
     # of its largest coefficient, across six decades of magnitude
@@ -246,6 +264,21 @@ def test_act_identity_and_closure(rng):
     assert not act(PSEUDOSCALAR, psi).isclose(psi)
     with pytest.raises(NotInSpinorAlgebra):
         act(S1, psi)
+
+
+def test_act_guards_the_full_product_of_an_omega_without_entries():
+    # an s1 part takes omega off the span, so it has no entries and act
+    # takes the guard: within tolerance, the full product bit for bit
+    t = spin_transform(LorentzParams(0.7, 1.1, 0.4))
+    psi = from_rotor(t)
+    omega = t.value + S1 * 1e-14
+    got = act(omega, psi)
+    want = Spinor(omega * psi.value)
+    assert type(got) is Spinor
+    assert _bits(got.value.p) == _bits(want.value.p)
+    assert _bits(got.value.m) == _bits(want.value.m)
+    with pytest.raises(NotInSpinorAlgebra):
+        act(t.value + S1 * 1e-3, psi)
 
 
 def test_act_equivariance(rng):

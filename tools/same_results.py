@@ -19,15 +19,15 @@ hypalg from its tree and computes a fixed seeded set of results:
   at |xi_a| from 600 to 1419.5 against ones at |xi_b| up to 40, and of spin
   values whose value is first read after a pickle or copy, after
   composition or through from_rotor),
-  exp_general, rotation, boost, spin_transform, from_even_components,
-  from_odd_components, and the HMat2 product and apply) on random values
-  and on
-  special ones (signed zeros, infinities, NaN, huge, tiny and subnormal
-  numbers); a raised exception is a result too, recorded as its type, its
-  message and its fields (``residual``, ``norm``, ...); the rotors are
-  boost-rotation products, pure rotations and boosts, spin transforms,
-  sparse spin-span values and random multivectors, so that some images
-  have zero parts;
+  exp_general, rotation, boost, spin_transform (also on a duck-typed
+  parameter object whose fields change after the call),
+  from_even_components, from_odd_components, and the HMat2 product and
+  apply) on random values and on special ones (signed zeros, infinities,
+  NaN, huge, tiny and subnormal numbers); a raised exception is a result
+  too, recorded as its type, its message and its fields (``residual``,
+  ``norm``, ...); the rotors are boost-rotation products, pure rotations
+  and boosts, spin transforms, sparse spin-span values and random
+  multivectors, so that some images have zero parts;
 - values built from random fields (HMat2 from its entries, EvenComponents,
   OddComponents, ColumnSpinor, LorentzParams, parsed ASTs), with their
   pickle and copy round trips;
@@ -64,6 +64,7 @@ import platform
 import random
 import subprocess
 import sys
+import types
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -379,6 +380,17 @@ def lib_cases(H):
             psi = H.from_rotor(t)
         return psi, H.product_modulus_sq(psi, H.Spinor.standard()), t
 
+    def duck(rng):
+        """spin_transform's draws, passed as a SimpleNamespace whose fields
+        are changed after the call, so that a rotor that kept its argument
+        shows it."""
+        p = types.SimpleNamespace(phi=finite_real(rng), theta=finite_real(rng),
+                                  xi=real(rng))
+        t = H.spin_transform(p)
+        p.phi, p.theta, p.xi = 1.0, 2.0, 3.0
+        return t, outcome(lambda: H.product_modulus_sq(
+            H.from_rotor(t), H.Spinor.standard()))
+
     def inverse_pickled(rng):
         """A pickled rotor's inverse, and that inverse applied."""
         t = pickled(rotor(rng)).inverse()
@@ -474,6 +486,7 @@ def lib_cases(H):
         ("spin_transform", lambda rng: outcome(
             H.spin_transform, H.LorentzParams(
                 finite_real(rng), finite_real(rng), real(rng)))),
+        ("spin_transform.duck", lambda rng: outcome(duck, rng)),
         ("from_even_components", lambda rng: outcome(
             H.from_even_components,
             H.EvenComponents(*(real(rng) for _ in range(8))))),
